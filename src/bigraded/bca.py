@@ -57,6 +57,7 @@ __all__ = [
     "ddbar_exact_space",
     "BcaTable",
     "bca_dims",
+    "bca_table",
     "CanonicalMaps",
     "canonical_maps",
     "PageDdbarVerdict",
@@ -270,6 +271,11 @@ def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> BcaTable:
     return table
 
 
+def bca_table(ws: Workspace, r) -> BcaTable:
+    """`bca_dims` for pages 1..r of the workspace's complex, built once per workspace."""
+    return _memo(ws, ("bca_table", r), lambda: bca_dims(ws.c, r, ws))
+
+
 # ---------------------------------------------------------------------------
 # canonical comparison maps
 
@@ -367,7 +373,7 @@ def _conj_page_reps(ws: Workspace, r, p, q):
 class PageDdbarVerdict:
     r: int
     verdict: bool
-    criteria: dict          # name -> bool or None (not computed / unavailable)
+    criteria: dict          # name -> bool
     witness: dict | None    # a concrete failing form, when requested
     duality_gap: bool = False   # (C)/(D)/(E) hold although the property fails
 
@@ -388,8 +394,7 @@ def _criterion_bc_a_maps(ws, r, injective_only):
 
 
 def _criterion_dims(ws, r):
-    table = _memo(ws, ("bca_table", r),
-                  lambda: bca_dims(ws.c, r, ws))
+    table = bca_table(ws, r)
     kmax = ws.c.pmax + ws.c.qmax
     return all(table.bc_antidiagonal(r, k) == table.a_antidiagonal(r, k)
                for k in range(kmax + 1))
@@ -496,15 +501,9 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
     if witness is None:
         witness = f_witness
     if use_structure:
-        from bigraded.zigzag import multiplicity_solve, structure_verdict
-        result = _memo(ws, ("multiplicity",),
-                       lambda: multiplicity_solve(ws.c, ws=ws))
-        if result.status == "unique":
-            criteria["structure"] = structure_verdict(result.inventory, r)
-        else:
-            criteria["structure"] = None
-    strong = {k: v for k, v in criteria.items()
-              if k in ("B", "F", "structure") and v is not None}
+        from bigraded.zigzag import decompose, structure_verdict
+        criteria["structure"] = structure_verdict(decompose(ws.c, ws).inventory, r)
+    strong = {k: v for k, v in criteria.items() if k in ("B", "F", "structure")}
     values = set(strong.values())
     if len(values) > 1:
         raise ConsistencyError(
@@ -551,7 +550,7 @@ def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
     (which squeezes the middle one as well).
     """
     ws = ws or Workspace(c)
-    bca = _memo(ws, ("bca_table", r), lambda: bca_dims(ws.c, r, ws))
+    bca = bca_table(ws, r)
     pages = _memo(ws, ("page_table", r), lambda: page_dims(ws.c, r, ws))
     bca_total = bca.bc_total(r) + bca.a_total(r)
     page_total = pages.total(r) + pages.total_bar(r)

@@ -357,6 +357,8 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
     from bigraded.zigzag import DecompositionCertificate
 
     pmax, qmax = grid
+    if max_dim < 0:
+        raise LinalgError(f"max_dim must be nonnegative, got {max_dim}")
     rng = random.Random(seed)
     budget = {(p, q): max_dim for p in range(pmax + 1) for q in range(qmax + 1)}
     shapes = []
@@ -389,8 +391,7 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
         return scrambled
     inventory = {}
     for s in shapes:
-        key = s if not isinstance(s, tuple) else s
-        inventory[key] = inventory.get(key, 0) + 1
+        inventory[s] = inventory.get(s, 0) + 1
     cert_blocks = []
     for s, offsets in blocks:
         cells = {}
@@ -480,14 +481,24 @@ def complex_from_dict(obj) -> DoubleComplex:
             raise LinalgError(f"unknown convention {convention!r}")
         dims = {_unkey(k): int(v) for k, v in obj.get("dims", {}).items()}
         name = obj.get("name", "unnamed")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LinalgError(f"malformed complex file: {exc}") from exc
+    for (p, q), n in dims.items():
+        if n < 0:
+            raise LinalgError(f"negative dimension {n} at {p},{q}")
+        if n and not (0 <= p <= pmax and 0 <= q <= qmax):
+            raise LinalgError(f"dims entry {p},{q} lies outside the grid {pmax}x{qmax}")
 
     def read_maps(table, rows_of, cols_of):
+        if not isinstance(table, dict):
+            raise LinalgError("d1 and d2 must map cells \"p,q\" to matrices")
         out = {}
         for k, rows in table.items():
-            p, q = _unkey(k)
-            data = [[_parse_rational(x) for x in row] for row in rows]
+            try:
+                p, q = _unkey(k)
+                data = [[_parse_rational(x) for x in row] for row in rows]
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise LinalgError(f"malformed map at {k!r}: {exc}") from exc
             nr, nc = rows_of(p, q), cols_of(p, q)
             if len(data) != nr or any(len(r) != nc for r in data):
                 raise LinalgError(

@@ -199,17 +199,16 @@ def _verdict_section(c, ws, r, explain=False):
     return out
 
 
-def _decompose_section(c, ws, rmax=None):
-    result = zigzag.multiplicity_solve(c, r_max=rmax, ws=ws)
-    out = {"status": result.status}
-    if result.status == "unique":
-        out["inventory"] = [
-            {"shape": _shape_json(s), "multiplicity": m}
-            for s, m in sorted(result.inventory.items(), key=lambda kv: repr(kv[0]))]
-        out["total_dim"] = sum(models.shape_length(s) * m
-                               for s, m in result.inventory.items())
-    else:
-        out["kernel_dim"] = result.kernel_dim
+def _decompose_section(c, ws, certificate=False):
+    dec = zigzag.decompose(c, ws)
+    out = {
+        "status": "unique",
+        "inventory": [{"shape": _shape_json(s), "multiplicity": m}
+                      for s, m in sorted(dec.inventory.items(), key=lambda kv: repr(kv[0]))],
+        "total_dim": sum(models.shape_length(s) * m for s, m in dec.inventory.items()),
+    }
+    if certificate:
+        out["certificate"] = zigzag.certificate_to_dict(dec.certificate)
     return out
 
 
@@ -363,17 +362,14 @@ def render_markdown(report):
     if "decomposition" in report:
         dec = report["decomposition"]
         lines += ["## Decomposition", ""]
-        if dec.get("status") == "unique":
-            for item in dec["inventory"]:
-                s = item["shape"]
-                if s["kind"] == "square":
-                    desc = f"square at ({s['at'][0]},{s['at'][1]})"
-                else:
-                    desc = (f"{s['kind']} of length {s['length']} at "
-                            f"{tuple(s['generators'][0])}")
-                lines.append(f"- {item['multiplicity']} x {desc}")
-        else:
-            lines.append(f"- ambiguous (solution set dimension {dec.get('kernel_dim')})")
+        for item in dec["inventory"]:
+            s = item["shape"]
+            if s["kind"] == "square":
+                desc = f"square at ({s['at'][0]},{s['at'][1]})"
+            else:
+                desc = (f"{s['kind']} of length {s['length']} at "
+                        f"{tuple(s['generators'][0])}")
+            lines.append(f"- {item['multiplicity']} x {desc}")
         lines.append("")
     if "note" in report:
         lines += [f"_{report['note']}_", ""]
@@ -468,12 +464,8 @@ def cmd_hodge(args):
 
 def cmd_decompose(args):
     c, ws = _prepared(args)
-    if args.constructive:
-        raise UsageError(
-            "the constructive splitter is not enabled in this build; "
-            "the invariant-based inventory below is certified by round-trip tests")
     out = {"name": c.name,
-           "decomposition": _decompose_section(c, ws, args.rmax)}
+           "decomposition": _decompose_section(c, ws, certificate=args.constructive)}
     emit(args, out)
     return 0
 
@@ -505,7 +497,10 @@ def cmd_example(args):
         c = models.build_zigzag(shape)
     elif args.kind == "random":
         grid = tuple(int(x) for x in args.grid.split(","))
-        c = bicomplex.random_complex(grid, args.max_dim, args.seed or 0)
+        try:
+            c = bicomplex.random_complex(grid, args.max_dim, args.seed or 0)
+        except LinalgError as exc:
+            raise UsageError(str(exc)) from exc
     else:
         raise UsageError(f"unknown example kind {args.kind!r}")
     if args.out:
@@ -570,7 +565,8 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="inventory of indecomposable summands")
     common(p)
-    p.add_argument("--constructive", action="store_true")
+    p.add_argument("--constructive", action="store_true",
+                   help="also print the certificate of the decomposition")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("duality", help="induced duality pairings")

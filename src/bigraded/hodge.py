@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from bigraded.bca import bca_dims, ddbar_closed_space
+from bigraded.bca import bca_table, ddbar_closed_space
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (LinalgError, Matrix, Subspace, kernel_basis,
                              subspace_intersection, subspace_sum)
@@ -139,7 +139,7 @@ def flipped_adjoint_workspace(c: DoubleComplex, ip: InnerProduct,
     tower spaces of the flip are exactly the star-tower spaces of `c`.
     """
     ws = ws or Workspace(c)
-    key = ("flip", id(ip))
+    key = ("flip", tuple(sorted(ip.grams.items(), key=lambda kv: kv[0])))
     hit = ws.memo.get(key)
     if hit is not None:
         return hit
@@ -412,7 +412,7 @@ def bc_a_harmonic_spaces(c: DoubleComplex, ip: InnerProduct | None, r, p, q,
                                     kernel_basis(flip.c.d2_at(fp, fq)))
     h_a = subspace_intersection(ddbar_closed_space(c, r, p, q, ws), ker_adj)
     if check_dims:
-        table = bca_dims(c, r, ws)
+        table = bca_table(ws, r)
         if h_bc.dim != table.bc_dim(r, p, q) or h_a.dim != table.a_dim(r, p, q):
             raise ConsistencyError(
                 f"harmonic Bott-Chern/Aeppli dims ({h_bc.dim}, {h_a.dim}) at "

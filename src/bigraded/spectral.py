@@ -84,6 +84,7 @@ class Workspace:
         self.reps = {}
         self.dr = {}
         self.memo = {}  # scratch cache for the higher modules, keyed by tag
+        self.decomposition = None  # set once by zigzag.decompose
         self._swapped = None
         self._total = None
         self._total_image = {}

@@ -1,0 +1,267 @@
+"""The constructive splitter behind `bigraded.zigzag.split`.
+
+Squares come first (Stelzig, *On the structure of double complexes*): the
+rank of d1 d2 out of (p,q) counts the squares at (p,q), and their spans
+split off together with a complementary subcomplex on which d1 d2 = 0.
+There I = im d1 + im d2 is killed by both differentials, so for any
+complement C each antidiagonal k is a representation of a type-A zigzag
+quiver
+
+    I(0,k+1) <- C(0,k) -> I(1,k) <- C(1,k-1) -> ... -> I(k+1,0),
+
+whose interval summands are exactly the zigzags (Carlsson-de Silva,
+*Zigzag persistence*).  One left-to-right sweep per antidiagonal finds
+them.  Everything is built from the elimination routines of
+`bigraded.linalg`.
+"""
+
+from __future__ import annotations
+
+from bigraded.bicomplex import DoubleComplex
+from bigraded.linalg import (Matrix, Subspace, extend_basis, image_basis,
+                             kernel_basis, rref, subspace_sum)
+from bigraded.models import Square, ZigzagShape
+from bigraded.spectral import ConsistencyError
+from bigraded.zigzag import DecompositionCertificate
+
+__all__ = ["split_complex"]
+
+
+def split_complex(c: DoubleComplex) -> DecompositionCertificate:
+    """Certificate of the squares-and-zigzags decomposition of a valid complex.
+
+    Its transforms list, per bidegree, the square vectors first and then the
+    zigzag vectors, both in the complex's own coordinates.
+    """
+    squares, w, embed = _split_squares(c)
+    vectors = {cell: [] for cell in c.support()}
+    blocks = []
+
+    def place(shape, cell_vectors):
+        cells = {}
+        for cell, vec in cell_vectors.items():
+            cells[cell] = (len(vectors[cell]),)
+            vectors[cell].append(vec)
+        blocks.append((shape, cells))
+
+    for shape, cell_vectors in squares:
+        place(shape, cell_vectors)
+    for shape, cell_vectors in _split_zigzags(w):
+        place(shape, {cell: embed[cell].apply(v) for cell, v in cell_vectors.items()})
+    transforms = {cell: Matrix.from_columns(vecs, c.dim(*cell))
+                  for cell, vecs in vectors.items()}
+    return DecompositionCertificate(transforms, blocks)
+
+
+def _split_squares(c: DoubleComplex):
+    """Split off every square at once.
+
+    At each (p,q) the columns x at the pivots of d1 d2 span the squares
+    there.  With functionals phi dual to the d1 d2 x, the common kernel of
+    phi, phi d1, phi d2 and phi d1 d2 (each on the bidegree where it is
+    defined) is a subcomplex complementary to the spans of x, d1 x, d2 x and
+    d1 d2 x; intersected over all (p,q) it carries no d1 d2 at all.
+
+    Returns the squares as ``(Square, {cell: vector})``, the rest as a
+    complex `w` in its own coordinates, and the embedding matrices
+    ``embed[cell]`` whose columns are the basis of the rest in `c`'s
+    coordinates.
+    """
+    squares = []
+    conditions = {cell: [] for cell in c.support()}
+    for (p, q) in c.support():
+        dd = c.d1_at(p, q + 1) * c.d2_at(p, q)
+        if dd.is_zero():
+            continue
+        _, pivots, k = rref(dd)
+        images = Matrix.from_columns([dd.column(j) for j in pivots], dd.rows)
+        phi = images.transpose().solve(Matrix.identity(k)).transpose()
+        conditions[(p + 1, q + 1)].append(phi)
+        conditions[(p, q + 1)].append(phi * c.d1_at(p, q + 1))
+        conditions[(p + 1, q)].append(phi * c.d2_at(p + 1, q))
+        conditions[(p, q)].append(phi * dd)
+        d1, d2 = c.d1_at(p, q), c.d2_at(p, q)
+        for j in pivots:
+            x = tuple(1 if i == j else 0 for i in range(c.dim(p, q)))
+            squares.append((Square(p, q), {
+                (p, q): x, (p + 1, q): d1.apply(x), (p, q + 1): d2.apply(x),
+                (p + 1, q + 1): dd.apply(x)}))
+    embed = {}
+    for cell, rows in conditions.items():
+        n = c.dim(*cell)
+        if rows:
+            stacked = Matrix(sum(m.rows for m in rows), n, [r for m in rows for r in m.data])
+            embed[cell] = Matrix.from_columns(kernel_basis(stacked).basis_columns(), n)
+        else:
+            embed[cell] = Matrix.identity(n)
+    if not squares:
+        return squares, c, embed
+    dims = {cell: m.cols for cell, m in embed.items()}
+
+    def restrict(d, src, tgt):
+        if not dims.get(src) or not dims.get(tgt):
+            return None
+        sol = embed[tgt].solve(d * embed[src])
+        if sol is None:
+            raise ConsistencyError(
+                f"the square complement of {c.name!r} is not a subcomplex at {src}")
+        return sol
+
+    d1, d2 = {}, {}
+    for (p, q) in c.support():
+        m = restrict(c.d1_at(p, q), (p, q), (p + 1, q))
+        if m is not None:
+            d1[(p, q)] = m
+        m = restrict(c.d2_at(p, q), (p, q), (p, q + 1))
+        if m is not None:
+            d2[(p, q)] = m
+    return squares, DoubleComplex(c.name, c.pmax, c.qmax, dims, d1, d2), embed
+
+
+class _Interval:
+    """One summand of a zigzag representation: a vector at each position it spans.
+
+    Positions along antidiagonal k alternate I(j, k+1-j) at 2j and
+    C(j, k-j) at 2j+1.  Vectors at I positions are in the coordinates of the
+    bidegree, at C positions in the coordinates of the chosen complement.
+    """
+
+    __slots__ = ("start", "end", "vecs")
+
+    def __init__(self, start, vec):
+        self.start = start
+        self.end = None
+        self.vecs = {start: vec}
+
+    def rank(self):
+        # `a` may absorb `b` (a homomorphism of intervals a -> b exists while
+        # both are open) iff b ranks no lower: intervals born at an I cell
+        # rank lowest, a later birth lower; then those born at a C cell, an
+        # earlier birth lower
+        if self.start % 2 == 0:
+            return (0, -self.start)
+        return (1, self.start)
+
+
+def _absorb(order, coeffs):
+    """Vectors of sum_s coeffs[s] * order[s] on the support of the pivot interval.
+
+    The pivot is the first interval of `order` with a nonzero coefficient,
+    and that coefficient is 1; every other one with a nonzero coefficient
+    ranks no lower.
+    """
+    pivot = next(i for i, x in enumerate(coeffs) if x)
+    target = order[pivot]
+    out = {}
+    for pos, vec in target.vecs.items():
+        acc = list(vec)
+        for s, coef in enumerate(coeffs):
+            if s == pivot or not coef:
+                continue
+            other = order[s].vecs.get(pos)
+            if other is not None:
+                for i, x in enumerate(other):
+                    if x:
+                        acc[i] += coef * x
+        out[pos] = tuple(acc)
+    return target, out
+
+
+def _split_zigzags(w: DoubleComplex):
+    """Interval decomposition of a complex with d1 d2 = 0, one antidiagonal at a time.
+
+    Yields ``(ZigzagShape, {cell: vector})`` in `w`'s coordinates.
+    """
+    images = {}
+    complements = {}
+    for (p, q) in w.support():
+        n = w.dim(p, q)
+        images[(p, q)] = subspace_sum(image_basis(w.d1_at(p - 1, q)),
+                                      image_basis(w.d2_at(p, q - 1)))
+        complements[(p, q)] = extend_basis(images[(p, q)], Subspace.full(n))
+    for k in range(w.pmax + w.qmax + 1):
+        for interval in _sweep(w, k, images, complements):
+            yield _interval_shape(w, k, interval, complements)
+
+
+def _sweep(w, k, images, complements):
+    """One left-to-right pass over I(0,k+1) <- C(0,k) -> I(1,k) <- ... -> I(k+1,0).
+
+    At an I <- C step the live intervals whose vectors span the image
+    continue: the image, in coordinates of the live vectors ordered by rank,
+    is put in echelon form with each pivot at its lowest-ranked interval,
+    which then absorbs the others; the kernel starts new intervals.  At a
+    C -> I step the kernel, in the same echelon form, names the intervals
+    that die; the complement of the image starts new ones.
+    """
+    empty = Subspace.zero(0)
+    done = []
+    live = [_Interval(0, v) for v in images.get((0, k + 1), empty).basis_columns()]
+    for j in range(k + 1):
+        cell, pos = (j, k - j), 2 * j + 1
+        comp = complements.get(cell)
+        if not comp:
+            # nothing at C(j, k-j): every live interval ends at I(j, k+1-j)
+            for iv in live:
+                iv.end = pos - 1
+            done += live
+            live = [_Interval(pos + 1, v)
+                    for v in images.get((j + 1, k - j), empty).basis_columns()]
+            continue
+        cmat = Matrix.from_columns(comp, w.dim(*cell))
+        # I(j, k+1-j) <- C(j, k-j) along d2
+        rho = w.d2_at(*cell) * cmat
+        order = sorted(live, key=_Interval.rank)
+        coords = Matrix.from_columns([iv.vecs[pos - 1] for iv in order], rho.rows).solve(rho)
+        if coords is None:
+            raise ConsistencyError(f"d2 image at {cell} leaves im d1 + im d2")
+        red, pivots, rk = rref(coords.transpose())
+        rows = [red.row(i) for i in range(rk)]
+        lifts = coords.solve(Matrix.from_columns(rows, len(order)))
+        live = []
+        for i, (iv, vecs) in enumerate([_absorb(order, row) for row in rows]):
+            iv.vecs = vecs
+            iv.vecs[pos] = lifts.column(i)
+            live.append(iv)
+        for t, iv in enumerate(order):
+            if t not in pivots:
+                iv.end = pos - 1
+                done.append(iv)
+        live += [_Interval(pos, v) for v in kernel_basis(rho).basis_columns()]
+        # C(j, k-j) -> I(j+1, k-j) along d1
+        order = sorted(live, key=_Interval.rank)
+        sigma = w.d1_at(*cell) * cmat * Matrix.from_columns(
+            [iv.vecs[pos] for iv in order], cmat.cols)
+        ker = kernel_basis(sigma)
+        for iv, vecs in [_absorb(order, col) for col in ker.basis_columns()]:
+            iv.vecs = vecs
+            iv.end = pos
+            done.append(iv)
+        live = []
+        for t, iv in enumerate(order):
+            if t not in ker.pivot_rows:
+                iv.vecs[pos + 1] = sigma.column(t)
+                live.append(iv)
+        target = images.get((j + 1, k - j), empty)
+        span = Subspace.from_columns([iv.vecs[pos + 1] for iv in live], target.ambient_dim)
+        live += [_Interval(pos + 1, v) for v in extend_basis(span, target)]
+    for iv in live:
+        iv.end = 2 * k + 2
+    return done + live
+
+
+def _interval_shape(w, k, interval, complements):
+    """The zigzag of one interval and its vectors in `w`'s coordinates."""
+    s, e = interval.start, interval.end
+    gens = tuple((pos // 2, k - pos // 2) for pos in range(s, e + 1) if pos % 2)
+    if not gens:
+        raise ConsistencyError(f"interval without a generator on antidiagonal {k}")
+    vecs = {}
+    for pos, v in interval.vecs.items():
+        j = pos // 2
+        if pos % 2:
+            cell = (j, k - j)
+            vecs[cell] = Matrix.from_columns(complements[cell], w.dim(*cell)).apply(v)
+        else:
+            vecs[(j, k + 1 - j)] = v
+    return ZigzagShape(gens, s % 2 == 0, e % 2 == 0), vecs

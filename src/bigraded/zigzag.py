@@ -1,28 +1,34 @@
-"""Structure theory: indecomposable shapes, their invariants, multiplicity recovery.
+"""Structure theory: indecomposable shapes, their invariants, decompositions.
 
-Every bounded double complex is a direct sum of squares and zigzags.  Each
-shape contributes closed-form amounts to every invariant this package
-computes (page dimensions, conjugate page dimensions, Bott-Chern and Aeppli
-dimensions, Betti numbers), so the multiset of indecomposable summands can
-be recovered by solving one exact linear system
+Every bounded double complex is a direct sum of squares and zigzags.  Two
+independent engines find the summands:
 
-    sum over shapes  mult(s) * predicted(s)  =  measured(c)
+* `split` constructs the decomposition directly: squares first, then the
+  zigzags as the interval summands of one type-A zigzag representation
+  per antidiagonal (see `bigraded.splitter`).  The output is a
+  certificate, and `decompose` accepts it only after `verify_certificate`
+  and the invariant tables below agree with it.
+* `multiplicity_solve` recovers the same multiset from invariants alone.
+  Each shape contributes closed-form amounts to every invariant this
+  package computes (page dimensions, conjugate page dimensions, Bott-Chern
+  and Aeppli dimensions, Betti numbers), so one exact linear system
 
-over all per-bidegree invariants at once.  Uniqueness of the solution is an
-empirical per-input fact; when the system has a kernel the result is
-reported as ambiguous, never guessed.
+      sum over shapes  mult(s) * predicted(s)  =  measured(c),
 
-A decomposition claim can also be certified: a certificate carries a basis
-change and an assignment of the new basis vectors to shape instances, and
-`verify_certificate` checks block-diagonality plus per-block shape
-isomorphism.
+  extended by Hom-dimension fingerprints, determines the inventory.  When
+  the system has a kernel the result is reported as ambiguous, never
+  guessed.  It serves as the independent oracle of the test suite.
+
+A certificate carries a basis change and an assignment of the new basis
+vectors to shape instances; `verify_certificate` checks block-diagonality
+plus per-block shape isomorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from bigraded.bca import bca_dims
+from bigraded.bca import bca_table
 from bigraded.bicomplex import DoubleComplex, change_of_basis, de_rham_dims
 from bigraded.linalg import LinalgError, Matrix, kernel_basis
 from bigraded.models import (Square, ZigzagShape, shape_arrows, shape_cells,
@@ -38,6 +44,9 @@ __all__ = [
     "MultiplicityResult",
     "multiplicity_solve",
     "structure_verdict",
+    "Decomposition",
+    "split",
+    "decompose",
     "DecompositionCertificate",
     "CertificateReport",
     "verify_certificate",
@@ -163,7 +172,7 @@ def measured_invariants(c: DoubleComplex, r_max, ws: Workspace | None = None) ->
     pages = page_dims(ws.c, r_max, ws)
     out.e = dict(pages.e)
     out.ebar = dict(pages.ebar)
-    table = bca_dims(ws.c, r_max, ws)
+    table = bca_table(ws, r_max)
     out.bc = dict(table.bc)
     out.a = dict(table.a)
     out.b = {k: v for k, v in de_rham_dims(ws.total).items() if v}
@@ -309,13 +318,10 @@ def structure_verdict(inventory, r) -> bool:
 
     Holds iff there is no odd zigzag other than dots and no even zigzag
     longer than 2(r-1).  Accepts an inventory dict or a complex (which is
-    then decomposed first; ambiguity raises).
+    then decomposed first).
     """
     if isinstance(inventory, DoubleComplex):
-        result = multiplicity_solve(inventory)
-        if result.status != "unique":
-            raise LinalgError("structure verdict unavailable: ambiguous inventory")
-        inventory = result.inventory
+        inventory = decompose(inventory).inventory
     for shape, mult in inventory.items():
         if not mult or isinstance(shape, Square):
             continue
@@ -443,3 +449,78 @@ def verify_certificate(c: DoubleComplex, cert: DecompositionCertificate) -> Cert
                 return CertificateReport(
                     False, f"block {bi}: expected nonzero {which} arrow {src} -> {dst}", bi)
     return CertificateReport(True)
+
+
+# ---------------------------------------------------------------------------
+# the constructive splitter
+
+
+@dataclass
+class Decomposition:
+    """Shape inventory of a complex together with the certificate that proves it."""
+
+    inventory: dict                         # shape -> multiplicity
+    certificate: DecompositionCertificate
+
+
+def decompose(c: DoubleComplex, ws: Workspace | None = None) -> Decomposition:
+    """The checked decomposition of the workspace's complex, built once per workspace.
+
+    The splitter's certificate must pass `verify_certificate`, and the
+    summed closed-form invariants of its inventory must equal the measured
+    pages, conjugate pages, Bott-Chern, Aeppli, Betti and dimension tables
+    (at the default `r_max` of `multiplicity_solve`); otherwise the
+    implementation is at fault and ConsistencyError is raised.
+    """
+    ws = ws or Workspace(c)
+    if ws.decomposition is None:
+        dec = split(ws.c)
+        _check_decomposition(ws, dec)
+        ws.decomposition = dec
+    return ws.decomposition
+
+
+def _check_decomposition(ws: Workspace, dec: Decomposition):
+    c = ws.c
+    if _tally(dec.certificate.blocks) != dec.inventory:
+        raise ConsistencyError(
+            f"the split inventory of {c.name!r} differs from its certificate's blocks; "
+            "the implementation is at fault")
+    report = verify_certificate(c, dec.certificate)
+    if not report:
+        raise ConsistencyError(
+            f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
+            "the implementation is at fault")
+    r_max = max(c.pmax, c.qmax) + 1
+    predicted = ShapePrediction(None)
+    for shape, mult in dec.inventory.items():
+        pred = predicted_invariants(shape, r_max)
+        for tag in ("dims", "e", "ebar", "bc", "a", "b"):
+            acc = getattr(predicted, tag)
+            for key, v in getattr(pred, tag).items():
+                acc[key] = acc.get(key, 0) + mult * v
+    measured = measured_invariants(c, r_max, ws)
+    for tag in ("dims", "e", "ebar", "bc", "a", "b"):
+        if getattr(predicted, tag) != getattr(measured, tag):
+            raise ConsistencyError(
+                f"the split inventory of {c.name!r} predicts other {tag!r} tables "
+                "than the measured ones; the implementation is at fault")
+
+
+def split(c: DoubleComplex) -> Decomposition:
+    """Decompose a valid complex into squares and zigzags, constructively.
+
+    The result is not checked here; see `decompose`.  The algorithm lives in
+    `bigraded.splitter`, imported on first use so that importing this
+    module does not compile it.
+    """
+    from bigraded.splitter import split_complex
+    cert = split_complex(c)
+    return Decomposition(_tally(cert.blocks), cert)
+
+
+def _tally(blocks):
+    inventory = {}
+    for shape, _ in blocks:
+        inventory[shape] = inventory.get(shape, 0) + 1
+    return inventory

@@ -190,3 +190,14 @@ def test_malformed_file_rejected():
     from bigraded.linalg import LinalgError
     with pytest.raises(LinalgError):
         complex_from_dict({"grid": [1, 1], "dims": {"0,0": 1}, "d1": {"0,0": [["1", "2"]]}, "d2": {}})
+
+
+@pytest.mark.parametrize("obj", [
+    {"grid": [1, 1], "dims": {"0,0": 1}, "d1": [1]},
+    {"grid": [1, 1], "dims": [["0,0", 1]]},
+    {"grid": [1, 1], "dims": {"0,0": -1}},
+])
+def test_misshapen_file_rejected(obj):
+    from bigraded.linalg import LinalgError
+    with pytest.raises(LinalgError):
+        complex_from_dict(obj)

@@ -92,10 +92,19 @@ def test_decompose_command(capsys):
     assert total == doc["decomposition"]["total_dim"]
 
 
-def test_decompose_constructive_flag_is_usage_error(capsys):
-    code, doc = run_json(capsys, "decompose", "example://dot", "--constructive")
-    assert code == 2
-    assert doc["error"]["kind"] == "usage"
+def test_decompose_constructive_certificate_verifies(capsys):
+    from bigraded.cli import load_input
+    from bigraded.zigzag import certificate_from_dict, verify_certificate
+    uri = "example://random?grid=3,3&seed=2&maxdim=3"
+    code, plain = run_json(capsys, "decompose", uri)
+    assert code == 0 and "certificate" not in plain["decomposition"]
+    code, doc = run_json(capsys, "decompose", uri, "--constructive")
+    assert code == 0
+    cert = certificate_from_dict(doc["decomposition"].pop("certificate"))
+    assert doc == plain
+    assert verify_certificate(load_input(uri), cert).ok
+    claimed = sum(1 for _ in cert.blocks)
+    assert claimed == sum(item["multiplicity"] for item in plain["decomposition"]["inventory"])
 
 
 def test_hodge_command(capsys):
@@ -184,3 +193,47 @@ def test_show_reps(capsys):
                          "--show-reps")
     assert code == 0
     assert doc["representatives"]["1"]["0,0"] == [["1"]]
+
+
+def _write(tmp_path, obj):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _assert_input_error(capsys, path):
+    for command in ("validate", "report"):
+        code, doc = run_json(capsys, command, path)
+        assert code == 1, command
+        assert doc["error"]["kind"] == "input", command
+
+
+def test_dims_outside_grid_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, {"grid": [1, 1], "dims": {"0,0": 1, "5,5": 2}})
+    _assert_input_error(capsys, path)
+
+
+def test_unparsable_entry_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1},
+                             "d1": {"0,0": [["abc"]]}})
+    _assert_input_error(capsys, path)
+
+
+def test_zero_denominator_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1},
+                             "d1": {"0,0": [["1/0"]]}})
+    _assert_input_error(capsys, path)
+
+
+def test_malformed_cell_key_is_input_error(tmp_path, capsys):
+    path = _write(tmp_path, {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1},
+                             "d1": {"0;0": [["1"]]}})
+    _assert_input_error(capsys, path)
+
+
+def test_negative_maxdim_is_usage_error(capsys):
+    for argv in (("validate", "example://random?grid=2,2&maxdim=-1"),
+                 ("example", "random", "--grid", "2,2", "--max-dim", "-1")):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert doc["error"]["kind"] == "usage", argv

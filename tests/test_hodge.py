@@ -192,3 +192,23 @@ def test_metric_page_map_rank_matches_page_differential(random_suite):
                 m = tower.page_maps.get((r, p, q))
                 if m is not None:
                     assert m.rank() == ws.dr_matrix(r, p, q).rank(), (seed, r, p, q)
+
+
+def test_flip_cache_follows_gram_contents():
+    """Inner products that come and go on one workspace never see a stale flip."""
+    from bigraded.models import example_calabi_eckmann
+    c = example_calabi_eckmann(1, 1)
+    rng = random.Random(11)
+    gram_sets = [{cell: random_spd(rng, n) for cell, n in sorted(c.dims.items())}
+                 for _ in range(2)]
+    fresh = []
+    for grams in gram_sets:
+        flip = flipped_adjoint_workspace(c, InnerProduct(grams), Workspace(c)).c
+        fresh.append((flip.d1, flip.d2))
+    assert fresh[0] != fresh[1]
+    ws = Workspace(c)
+    for i in range(12):
+        ip = InnerProduct(gram_sets[i % 2])
+        flip = flipped_adjoint_workspace(c, ip, ws).c
+        assert (flip.d1, flip.d2) == fresh[i % 2], i
+        del ip, flip

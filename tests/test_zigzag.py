@@ -1,14 +1,22 @@
-"""Shape enumeration, closed-form invariants, multiplicity recovery, certificates."""
+"""Shape enumeration, closed-form invariants, decompositions, certificates."""
 
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bigraded import zigzag
 from bigraded.bca import bca_dims
-from bigraded.bicomplex import de_rham_dims, direct_sum, validate
+from bigraded.bicomplex import (change_of_basis, de_rham_dims, direct_sum,
+                                random_complex, random_invertible,
+                                swap_complex, validate)
 from bigraded.linalg import Matrix
 from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
                              dot_shape, shape_length)
-from bigraded.spectral import Workspace, page_dims
-from bigraded.zigzag import (DecompositionCertificate, enumerate_shapes,
-                             hom_dim, multiplicity_solve,
-                             predicted_invariants, structure_verdict,
+from bigraded.spectral import ConsistencyError, Workspace, page_dims
+from bigraded.zigzag import (DecompositionCertificate, decompose,
+                             enumerate_shapes, hom_dim, multiplicity_solve,
+                             predicted_invariants, split, structure_verdict,
                              verify_certificate)
 
 
@@ -197,3 +205,102 @@ def test_certificate_json_roundtrip(structured_suite):
         assert back.transforms == cert.transforms
         assert back.blocks == cert.blocks
         assert verify_certificate(c, back).ok
+
+
+# ---------------------------------------------------------------------------
+# the constructive splitter
+
+SMALL = st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)])
+
+
+def _transpose(shape):
+    if isinstance(shape, Square):
+        return Square(shape.q, shape.p)
+    return ZigzagShape(tuple((q, p) for p, q in reversed(shape.generators)),
+                       shape.d1_out_last, shape.d2_out_first)
+
+
+def test_split_roundtrip_criterion_9_batch():
+    """The acceptance suite's scrambled sums: certificates verify, inventories match."""
+    for seed in range(100):
+        c, inventory, _ = random_complex((4, 4), 4, 5000 + seed, structure=True,
+                                         max_shapes=10)
+        dec = split(c)
+        report = verify_certificate(c, dec.certificate)
+        assert report.ok, (seed, report.reason)
+        assert dec.inventory == inventory, seed
+
+
+def test_split_agrees_with_multiplicity_solve(random_suite):
+    for seed, c, ws in random_suite:
+        assert decompose(c, ws).inventory == multiplicity_solve(c, ws=ws).inventory, seed
+
+
+def test_decompose_memoised_on_workspace():
+    c = random_complex((2, 2), 3, 4)
+    ws = Workspace(c)
+    assert decompose(c, ws) is decompose(c, ws)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=SMALL, seed=st.integers(0, 10**6), tseed=st.integers(0, 10**6))
+def test_split_invariant_under_change_of_basis(grid, seed, tseed):
+    c = random_complex(grid, 3, seed)
+    rng = random.Random(tseed)
+    moved = change_of_basis(c, {cell: random_invertible(n, rng)
+                                for cell, n in c.dims.items()})
+    dec = split(moved)
+    assert verify_certificate(moved, dec.certificate).ok
+    assert dec.inventory == split(c).inventory
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=SMALL, a=st.integers(0, 10**6), b=st.integers(0, 10**6))
+def test_split_additive_under_direct_sum(grid, a, b):
+    ca, cb = random_complex(grid, 2, a), random_complex(grid, 2, b)
+    want = dict(split(ca).inventory)
+    for shape, m in split(cb).inventory.items():
+        want[shape] = want.get(shape, 0) + m
+    assert split(direct_sum(ca, cb)).inventory == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=SMALL, seed=st.integers(0, 10**6))
+def test_split_of_swap_is_transposed(grid, seed):
+    c = random_complex(grid, 3, seed)
+    swapped = swap_complex(c)
+    dec = split(swapped)
+    assert verify_certificate(swapped, dec.certificate).ok
+    assert dec.inventory == {_transpose(s): m for s, m in split(c).inventory.items()}
+
+
+def _zero_first_transform(dec):
+    cert = dec.certificate
+    cell = min(cert.transforms)
+    m = cert.transforms[cell]
+    zeroed = Matrix.zero(m.rows, m.cols)
+    return zigzag.Decomposition(
+        dec.inventory,
+        DecompositionCertificate({**cert.transforms, cell: zeroed}, cert.blocks))
+
+
+def _extra_dot(dec):
+    inventory = dict(dec.inventory)
+    inventory[dot_shape(0, 0)] = inventory.get(dot_shape(0, 0), 0) + 1
+    return zigzag.Decomposition(inventory, dec.certificate)
+
+
+@pytest.mark.parametrize("breakage", [_zero_first_transform, _extra_dot])
+def test_broken_splitter_raises(monkeypatch, breakage):
+    real = zigzag.split
+    monkeypatch.setattr(zigzag, "split", lambda c: breakage(real(c)))
+    c = random_complex((3, 3), 3, 8)
+    with pytest.raises(ConsistencyError):
+        decompose(c)
+
+
+def test_wrong_invariant_tables_raise(monkeypatch):
+    monkeypatch.setattr(zigzag, "predicted_invariants",
+                        lambda shape, r_max: zigzag.ShapePrediction(shape))
+    with pytest.raises(ConsistencyError):
+        decompose(random_complex((3, 3), 3, 8))
