@@ -431,9 +431,17 @@ def _random_shape(rng, pmax, qmax):
 
 
 def _parse_rational(s):
-    if isinstance(s, int):
-        return Q(s)
-    return Q(str(s))
+    """A JSON number or string such as "3", "-1/2" or "0.25" as a Fraction.
+
+    Booleans, unparsable text and zero denominators raise LinalgError; this
+    is the one reader of matrix entries for complex, Gram and pairing files.
+    """
+    if isinstance(s, bool):
+        raise LinalgError(f"not a rational number: {s!r}")
+    try:
+        return Q(s) if isinstance(s, int) else Q(str(s))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise LinalgError(f"not a rational number: {s!r}") from exc
 
 
 def _rational_str(x: Fraction):
@@ -497,7 +505,7 @@ def complex_from_dict(obj) -> DoubleComplex:
             try:
                 p, q = _unkey(k)
                 data = [[_parse_rational(x) for x in row] for row in rows]
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
+            except (TypeError, ValueError) as exc:
                 raise LinalgError(f"malformed map at {k!r}: {exc}") from exc
             nr, nc = rows_of(p, q), cols_of(p, q)
             if len(data) != nr or any(len(r) != nc for r in data):

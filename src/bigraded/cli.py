@@ -27,6 +27,7 @@ from urllib.parse import parse_qsl, urlparse
 
 from bigraded import bca as bca_mod
 from bigraded import bicomplex, hodge, models, pairing as pairing_mod, spectral, zigzag
+from bigraded.bicomplex import _parse_rational
 from bigraded.linalg import LinalgError, Matrix
 from bigraded.spectral import ConsistencyError
 
@@ -101,15 +102,17 @@ def _load_gram(path, c):
         for key, rows in obj.items():
             p, q = (int(x) for x in key.split(","))
             grams[(p, q)] = Matrix(len(rows), len(rows[0]) if rows else 0,
-                                   [[_q(x) for x in row] for row in rows])
+                                   [[_parse_rational(x) for x in row] for row in rows])
         return hodge.InnerProduct(grams)
     except (OSError, json.JSONDecodeError, ValueError, LinalgError) as exc:
         raise UsageError(f"bad Gram file {path!r}: {exc}") from exc
 
 
-def _q(s):
-    from fractions import Fraction
-    return Fraction(str(s))
+def _load_pairing(path):
+    try:
+        return pairing_mod.load_pairing(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"bad pairing file {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +476,7 @@ def cmd_decompose(args):
 def cmd_duality(args):
     c, ws = _prepared(args)
     rmax = _default_rmax(c, args)
-    duality_pairing = pairing_mod.load_pairing(args.pairing)
+    duality_pairing = _load_pairing(args.pairing)
     out = {"name": c.name}
     out.update(_duality_section(c, ws, duality_pairing, rmax))
     emit(args, out)
@@ -515,7 +518,7 @@ def cmd_report(args):
     c, ws = _prepared(args)
     rmax = _default_rmax(c, args)
     ip = _load_gram(args.gram, c) if args.gram else hodge.InnerProduct()
-    duality_pairing = pairing_mod.load_pairing(args.pairing) if args.pairing else None
+    duality_pairing = _load_pairing(args.pairing) if args.pairing else None
     out = build_report(c, rmax, ws, ip, duality_pairing, explain=args.explain)
     emit(args, out)
     return 0
@@ -531,10 +534,10 @@ def build_parser():
         description="Exact cohomology engine for bounded double complexes over Q.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="complex file or example:// URI")
-        p.add_argument("--rmax", type=int, default=None)
+    def common(p, rmax=False):
+        p.add_argument("input", help="complex file or example:// URI")
+        if rmax:
+            p.add_argument("--rmax", type=int, default=None)
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--out", "-o", default=None)
         p.add_argument("--seed", type=int, default=None)
@@ -544,12 +547,12 @@ def build_parser():
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pages", help="spectral sequence page dimensions")
-    common(p)
+    common(p, rmax=True)
     p.add_argument("--show-reps", action="store_true")
     p.set_defaults(func=cmd_pages)
 
     p = sub.add_parser("bca", help="Bott-Chern and Aeppli dimensions")
-    common(p)
+    common(p, rmax=True)
     p.set_defaults(func=cmd_bca)
 
     p = sub.add_parser("check-pageddbar", help="page-(r-1) del-delbar verdict")
@@ -559,7 +562,7 @@ def build_parser():
     p.set_defaults(func=cmd_check_pageddbar)
 
     p = sub.add_parser("hodge", help="harmonic realisations")
-    common(p)
+    common(p, rmax=True)
     p.add_argument("--gram", default=None, help="Gram matrix file")
     p.set_defaults(func=cmd_hodge)
 
@@ -570,7 +573,7 @@ def build_parser():
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("duality", help="induced duality pairings")
-    common(p)
+    common(p, rmax=True)
     p.add_argument("--pairing", required=True, help="pairing file")
     p.set_defaults(func=cmd_duality)
 
@@ -591,7 +594,7 @@ def build_parser():
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("report", help="full report: everything at once")
-    common(p)
+    common(p, rmax=True)
     p.add_argument("--gram", default=None)
     p.add_argument("--pairing", default=None)
     p.add_argument("--explain", action="store_true")

@@ -342,12 +342,10 @@ class ThreeSpaceDecomposition:
     coexact: Subspace
     orthogonal: bool
     dims_add_up: bool
-    exact_is_page_exact: bool
     closed_splits: bool
 
     def ok(self):
-        return (self.orthogonal and self.dims_add_up
-                and self.exact_is_page_exact and self.closed_splits)
+        return self.orthogonal and self.dims_add_up and self.closed_splits
 
 
 def _is_orthogonal(a: Subspace, b: Subspace, gram: Matrix) -> bool:
@@ -361,9 +359,9 @@ def three_space_decomposition(c: DoubleComplex, ip: InnerProduct | None, r, p, q
                               tower: HarmonicTower | None = None) -> ThreeSpaceDecomposition:
     """Split A^{p,q} as harmonic ⊕ page-exact ⊕ adjoint-page-exact.
 
-    The middle summand must be exactly C_r, the harmonic part together with
-    the middle one must be Z_r, and the three parts must be pairwise
-    orthogonal and of full total dimension.  Any failed check is reported.
+    The middle summand is C_r itself; the harmonic part together with it
+    must be Z_r, and the three parts must be pairwise orthogonal and of full
+    total dimension.  Any failed check is reported.
     """
     ip = ip or InnerProduct()
     ws = ws or Workspace(c)
@@ -383,8 +381,7 @@ def three_space_decomposition(c: DoubleComplex, ip: InnerProduct | None, r, p, q
     closed_splits = subspace_sum(h, exact) == z
     return ThreeSpaceDecomposition(
         harmonic=h, exact=exact, coexact=coexact, orthogonal=orthogonal,
-        dims_add_up=dims_add_up, exact_is_page_exact=True,
-        closed_splits=closed_splits)
+        dims_add_up=dims_add_up, closed_splits=closed_splits)
 
 
 def bc_a_harmonic_spaces(c: DoubleComplex, ip: InnerProduct | None, r, p, q,

@@ -30,7 +30,7 @@ __all__ = [
     "subspace_sum",
     "subspace_intersection",
     "quotient_dim",
-    "solve_tower",
+    "preimage",
     "extend_basis",
     "class_coordinates",
 ]
@@ -452,6 +452,31 @@ def map_subspace(m: Matrix, s: Subspace) -> Subspace:
     return Subspace.from_columns([m.apply(c) for c in s.basis_columns()], m.rows)
 
 
+def preimage(m: Matrix, s: Subspace) -> Subspace:
+    """{x : m x in s}, as a subspace of the domain Q^cols.
+
+    Membership in `s` is the vanishing of the residue against its reduced
+    echelon basis at the non-pivot rows; those linear conditions, pulled
+    back through `m`, cut out the preimage.
+    """
+    if m.rows != s.ambient_dim:
+        raise LinalgError("preimage: codomain mismatch")
+    pivots = set(s.pivot_rows)
+    rows = []
+    for i in range(m.rows):
+        if i in pivots:
+            continue
+        row = m.data[i]
+        for j, pr in enumerate(s.pivot_rows):
+            f = s.basis.data[i][j]
+            if f:
+                row = [a - f * b for a, b in zip(row, m.data[pr])]
+        rows.append(row)
+    if not rows:
+        return Subspace.full(m.cols)
+    return kernel_basis(Matrix(len(rows), m.cols, rows))
+
+
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise LinalgError("subspace_sum: ambient dimension mismatch")
@@ -494,47 +519,6 @@ def orthogonal_complement(s: Subspace, gram: Matrix | None = None) -> Subspace:
     b = s.basis
     m = b.transpose() if gram is None else b.transpose() * gram
     return kernel_basis(m)
-
-
-def solve_tower(block_dims, equations, target_block) -> Subspace:
-    """Kernel of a block linear system, projected to one unknown block.
-
-    `block_dims[i]` is the dimension of the i-th unknown block.  Each
-    equation is a list of ``(block_index, matrix)`` terms whose sum must
-    vanish; all matrices of one equation share their row count.  The kernel
-    of the stacked system is computed exactly and its projection onto the
-    target block is returned as a subspace of that block.
-    """
-    offsets = []
-    total = 0
-    for d in block_dims:
-        offsets.append(total)
-        total += d
-    rows = []
-    for terms in equations:
-        if not terms:
-            continue
-        height = terms[0][1].rows
-        for _, m in terms:
-            if m.rows != height:
-                raise LinalgError("solve_tower: inconsistent equation heights")
-        for i in range(height):
-            row = [Q(0)] * total
-            for block, m in terms:
-                if m.cols != block_dims[block]:
-                    raise LinalgError(
-                        f"solve_tower: block {block} expects width {block_dims[block]}, got {m.cols}")
-                off = offsets[block]
-                for j in range(m.cols):
-                    row[off + j] += m.data[i][j]
-            rows.append(row)
-    tdim = block_dims[target_block]
-    toff = offsets[target_block]
-    if not rows:
-        return Subspace.full(tdim)
-    ker = kernel_basis(Matrix(len(rows), total, rows))
-    vectors = [col[toff: toff + tdim] for col in ker.basis_columns()]
-    return Subspace.from_columns(vectors, tdim)
 
 
 def extend_basis(small: Subspace, big: Subspace):

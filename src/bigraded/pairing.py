@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
-from bigraded.bicomplex import DoubleComplex, direct_sum
+from bigraded.bicomplex import DoubleComplex, _parse_rational, direct_sum
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
@@ -291,10 +291,6 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def _parse_rational(s):
-    return Q(str(s))
 
 
 def pairing_from_dict(obj) -> DualityPairing:

@@ -1,4 +1,4 @@
-"""Spectral sequence of the column filtration, computed by exact tower solves.
+"""Spectral sequence of the column filtration, computed by exact tower recursions.
 
 For a bounded double complex the page-r space at (p,q) is Z_r/C_r, where
 
@@ -7,9 +7,16 @@ For a bounded double complex the page-r space at (p,q) is Z_r/C_r, where
 * C_r = im d2 + d1(elements whose d2-image reaches zero in at most r-1
   alternating steps).
 
-Both are solved as block kernel systems over Q.  The page differential d_r
-sends the class of x to the class of d1 u_{r-1} for any choice of lifts; the
-class is independent of all choices, which the test suite also verifies.
+Both towers obey one-step recursions, built one step at a time and
+memoised per (step, cell) on the `Workspace`:
+
+* runs_0 = A^{p,q}, runs_s(p,q) = d1^{-1}(d2 runs_{s-1}(p+1,q-1));
+* reaches_1 = ker d2, reaches_s(a,b) = d2^{-1}(d1 reaches_{s-1}(a-1,b+1));
+
+so Z_r = ker d2 ∩ runs_{r-1} and C_r = im d2 + d1 reaches_{r-1}(p-1,q).
+The page differential d_r sends the class of x to the class of d1 u_{r-1}
+for any choice of lifts; the class is independent of all choices, which the
+test suite also verifies.
 
 A second, independent route to the page dimensions iterates cohomology:
 compute the first page directly, then repeatedly take kernels modulo images
@@ -29,8 +36,8 @@ from enum import Enum
 from bigraded.bicomplex import (DoubleComplex, de_rham_dims, require_valid,
                                 swap_complex, total_complex)
 from bigraded.linalg import (Matrix, Subspace, class_coordinates, extend_basis,
-                             image_basis, kernel_basis, map_subspace,
-                             quotient_dim, solve_tower, subspace_sum)
+                             image_basis, kernel_basis, map_subspace, preimage,
+                             quotient_dim, subspace_intersection, subspace_sum)
 
 __all__ = [
     "TowerKind",
@@ -109,7 +116,7 @@ class Workspace:
             if swapped_kind is not None:
                 hit = self.swapped.space(swapped_kind, r, q, p)
             else:
-                hit = _build_space(self.c, kind, r, p, q)
+                hit = _build_space(self, kind, r, p, q)
             self.spaces[key] = hit
         return hit
 
@@ -141,89 +148,37 @@ class Workspace:
         return hit
 
 
-def _build_space(c, kind, r, p, q):
-    if kind is TowerKind.PAGE_CLOSED:
-        return _page_closed(c, r, p, q)
-    if kind is TowerKind.PAGE_EXACT:
-        return _page_exact(c, r, p, q)
-    if kind is TowerKind.REACHES_ZERO:
-        return _reaches_zero(c, r, p, q)
+def _build_space(ws, kind, r, p, q):
+    """One step of the tower recursions; lower steps come from `ws.space`."""
+    lowest = 0 if kind is TowerKind.RUNS else 1
+    if r < lowest:
+        raise ValueError(f"{kind.value} step count must be >= {lowest}")
+    c = ws.c
+    n = c.dim(p, q)
+    if n == 0:
+        return Subspace.zero(0)
     if kind is TowerKind.RUNS:
-        return _runs(c, r, p, q)
+        if r == 0:
+            return Subspace.full(n)
+        lower = ws.space(TowerKind.RUNS, r - 1, p + 1, q - 1)
+        return preimage(c.d1_at(p, q), map_subspace(c.d2_at(p + 1, q - 1), lower))
+    if kind is TowerKind.REACHES_ZERO:
+        if r == 1:
+            return kernel_basis(c.d2_at(p, q))
+        lower = ws.space(TowerKind.REACHES_ZERO, r - 1, p - 1, q + 1)
+        return preimage(c.d2_at(p, q), map_subspace(c.d1_at(p - 1, q + 1), lower))
+    if kind is TowerKind.PAGE_CLOSED:
+        closed = ws.space(TowerKind.REACHES_ZERO, 1, p, q)  # ker d2
+        if r == 1:
+            return closed
+        return subspace_intersection(closed, ws.space(TowerKind.RUNS, r - 1, p, q))
+    if kind is TowerKind.PAGE_EXACT:
+        im2 = image_basis(c.d2_at(p, q - 1))
+        if r == 1 or c.dim(p - 1, q) == 0:
+            return im2
+        e = ws.space(TowerKind.REACHES_ZERO, r - 1, p - 1, q)
+        return subspace_sum(im2, map_subspace(c.d1_at(p - 1, q), e))
     raise ValueError(f"unhandled tower kind {kind}")
-
-
-def _page_closed(c, r, p, q):
-    """Z_r at (p,q): d2 x = 0, d1 x = d2 u_1, d1 u_i = d2 u_{i+1} (r-1 lifts)."""
-    if r < 1:
-        raise ValueError("page index must be >= 1")
-    n = c.dim(p, q)
-    if n == 0:
-        return Subspace.zero(0)
-    if r == 1:
-        return kernel_basis(c.d2_at(p, q))
-    blocks = [(p + i, q - i) for i in range(r)]
-    dims = [c.dim(*bd) for bd in blocks]
-    eqs = [[(0, c.d2_at(p, q))]]
-    for i in range(r - 1):
-        bp, bq = blocks[i]
-        eqs.append([(i, c.d1_at(bp, bq)), (i + 1, -c.d2_at(*blocks[i + 1]))])
-    return solve_tower(dims, eqs, 0)
-
-
-def _reaches_zero(c, s, a, b):
-    """Elements whose d2-image reaches 0 in at most s alternating steps.
-
-    The tower is d2 z = d1 v_{s-2}, d2 v_j = d1 v_{j-1}, ..., d2 v_0 = 0 with
-    v_j living one step up-left of its predecessor; s = 1 is just ker d2.
-    """
-    if s < 1:
-        raise ValueError("step count must be >= 1")
-    n = c.dim(a, b)
-    if n == 0:
-        return Subspace.zero(0)
-    if s == 1:
-        return kernel_basis(c.d2_at(a, b))
-    blocks = [(a, b)] + [(a - 1 - i, b + 1 + i) for i in range(s - 1)]
-    dims = [c.dim(*bd) for bd in blocks]
-    eqs = [[(0, c.d2_at(a, b)), (1, -c.d1_at(*blocks[1]))]]
-    for i in range(1, s - 1):
-        eqs.append([(i, c.d2_at(*blocks[i])), (i + 1, -c.d1_at(*blocks[i + 1]))])
-    eqs.append([(s - 1, c.d2_at(*blocks[s - 1]))])
-    return solve_tower(dims, eqs, 0)
-
-
-def _runs(c, s, p, q):
-    """Elements whose d1-image continues through s alternating lifts; s = 0 is everything."""
-    if s < 0:
-        raise ValueError("lift count must be >= 0")
-    n = c.dim(p, q)
-    if n == 0:
-        return Subspace.zero(0)
-    if s == 0:
-        return Subspace.full(n)
-    blocks = [(p + i, q - i) for i in range(s + 1)]
-    dims = [c.dim(*bd) for bd in blocks]
-    eqs = [[(0, c.d1_at(p, q)), (1, -c.d2_at(*blocks[1]))]]
-    for i in range(1, s):
-        eqs.append([(i, c.d1_at(*blocks[i])), (i + 1, -c.d2_at(*blocks[i + 1]))])
-    return solve_tower(dims, eqs, 0)
-
-
-def _page_exact(c, r, p, q):
-    """C_r at (p,q) = im d2 + d1(reaches-zero space in r-1 steps)."""
-    if r < 1:
-        raise ValueError("page index must be >= 1")
-    n = c.dim(p, q)
-    if n == 0:
-        return Subspace.zero(0)
-    im2 = image_basis(c.d2_at(p, q - 1))
-    if r == 1:
-        return im2
-    if c.dim(p - 1, q) == 0:
-        return im2
-    e = _reaches_zero(c, r - 1, p - 1, q)
-    return subspace_sum(im2, map_subspace(c.d1_at(p - 1, q), e))
 
 
 def tower_space(c: DoubleComplex, kind: TowerKind, r, p, q, ws: Workspace | None = None) -> Subspace:
@@ -278,7 +233,6 @@ def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=Tr
 
 def _dr_matrix(ws: Workspace, r, p, q) -> Matrix:
     """Matrix of d_r from the page basis at (p,q) to the one at (p+r, q-r+1)."""
-    c = ws.c
     src = ws.page_reps(r, p, q)
     tp, tq = p + r, q - r + 1
     dst = ws.page_reps(r, tp, tq)
@@ -287,55 +241,28 @@ def _dr_matrix(ws: Workspace, r, p, q) -> Matrix:
     cc_dst = ws.space(TowerKind.PAGE_EXACT, r, tp, tq)
     cols = []
     for alpha in src:
-        v = _dr_image(c, r, p, q, alpha)
+        v = _dr_image(ws, r, p, q, alpha)
         cols.append(class_coordinates(cc_dst, dst, v))
     return Matrix.from_columns(cols, len(dst))
 
 
-def _dr_image(c, r, p, q, alpha):
-    """d1 of the last lift in any tower solution for alpha; r = 1 is d1 alpha."""
-    if r == 1:
-        return c.d1_at(p, q).apply(alpha)
-    blocks = [(p + i, q - i) for i in range(1, r)]
-    dims = [c.dim(*bd) for bd in blocks]
-    offsets = []
-    total = 0
-    for d in dims:
-        offsets.append(total)
-        total += d
-    rows = []
-    rhs = []
-    first = c.d2_at(*blocks[0])
-    target0 = c.d1_at(p, q).apply(alpha)
-    for i in range(first.rows):
-        row = [0] * total
-        for j in range(first.cols):
-            row[j] = first.data[i][j]
-        rows.append(row)
-        rhs.append([target0[i]])
-    for i in range(len(blocks) - 1):
-        bp, bq = blocks[i]
-        m1 = c.d1_at(bp, bq)
-        m2 = c.d2_at(*blocks[i + 1])
-        for rr in range(m1.rows):
-            row = [0] * total
-            for j in range(m1.cols):
-                row[offsets[i] + j] = m1.data[rr][j]
-            for j in range(m2.cols):
-                row[offsets[i + 1] + j] -= m2.data[rr][j]
-            rows.append(row)
-            rhs.append([0])
-    if not rows:
-        u_last = (0,) * dims[-1]
-    else:
-        system = Matrix(len(rows), total, rows)
-        sol = system.solve(Matrix(len(rows), 1, rhs))
-        if sol is None:
+def _dr_image(ws: Workspace, r, p, q, alpha):
+    """d1 u_{r-1} for lifts d1 alpha = d2 u_1, d1 u_i = d2 u_{i+1}; r = 1 is d1 alpha.
+
+    Each u_i is taken inside the runs space of length r-1-i at its cell, so
+    the next lift always exists when alpha lies in Z_r.
+    """
+    c = ws.c
+    v = c.d1_at(p, q).apply(alpha)
+    for i in range(1, r):
+        cell = (p + i, q - i)
+        runs = ws.space(TowerKind.RUNS, r - 1 - i, *cell).basis
+        y = (c.d2_at(*cell) * runs).solve(Matrix.from_columns([v], len(v)))
+        if y is None:
             raise ConsistencyError(
                 f"lift tower unsolvable for a page-{r} representative at {(p, q)}")
-        u_last = sol.column(0)[offsets[-1]:]
-    last_block = blocks[-1]
-    return c.d1_at(*last_block).apply(u_last)
+        v = c.d1_at(*cell).apply(runs.apply(y.column(0)))
+    return v
 
 
 def dr_matrix(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Matrix:

@@ -196,6 +196,7 @@ def test_malformed_file_rejected():
     {"grid": [1, 1], "dims": {"0,0": 1}, "d1": [1]},
     {"grid": [1, 1], "dims": [["0,0", 1]]},
     {"grid": [1, 1], "dims": {"0,0": -1}},
+    {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1}, "d1": {"0,0": [[True]]}},
 ])
 def test_misshapen_file_rejected(obj):
     from bigraded.linalg import LinalgError

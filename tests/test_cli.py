@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from bigraded.cli import main
 
 
@@ -237,3 +239,39 @@ def test_negative_maxdim_is_usage_error(capsys):
         code, doc = run_json(capsys, *argv)
         assert code == 2, argv
         assert doc["error"]["kind"] == "usage", argv
+
+
+@pytest.mark.parametrize("content", [None, '{"n": [0, 0],'], ids=["missing", "invalid-json"])
+def test_bad_pairing_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "pairing.json"
+    if content is not None:
+        path.write_text(content)
+    for command in ("duality", "report"):
+        code, doc = run_json(capsys, command, "example://dot", "--pairing", str(path))
+        assert code == 2, command
+        assert doc["error"]["kind"] == "usage", command
+
+
+def test_rmax_only_where_read(capsys):
+    for command in ("validate", "decompose", "check-pageddbar"):
+        argv = [command, "example://dot", "--rmax", "2"]
+        if command == "check-pageddbar":
+            argv += ["--r", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, command
+    capsys.readouterr()
+    for command in ("pages", "bca", "hodge", "report"):
+        code, _ = run_json(capsys, command, "example://dot", "--rmax", "2")
+        assert code == 0, command
+
+
+def test_zero_denominator_in_gram_or_pairing_is_error_object(tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    gram.write_text('{"0,0": [["1/0"]]}')
+    code, doc = run_json(capsys, "hodge", "example://dot", "--gram", str(gram))
+    assert code == 2 and doc["error"]["kind"] == "usage"
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text('{"n": [0, 0], "pairs": {"0,0": [["1/0"]]}}')
+    code, doc = run_json(capsys, "duality", "example://dot", "--pairing", str(pairing))
+    assert code == 1 and doc["error"]["kind"] == "input"

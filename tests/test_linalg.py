@@ -1,4 +1,4 @@
-"""Exact linear algebra: elimination oracles, subspace calculus, tower solver."""
+"""Exact linear algebra: elimination oracles, subspace calculus, preimages."""
 
 import random
 from fractions import Fraction as Q
@@ -8,7 +8,7 @@ import pytest
 from bigraded.linalg import (ContainmentError, Matrix, Subspace,
                              class_coordinates, extend_basis, image_basis,
                              kernel_basis, map_subspace, orthogonal_complement,
-                             quotient_dim, rank_bareiss, rref, solve_tower,
+                             preimage, quotient_dim, rank_bareiss, rref,
                              subspace_intersection, subspace_sum)
 
 
@@ -137,29 +137,32 @@ def test_quotient_requires_containment():
         quotient_dim(a, b)
 
 
-def test_solve_tower_single_stage_is_kernel():
+def test_preimage_of_zero_is_kernel():
     m = Matrix.from_rows([[1, 2, 3], [0, 1, 1]])
-    got = solve_tower([3], [[(0, m)]], 0)
-    assert got == kernel_basis(m)
+    assert preimage(m, Subspace.zero(2)) == kernel_basis(m)
 
 
-def test_solve_tower_two_stage_square():
-    # square complex at the generator cell, unknowns (x, u1) with
-    # d2 x = 0 and d1 x = d2' u1; brute-force block matrix built by hand
-    d2 = Matrix.from_rows([[1]])       # (0,0) -> (0,1)
-    d1 = Matrix.from_rows([[1]])       # (0,0) -> (1,0)
-    d2p = Matrix.from_rows([[0]])      # (1,-1) -> (1,0): zero component
-    got = solve_tower([1, 0], [[(0, d2)], [(0, d1)]], 0)
-    assert got == Subspace.zero(1)
-    # hand-built stacked system for comparison
-    stacked = Matrix.from_rows([[1], [1]])
-    assert kernel_basis(stacked) == Subspace.zero(1)
-    assert d2p.is_zero()
+def test_preimage_of_everything_is_domain():
+    m = Matrix.from_rows([[1, 2, 3], [0, 1, 1]])
+    assert preimage(m, Subspace.full(2)) == Subspace.full(3)
+    assert preimage(Matrix.zero(0, 2), Subspace.zero(0)) == Subspace.full(2)
 
 
-def test_solve_tower_no_constraints_is_full():
-    got = solve_tower([2, 1], [], 0)
-    assert got == Subspace.full(2)
+def test_preimage_matches_brute_force_membership():
+    # rank 2 map Q^4 -> Q^3; the target line meets the image only in 0, the
+    # plane meets it in a line
+    m = Matrix.from_rows([[1, 0, 1, 2], [0, 1, 1, -1], [1, 1, 2, 1]])
+    assert m.rank() == 2
+    line = Subspace.from_columns([(1, 0, 0)], 3)
+    plane = Subspace.from_columns([(1, 0, 1), (0, 0, 1)], 3)
+    grid = [(a, b, c, d) for a in range(-2, 3) for b in range(-2, 3)
+            for c in range(-2, 3) for d in range(-2, 3)]
+    for target in (line, plane, image_basis(m)):
+        got = preimage(m, target)
+        meet = subspace_intersection(target, image_basis(m)).dim
+        assert got.dim == kernel_basis(m).dim + meet
+        for x in grid:
+            assert got.contains(x) == target.contains(m.apply(x))
 
 
 def test_extend_basis_deterministic():

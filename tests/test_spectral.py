@@ -1,6 +1,7 @@
 """Tower spaces, page tables, page differentials and convergence."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -111,10 +112,62 @@ def test_dr_image_lands_in_closed_space(random_suite):
         for r in (1, 2, 3):
             for (p, q) in c.support():
                 for alpha in ws.page_reps(r, p, q):
-                    v = _dr_image(c, r, p, q, alpha)
+                    v = _dr_image(ws, r, p, q, alpha)
                     z = ws.space(TowerKind.PAGE_CLOSED, r, p + r, q - r + 1)
                     if any(x != 0 for x in v):
                         assert z.contains(v)
+
+
+def _sympy_tower(c, blocks, equations):
+    """Kernel of a block system, projected to the first block, through sympy.
+
+    `blocks` lists the cells of the unknowns; each equation is a list of
+    ``(block index, sign, map)`` terms whose signed sum must vanish.
+    """
+    sympy = pytest.importorskip("sympy")
+    dims = [c.dim(*cell) for cell in blocks]
+    offsets = [sum(dims[:i]) for i in range(len(dims))]
+    rows = []
+    for terms in equations:
+        for i in range(terms[0][2].rows):
+            row = [0] * sum(dims)
+            for block, sign, m in terms:
+                for j in range(m.cols):
+                    row[offsets[block] + j] += sign * m.data[i][j]
+            rows.append(row)
+    system = sympy.Matrix(len(rows), sum(dims),
+                          [sympy.Rational(x.numerator, x.denominator)
+                           for row in rows for x in row])
+    vectors = [tuple(Fraction(int(x.p), int(x.q)) for x in v[: dims[0]])
+               for v in system.nullspace()]
+    return Subspace.from_columns(vectors, dims[0])
+
+
+def _runs_equations(c, blocks):
+    return [[(i, 1, c.d1_at(*blocks[i])), (i + 1, -1, c.d2_at(*blocks[i + 1]))]
+            for i in range(len(blocks) - 1)]
+
+
+def test_tower_recursion_matches_block_systems(random_suite):
+    # the defining block systems of Z_r, runs_s and reaches-zero_s, solved by
+    # sympy, against the memoised one-step recursions
+    for seed, c, ws in random_suite[:5]:
+        for (p, q) in c.support():
+            for r in range(1, 5):
+                diag = [(p + i, q - i) for i in range(r)]
+                z = _sympy_tower(c, diag, [[(0, 1, c.d2_at(p, q))]] + _runs_equations(c, diag))
+                assert ws.space(TowerKind.PAGE_CLOSED, r, p, q) == z, (seed, r, p, q)
+            for s in range(0, 5):
+                diag = [(p + i, q - i) for i in range(s + 1)]
+                runs = _sympy_tower(c, diag, _runs_equations(c, diag))
+                assert ws.space(TowerKind.RUNS, s, p, q) == runs, (seed, s, p, q)
+            for s in range(1, 5):
+                anti = [(p - i, q + i) for i in range(s)]
+                eqs = [[(i, 1, c.d2_at(*anti[i])), (i + 1, -1, c.d1_at(*anti[i + 1]))]
+                       for i in range(s - 1)]
+                eqs.append([(s - 1, 1, c.d2_at(*anti[-1]))])
+                reaches = _sympy_tower(c, anti, eqs)
+                assert ws.space(TowerKind.REACHES_ZERO, s, p, q) == reaches, (seed, s, p, q)
 
 
 def test_oracle_agreement(random_suite):
