@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 from bigraded.bicomplex import DoubleComplex, de_rham_dims
 from bigraded.linalg import (Matrix, Subspace, class_coordinates, extend_basis,
                              image_basis, kernel_basis, map_subspace,
-                             quotient_dim, subspace_intersection, subspace_sum)
-from bigraded.spectral import (ConsistencyError, TowerKind, Workspace,
+                             subspace_intersection, subspace_sum)
+from bigraded.spectral import (ConsistencyError, TowerKind, Workspace, memoised,
                                page_dims)
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "ddbar_exact_space",
     "BcaTable",
     "bca_dims",
-    "bca_table",
     "CanonicalMaps",
     "canonical_maps",
     "PageDdbarVerdict",
@@ -71,65 +70,53 @@ __all__ = [
 # memoised building blocks
 
 
-def _memo(ws, key, build):
-    hit = ws.memo.get(key)
-    if hit is None:
-        hit = build()
-        ws.memo[key] = hit
-    return hit
-
-
+@memoised
 def closed_pure(ws: Workspace, p, q) -> Subspace:
     """ker d1 ∩ ker d2 at (p,q): the d-closed pure elements."""
-    def build():
-        c = ws.c
-        if c.dim(p, q) == 0:
-            return Subspace.zero(0)
-        return subspace_intersection(kernel_basis(c.d1_at(p, q)),
-                                     kernel_basis(c.d2_at(p, q)))
-    return _memo(ws, ("closed_pure", p, q), build)
+    c = ws.c
+    if c.dim(p, q) == 0:
+        return Subspace.zero(0)
+    return subspace_intersection(kernel_basis(c.d1_at(p, q)),
+                                 kernel_basis(c.d2_at(p, q)))
 
 
+@memoised
 def im_both(ws: Workspace, p, q) -> Subspace:
     """im d1 + im d2 landing at (p,q)."""
-    def build():
-        c = ws.c
-        if c.dim(p, q) == 0:
-            return Subspace.zero(0)
-        return subspace_sum(image_basis(c.d1_at(p - 1, q)),
-                            image_basis(c.d2_at(p, q - 1)))
-    return _memo(ws, ("im_both", p, q), build)
+    c = ws.c
+    if c.dim(p, q) == 0:
+        return Subspace.zero(0)
+    return subspace_sum(image_basis(c.d1_at(p - 1, q)),
+                        image_basis(c.d2_at(p, q - 1)))
 
 
+@memoised
 def im_dd(ws: Workspace, p, q) -> Subspace:
     """Image of the composite d1 d2 landing at (p,q)."""
-    def build():
-        c = ws.c
-        if c.dim(p, q) == 0:
-            return Subspace.zero(0)
-        return image_basis(c.d1_at(p - 1, q) * c.d2_at(p - 1, q - 1))
-    return _memo(ws, ("im_dd", p, q), build)
+    c = ws.c
+    if c.dim(p, q) == 0:
+        return Subspace.zero(0)
+    return image_basis(c.d1_at(p - 1, q) * c.d2_at(p - 1, q - 1))
 
 
+@memoised
 def exact_pure(ws: Workspace, p, q) -> Subspace:
     """Pure (p,q) elements that are exact for the total differential.
 
     Computed as (im D) ∩ A^{p,q} inside the total complex, then read back in
     component coordinates.
     """
-    def build():
-        c = ws.c
-        n = c.dim(p, q)
-        if n == 0:
-            return Subspace.zero(0)
-        k = p + q
-        t = ws.total
-        block = Subspace.from_columns(
-            [t.inject(p, q, row) for row in Matrix.identity(n).data], t.dim(k))
-        meet = subspace_intersection(ws.total_image(k), block)
-        return Subspace.from_columns(
-            [t.project(k, p, q, col) for col in meet.basis_columns()], n)
-    return _memo(ws, ("exact_pure", p, q), build)
+    c = ws.c
+    n = c.dim(p, q)
+    if n == 0:
+        return Subspace.zero(0)
+    k = p + q
+    t = ws.total
+    block = Subspace.from_columns(
+        [t.inject(p, q, row) for row in Matrix.identity(n).data], t.dim(k))
+    meet = subspace_intersection(ws.total_image(k), block)
+    return Subspace.from_columns(
+        [t.project(k, p, q, col) for col in meet.basis_columns()], n)
 
 
 def ddbar_closed_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Subspace:
@@ -139,19 +126,19 @@ def ddbar_closed_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -
     length r-1 (one for each differential), a condition that grows stronger
     with r.
     """
-    ws = ws or Workspace(c)
+    return _ddbar_closed(ws or Workspace(c), r, p, q)
 
-    def build():
-        cc = ws.c
-        n = cc.dim(p, q)
-        if n == 0:
-            return Subspace.zero(0)
-        if r == 1:
-            return kernel_basis(cc.d1_at(p, q + 1) * cc.d2_at(p, q))
-        return subspace_intersection(
-            ws.space(TowerKind.RUNS, r - 1, p, q),
-            ws.space(TowerKind.RUNS_SWAPPED, r - 1, p, q))
-    return _memo(ws, ("ddbar_closed", r, p, q), build)
+
+@memoised
+def _ddbar_closed(ws: Workspace, r, p, q) -> Subspace:
+    c = ws.c
+    if c.dim(p, q) == 0:
+        return Subspace.zero(0)
+    if r == 1:
+        return kernel_basis(c.d1_at(p, q + 1) * c.d2_at(p, q))
+    return subspace_intersection(
+        ws.space(TowerKind.RUNS, r - 1, p, q),
+        ws.space(TowerKind.RUNS_SWAPPED, r - 1, p, q))
 
 
 def ddbar_exact_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Subspace:
@@ -160,57 +147,44 @@ def ddbar_exact_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) ->
     r = 1 is im(d1 d2); r >= 2 adds d1 and d2 images of the reaches-zero
     towers of length r-1, a condition that grows weaker with r.
     """
-    ws = ws or Workspace(c)
+    return _ddbar_exact(ws or Workspace(c), r, p, q)
 
-    def build():
-        cc = ws.c
-        n = cc.dim(p, q)
-        if n == 0:
-            return Subspace.zero(0)
-        out = im_dd(ws, p, q)
-        if r == 1:
-            return out
-        if cc.dim(p - 1, q):
-            e = ws.space(TowerKind.REACHES_ZERO, r - 1, p - 1, q)
-            out = subspace_sum(out, map_subspace(cc.d1_at(p - 1, q), e))
-        if cc.dim(p, q - 1):
-            e = ws.space(TowerKind.REACHES_ZERO_SWAPPED, r - 1, p, q - 1)
-            out = subspace_sum(out, map_subspace(cc.d2_at(p, q - 1), e))
+
+@memoised
+def _ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
+    c = ws.c
+    if c.dim(p, q) == 0:
+        return Subspace.zero(0)
+    out = im_dd(ws, p, q)
+    if r == 1:
         return out
-    return _memo(ws, ("ddbar_exact", r, p, q), build)
+    if c.dim(p - 1, q):
+        e = ws.space(TowerKind.REACHES_ZERO, r - 1, p - 1, q)
+        out = subspace_sum(out, map_subspace(c.d1_at(p - 1, q), e))
+    if c.dim(p, q - 1):
+        e = ws.space(TowerKind.REACHES_ZERO_SWAPPED, r - 1, p, q - 1)
+        out = subspace_sum(out, map_subspace(c.d2_at(p, q - 1), e))
+    return out
 
 
+@memoised
 def bc_reps(ws: Workspace, r, p, q):
     """Deterministic representatives of BC_r at (p,q)."""
-    def build():
-        k = closed_pure(ws, p, q)
-        d = ddbar_exact_space(ws.c, r, p, q, ws)
-        if not k.contains_subspace(d):
-            raise ConsistencyError(
-                f"ddbar-exact space not inside the d-closed space at {(p, q)}, page {r}")
-        return extend_basis(d, k)
-    return _memo(ws, ("bc_reps", r, p, q), build)
+    _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
+    return extend_basis(ddbar_exact_space(ws.c, r, p, q, ws), closed_pure(ws, p, q))
 
 
+@memoised
 def a_reps(ws: Workspace, r, p, q):
     """Deterministic representatives of A_r at (p,q)."""
-    def build():
-        z = ddbar_closed_space(ws.c, r, p, q, ws)
-        i = im_both(ws, p, q)
-        if not z.contains_subspace(i):
-            raise ConsistencyError(
-                f"im d1 + im d2 not inside the ddbar-closed space at {(p, q)}, page {r}")
-        return extend_basis(i, z)
-    return _memo(ws, ("a_reps", r, p, q), build)
+    _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
+    return extend_basis(im_both(ws, p, q), ddbar_closed_space(ws.c, r, p, q, ws))
 
 
+@memoised
 def de_rham_reps(ws: Workspace, k):
     """Representatives of total-complex cohomology in degree k."""
-    def build():
-        t = ws.total
-        ker = kernel_basis(t.differential(k))
-        return extend_basis(ws.total_image(k), ker)
-    return _memo(ws, ("dr_reps", k), build)
+    return extend_basis(ws.total_image(k), kernel_basis(ws.total.differential(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,38 +216,36 @@ class BcaTable:
         return sum(v for (rr, _, _), v in self.a.items() if rr == r)
 
 
-def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> BcaTable:
-    """Bott-Chern and Aeppli dimensions for r = 1..r_max over the support.
+@memoised
+def _bca_cell(ws: Workspace, r, p, q):
+    """(dim BC_r, dim A_r) at (p,q).
 
-    Containments are verified before quotienting; a failure there is an
-    implementation bug and surfaces as ConsistencyError.
+    Both quotients are checked to be of nested pairs first; a failure there
+    is an implementation bug and surfaces as ConsistencyError.
     """
+    k = closed_pure(ws, p, q)
+    d = ddbar_exact_space(ws.c, r, p, q, ws)
+    if not k.contains_subspace(d):
+        raise ConsistencyError(f"ddbar-exact not d-closed at {(p, q)}, page {r}")
+    z = ddbar_closed_space(ws.c, r, p, q, ws)
+    i = im_both(ws, p, q)
+    if not z.contains_subspace(i):
+        raise ConsistencyError(f"im d1 + im d2 not ddbar-closed at {(p, q)}, page {r}")
+    return k.dim - d.dim, z.dim - i.dim
+
+
+def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> BcaTable:
+    """Bott-Chern and Aeppli dimensions for r = 1..r_max over the support."""
     ws = ws or Workspace(c)
     table = BcaTable(r_max)
     for (p, q) in ws.c.support():
-        k = closed_pure(ws, p, q)
-        i = im_both(ws, p, q)
         for r in range(1, r_max + 1):
-            d = ddbar_exact_space(ws.c, r, p, q, ws)
-            z = ddbar_closed_space(ws.c, r, p, q, ws)
-            if not k.contains_subspace(d):
-                raise ConsistencyError(
-                    f"ddbar-exact not d-closed at {(p, q)}, page {r}")
-            v = quotient_dim(k, d)
-            if v:
-                table.bc[(r, p, q)] = v
-            if not z.contains_subspace(i):
-                raise ConsistencyError(
-                    f"im d1 + im d2 not ddbar-closed at {(p, q)}, page {r}")
-            v = quotient_dim(z, i)
-            if v:
-                table.a[(r, p, q)] = v
+            bc, a = _bca_cell(ws, r, p, q)
+            if bc:
+                table.bc[(r, p, q)] = bc
+            if a:
+                table.a[(r, p, q)] = a
     return table
-
-
-def bca_table(ws: Workspace, r) -> BcaTable:
-    """`bca_dims` for pages 1..r of the workspace's complex, built once per workspace."""
-    return _memo(ws, ("bca_table", r), lambda: bca_dims(ws.c, r, ws))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +298,7 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
         bc = bc_reps(ws, r, p, q)
         a = a_reps(ws, r, p, q)
         page = ws.page_reps(r, p, q)
-        conj = _conj_page_reps(ws, r, p, q)
+        conj = ws.swapped.page_reps(r, q, p)
         drr = de_rham_reps(ws, k)
         c_r = ws.space(TowerKind.PAGE_EXACT, r, p, q)
         cbar_r = ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q)
@@ -355,14 +327,6 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
             a_injective = False
     return CanonicalMaps(r=r, commutes=commutes, bc_surjective=bc_surjective,
                          a_injective=a_injective, **out)
-
-
-def _conj_page_reps(ws: Workspace, r, p, q):
-    def build():
-        z = ws.space(TowerKind.CONJ_PAGE_CLOSED, r, p, q)
-        cc = ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q)
-        return extend_basis(cc, z)
-    return _memo(ws, ("conj_page_reps", r, p, q), build)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +358,7 @@ def _criterion_bc_a_maps(ws, r, injective_only):
 
 
 def _criterion_dims(ws, r):
-    table = bca_table(ws, r)
+    table = bca_dims(ws.c, r, ws)
     kmax = ws.c.pmax + ws.c.qmax
     return all(table.bc_antidiagonal(r, k) == table.a_antidiagonal(r, k)
                for k in range(kmax + 1))
@@ -550,8 +514,8 @@ def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
     (which squeezes the middle one as well).
     """
     ws = ws or Workspace(c)
-    bca = bca_table(ws, r)
-    pages = _memo(ws, ("page_table", r), lambda: page_dims(ws.c, r, ws))
+    bca = bca_dims(ws.c, r, ws)
+    pages = page_dims(ws.c, r, ws)
     bca_total = bca.bc_total(r) + bca.a_total(r)
     page_total = pages.total(r) + pages.total_bar(r)
     betti2 = 2 * sum(de_rham_dims(ws.total).values())

@@ -40,7 +40,6 @@ __all__ = [
     "random_invertible",
     "complex_to_dict",
     "complex_from_dict",
-    "load_complex",
     "dump_complex",
 ]
 
@@ -98,9 +97,6 @@ class DoubleComplex:
 
     def total_dim(self):
         return sum(self.dims.values())
-
-    def grid_diameter(self):
-        return max(self.pmax, self.qmax) + 1
 
     def __repr__(self):
         return (f"DoubleComplex({self.name!r}, grid {self.pmax}x{self.qmax}, "
@@ -453,8 +449,11 @@ def _key(p, q):
 
 
 def _unkey(s):
-    p, q = s.split(",")
-    return int(p), int(q)
+    """The cell written as "p,q"; ValueError for anything else."""
+    parts = s.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected a cell \"p,q\", got {s!r}")
+    return int(parts[0]), int(parts[1])
 
 
 def complex_to_dict(c: DoubleComplex):
@@ -526,11 +525,6 @@ def complex_from_dict(obj) -> DoubleComplex:
         d2 = {(p, q): m.scale((-1) ** p) for (p, q), m in d2.items()}
     return DoubleComplex(name, pmax, qmax, dims, d1, d2,
                          meta=dict(obj.get("meta", {})))
-
-
-def load_complex(path) -> DoubleComplex:
-    with open(path) as fh:
-        return complex_from_dict(json.load(fh))
 
 
 def dump_complex(c: DoubleComplex, path):

@@ -27,7 +27,7 @@ from urllib.parse import parse_qsl, urlparse
 
 from bigraded import bca as bca_mod
 from bigraded import bicomplex, hodge, models, pairing as pairing_mod, spectral, zigzag
-from bigraded.bicomplex import _parse_rational
+from bigraded.bicomplex import _parse_rational, _unkey
 from bigraded.linalg import LinalgError, Matrix
 from bigraded.spectral import ConsistencyError
 
@@ -60,51 +60,63 @@ def load_input(spec, seed=None):
 
 def _example_from_uri(uri, seed=None):
     parsed = urlparse(uri)
-    kind = parsed.netloc or parsed.path.lstrip("/")
-    args = dict(parse_qsl(parsed.query))
-    at = args.get("at", "0,0")
+    return _example(parsed.netloc or parsed.path.lstrip("/"),
+                    dict(parse_qsl(parsed.query)), seed)
+
+
+def _example(kind, params, seed=None):
+    """A built-in example from its kind and string-valued parameters.
+
+    Both `example://` URIs and the `example` subcommand come through here,
+    so a bad value is a usage error either way.
+    """
     try:
         if kind == "dot":
-            p, q = (int(x) for x in at.split(","))
-            return models.build_zigzag(models.dot_shape(p, q))
+            return models.build_zigzag(models.dot_shape(*_unkey(params.get("at", "0,0"))))
         if kind == "square":
-            p, q = (int(x) for x in at.split(","))
-            return models.build_square(p, q)
+            return models.build_square(*_unkey(params.get("at", "0,0")))
         if kind == "zigzag":
-            p, q = (int(x) for x in args.get("start", "0,1").split(","))
-            gens = int(args.get("gens", "1"))
-            left = args.get("left", "0") == "1"
-            right = args.get("right", "0") == "1"
+            p, q = _unkey(params.get("start", "0,1"))
+            gens = int(params.get("gens", "1"))
+            left = params.get("left", "0") == "1"
+            right = params.get("right", "0") == "1"
             shape = models.ZigzagShape(
                 tuple((p + i, q - i) for i in range(gens)), left, right)
             return models.build_zigzag(shape)
         if kind == "ce":
-            u = int(args.get("u", "1"))
-            v = int(args.get("v", "1"))
-            w = args.get("w")
+            u = int(params.get("u", "1"))
+            v = int(params.get("v", "1"))
+            w = params.get("w")
             return models.example_calabi_eckmann(u, v, int(w) if w else None)
         if kind == "random":
-            grid = tuple(int(x) for x in args.get("grid", "4,4").split(","))
-            s = int(args.get("seed", seed if seed is not None else 0))
-            max_dim = int(args.get("maxdim", "4"))
+            grid = _unkey(params.get("grid", "4,4"))
+            s = int(params.get("seed", seed if seed is not None else 0))
+            max_dim = int(params.get("maxdim", "4"))
             return bicomplex.random_complex(grid, max_dim, s)
     except (ValueError, LinalgError) as exc:
-        raise UsageError(f"bad example URI {uri!r}: {exc}") from exc
+        raise UsageError(f"bad {kind} example: {exc}") from exc
     raise UsageError(f"unknown example {kind!r} "
                      "(expected dot, square, zigzag, ce or random)")
 
 
 def _load_gram(path, c):
+    """The inner product of a Gram file, each matrix checked against its cell of `c`."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise LinalgError('a Gram file maps cells "p,q" to matrices')
         grams = {}
         for key, rows in obj.items():
-            p, q = (int(x) for x in key.split(","))
-            grams[(p, q)] = Matrix(len(rows), len(rows[0]) if rows else 0,
-                                   [[_parse_rational(x) for x in row] for row in rows])
+            cell = _unkey(key)
+            n = c.dim(*cell)
+            if n == 0:
+                raise LinalgError(f"{key} is not a nonzero component of the complex")
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise LinalgError(f"Gram at {key} is not {n}x{n}")
+            grams[cell] = Matrix(n, n, [[_parse_rational(x) for x in row] for row in rows])
         return hodge.InnerProduct(grams)
-    except (OSError, json.JSONDecodeError, ValueError, LinalgError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # JSON and Linalg errors are ValueErrors
         raise UsageError(f"bad Gram file {path!r}: {exc}") from exc
 
 
@@ -176,15 +188,13 @@ def _bca_section(c, ws, rmax):
 
 
 def _shape_json(shape):
-    if isinstance(shape, models.Square):
-        return {"kind": "square", "at": [shape.p, shape.q]}
-    return {
-        "kind": "dot" if shape.is_dot() else "zigzag",
-        "generators": [list(g) for g in shape.generators],
-        "d2_out_first": shape.d2_out_first,
-        "d1_out_last": shape.d1_out_last,
-        "length": models.shape_length(shape),
-    }
+    """The certificate's shape form, plus the zigzag `length` and the `dot` kind."""
+    out = zigzag._shape_to_dict(shape)
+    if not isinstance(shape, models.Square):
+        out["length"] = models.shape_length(shape)
+        if shape.is_dot():
+            out["kind"] = "dot"
+    return out
 
 
 def _verdict_section(c, ws, r, explain=False):
@@ -313,7 +323,7 @@ def render_json(obj):
 
 
 def _md_grid(title, grid):
-    cells = [tuple(int(x) for x in key.split(",")) for key in grid]
+    cells = [_unkey(key) for key in grid]
     lines = [f"### {title}", ""]
     if not cells:
         lines += ["(all zero)", ""]
@@ -484,28 +494,11 @@ def cmd_duality(args):
 
 
 def cmd_example(args):
-    if args.kind == "calabi-eckmann":
-        c = models.example_calabi_eckmann(args.u, args.v, args.w)
-    elif args.kind == "square":
-        p, q = (int(x) for x in args.at.split(","))
-        c = models.build_square(p, q)
-    elif args.kind == "dot":
-        p, q = (int(x) for x in args.at.split(","))
-        c = models.build_zigzag(models.dot_shape(p, q))
-    elif args.kind == "zigzag":
-        p, q = (int(x) for x in args.start.split(","))
-        shape = models.ZigzagShape(
-            tuple((p + i, q - i) for i in range(args.gens)),
-            bool(args.left), bool(args.right))
-        c = models.build_zigzag(shape)
-    elif args.kind == "random":
-        grid = tuple(int(x) for x in args.grid.split(","))
-        try:
-            c = bicomplex.random_complex(grid, args.max_dim, args.seed or 0)
-        except LinalgError as exc:
-            raise UsageError(str(exc)) from exc
-    else:
-        raise UsageError(f"unknown example kind {args.kind!r}")
+    options = {"at": args.at, "start": args.start, "gens": args.gens,
+               "left": args.left, "right": args.right, "u": args.u, "v": args.v,
+               "w": args.w, "grid": args.grid, "maxdim": args.max_dim}
+    c = _example("ce" if args.kind == "calabi-eckmann" else args.kind,
+                 {k: str(v) for k, v in options.items() if v is not None}, args.seed)
     if args.out:
         bicomplex.dump_complex(c, args.out)
         sys.stdout.write(f"wrote {args.out}\n")

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from bigraded.bca import bca_table, ddbar_closed_space
+from bigraded.bca import _bca_cell, ddbar_closed_space
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (LinalgError, Matrix, Subspace, kernel_basis,
                              subspace_intersection, subspace_sum)
-from bigraded.spectral import (ConsistencyError, TowerKind, Workspace,
+from bigraded.spectral import (ConsistencyError, TowerKind, Workspace, memoised,
                                page_dims)
 
 __all__ = [
@@ -67,9 +67,6 @@ class InnerProduct:
         if m.rows != c.dim(p, q):
             raise LinalgError(f"Gram at {(p, q)} has wrong size")
         return m
-
-    def is_identity(self):
-        return not self.grams
 
 
 def _check_spd(g: Matrix, cell):
@@ -139,10 +136,14 @@ def flipped_adjoint_workspace(c: DoubleComplex, ip: InnerProduct,
     tower spaces of the flip are exactly the star-tower spaces of `c`.
     """
     ws = ws or Workspace(c)
-    key = ("flip", tuple(sorted(ip.grams.items(), key=lambda kv: kv[0])))
-    hit = ws.memo.get(key)
-    if hit is not None:
-        return hit
+    return _flip(ws, tuple(sorted(ip.grams.items())))
+
+
+@memoised
+def _flip(ws: Workspace, grams) -> Workspace:
+    """The flip for the Grams given as sorted (cell, Gram) pairs."""
+    c = ws.c
+    ip = InnerProduct(dict(grams))
     P, Qm = c.pmax, c.qmax
     dims = {(P - p, Qm - q): n for (p, q), n in c.dims.items()}
     d1 = {}
@@ -158,10 +159,7 @@ def flipped_adjoint_workspace(c: DoubleComplex, ip: InnerProduct,
             if dims.get((p, q + 1), 0):
                 src = c.d2_at(op, oq - 1)
                 d2[(p, q)] = adjoint(src, ip.gram(c, op, oq - 1), ip.gram(c, op, oq))
-    flip = DoubleComplex(c.name + ".adjoint-flip", P, Qm, dims, d1, d2)
-    hit = Workspace(flip)
-    ws.memo[key] = hit
-    return hit
+    return Workspace(DoubleComplex(c.name + ".adjoint-flip", P, Qm, dims, d1, d2))
 
 
 def star_tower_space(c: DoubleComplex, ip: InnerProduct, kind: TowerKind,
@@ -207,7 +205,7 @@ def _orthogonal_projection(sub: Subspace, gram: Matrix) -> Matrix:
 
 
 def harmonic_tower(c: DoubleComplex, ip: InnerProduct | None = None, r_max=3,
-                   ws: Workspace | None = None, check_pages=True) -> HarmonicTower:
+                   ws: Workspace | None = None) -> HarmonicTower:
     """Inductive construction of the harmonic realisations of pages 1..r_max.
 
     Cross-checks on the way (any failure raises ConsistencyError):
@@ -221,7 +219,7 @@ def harmonic_tower(c: DoubleComplex, ip: InnerProduct | None = None, r_max=3,
     ws = ws or Workspace(c)
     c = ws.c
     tower = HarmonicTower(c, ip, r_max)
-    pages = page_dims(c, r_max, ws, conjugate=False) if check_pages else None
+    pages = page_dims(c, r_max, ws, conjugate=False)
     cells = [cell for cell in c.support()]
     grams = {cell: ip.gram(c, *cell) for cell in cells}
     greens = {}
@@ -262,13 +260,12 @@ def harmonic_tower(c: DoubleComplex, ip: InnerProduct | None = None, r_max=3,
         return c.dim(p, q)
 
     for r in range(1, r_max + 1):
-        if check_pages:
-            for (p, q) in cells:
-                if tower.spaces[(r, p, q)].dim != pages.dim(r, p, q):
-                    raise ConsistencyError(
-                        f"harmonic space at {(p, q)} page {r} has dim "
-                        f"{tower.spaces[(r, p, q)].dim}, page table says "
-                        f"{pages.dim(r, p, q)}")
+        for (p, q) in cells:
+            if tower.spaces[(r, p, q)].dim != pages.dim(r, p, q):
+                raise ConsistencyError(
+                    f"harmonic space at {(p, q)} page {r} has dim "
+                    f"{tower.spaces[(r, p, q)].dim}, page table says "
+                    f"{pages.dim(r, p, q)}")
         if r == r_max:
             break
         # transfer operator D_{r}: one alternating descent per page index
@@ -385,7 +382,7 @@ def three_space_decomposition(c: DoubleComplex, ip: InnerProduct | None, r, p, q
 
 
 def bc_a_harmonic_spaces(c: DoubleComplex, ip: InnerProduct | None, r, p, q,
-                         ws: Workspace | None = None, check_dims=True):
+                         ws: Workspace | None = None):
     """Harmonic models of the Bott-Chern and Aeppli groups at (p,q), page r.
 
     Bott-Chern harmonic: killed by both differentials and adjoint-side
@@ -408,11 +405,9 @@ def bc_a_harmonic_spaces(c: DoubleComplex, ip: InnerProduct | None, r, p, q,
     ker_adj = subspace_intersection(kernel_basis(flip.c.d1_at(fp, fq)),
                                     kernel_basis(flip.c.d2_at(fp, fq)))
     h_a = subspace_intersection(ddbar_closed_space(c, r, p, q, ws), ker_adj)
-    if check_dims:
-        table = bca_table(ws, r)
-        if h_bc.dim != table.bc_dim(r, p, q) or h_a.dim != table.a_dim(r, p, q):
-            raise ConsistencyError(
-                f"harmonic Bott-Chern/Aeppli dims ({h_bc.dim}, {h_a.dim}) at "
-                f"{(p, q)} page {r} disagree with cohomology "
-                f"({table.bc_dim(r, p, q)}, {table.a_dim(r, p, q)})")
+    dims = _bca_cell(ws, r, p, q)
+    if (h_bc.dim, h_a.dim) != dims:
+        raise ConsistencyError(
+            f"harmonic Bott-Chern/Aeppli dims ({h_bc.dim}, {h_a.dim}) at "
+            f"{(p, q)} page {r} disagree with cohomology {dims}")
     return h_bc, h_a

@@ -5,10 +5,10 @@ construction.  Subspaces are stored through a canonical column-reduced
 echelon basis, so two equal subspaces always carry bit-identical bases and
 subspace equality is plain ``==``.
 
-Two elimination routines coexist on purpose: full rational RREF for anything
-that needs canonical bases, and fraction-free Bareiss elimination over the
-integers for rank-only queries.  The test suite plays them against each
-other.
+Two elimination routines coexist: full rational RREF for anything that needs
+canonical bases, and fraction-free Bareiss elimination over the integers for
+rank-only queries (`Matrix.rank`).  The test suite checks ranks against
+sympy, its independent oracle.
 """
 
 from __future__ import annotations
@@ -363,10 +363,6 @@ class Subspace:
         red, pivots, rk = rref(Matrix.from_rows(cleaned))
         cols = [tuple(red.data[i][j] for j in range(ambient_dim)) for i in range(rk)]
         return cls(ambient_dim, Matrix.from_columns(cols, ambient_dim), pivots)
-
-    @classmethod
-    def from_matrix_columns(cls, m: Matrix):
-        return cls.from_columns(m.columns(), m.rows)
 
     @classmethod
     def zero(cls, ambient_dim):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
-from bigraded.bicomplex import DoubleComplex, _parse_rational, direct_sum
+from bigraded.bicomplex import (DoubleComplex, _parse_rational, _rational_str, _unkey,
+                                direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
@@ -300,9 +301,8 @@ def pairing_from_dict(obj) -> DualityPairing:
             raise LinalgError("top bidegree must be of the form (n, n)")
         pairs = {}
         for key, rows in obj.get("pairs", {}).items():
-            p, q = (int(x) for x in key.split(","))
             data = [[_parse_rational(x) for x in row] for row in rows]
-            pairs[(p, q)] = Matrix(len(data), len(data[0]) if data else 0, data)
+            pairs[_unkey(key)] = Matrix(len(data), len(data[0]) if data else 0, data)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise LinalgError(f"malformed pairing file: {exc}") from exc
     return DualityPairing(n, pairs)
@@ -311,7 +311,7 @@ def pairing_from_dict(obj) -> DualityPairing:
 def pairing_to_dict(pairing: DualityPairing):
     out = {"n": [pairing.n, pairing.n], "pairs": {}}
     for (p, q), m in sorted(pairing.pairs.items()):
-        out["pairs"][f"{p},{q}"] = [[str(x) for x in row] for row in m.data]
+        out["pairs"][f"{p},{q}"] = [[_rational_str(x) for x in row] for row in m.data]
     return out
 
 

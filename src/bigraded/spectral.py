@@ -30,6 +30,7 @@ complex.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -43,6 +44,7 @@ __all__ = [
     "TowerKind",
     "ConsistencyError",
     "Workspace",
+    "memoised",
     "tower_space",
     "PageTable",
     "page_dims",
@@ -76,11 +78,38 @@ _SWAPPED = {
 }
 
 
-class Workspace:
-    """Per-complex cache of tower spaces, page representatives and differentials.
+_MISSING = object()
 
-    The complex is validated once on entry; all cached values are pure
-    functions of it, so the workspace can be shared freely.
+
+def memoised(fn):
+    """`fn(ws, *args)` cached in `ws.memo` under (fn's qualified name,) + args.
+
+    The arguments must be values (ints, `TowerKind`s, tuples of them or of
+    (cell, Matrix) pairs), so a key never depends on object identity and
+    two accessors never share an entry.  Nothing else reads or writes
+    `Workspace.memo`.
+    """
+    tag = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(ws, *args):
+        key = (tag,) + args
+        hit = ws.memo.get(key, _MISSING)
+        if hit is _MISSING:
+            hit = ws.memo[key] = fn(ws, *args)
+        return hit
+    return cached
+
+
+class Workspace:
+    """Per-complex cache of everything derived from one validated complex.
+
+    `spaces` holds the tower spaces, keyed by (kind, r, p, q) and filled by
+    `space`.  Every other derived value (the swapped and total complexes,
+    page representatives, page differentials, and the values of the
+    higher modules) is a `memoised` accessor kept in `memo`.  The complex
+    is validated once on entry; all cached values are pure functions of
+    it, so the workspace can be shared freely.
     """
 
     def __init__(self, c: DoubleComplex, checked=False):
@@ -88,25 +117,17 @@ class Workspace:
             require_valid(c)
         self.c = c
         self.spaces = {}
-        self.reps = {}
-        self.dr = {}
-        self.memo = {}  # scratch cache for the higher modules, keyed by tag
-        self.decomposition = None  # set once by zigzag.decompose
-        self._swapped = None
-        self._total = None
-        self._total_image = {}
+        self.memo = {}
 
     @property
+    @memoised
     def swapped(self):
-        if self._swapped is None:
-            self._swapped = Workspace(swap_complex(self.c), checked=True)
-        return self._swapped
+        return Workspace(swap_complex(self.c), checked=True)
 
     @property
+    @memoised
     def total(self):
-        if self._total is None:
-            self._total = total_complex(self.c)
-        return self._total
+        return total_complex(self.c)
 
     def space(self, kind: TowerKind, r, p, q) -> Subspace:
         key = (kind, r, p, q)
@@ -120,32 +141,30 @@ class Workspace:
             self.spaces[key] = hit
         return hit
 
+    @memoised
     def page_reps(self, r, p, q):
         """Deterministic representatives of a complement of C_r inside Z_r."""
-        key = (r, p, q)
-        hit = self.reps.get(key)
-        if hit is None:
-            z = self.space(TowerKind.PAGE_CLOSED, r, p, q)
-            cc = self.space(TowerKind.PAGE_EXACT, r, p, q)
-            hit = extend_basis(cc, z)
-            self.reps[key] = hit
-        return hit
+        z = self.space(TowerKind.PAGE_CLOSED, r, p, q)
+        cc = self.space(TowerKind.PAGE_EXACT, r, p, q)
+        return extend_basis(cc, z)
 
+    @memoised
     def dr_matrix(self, r, p, q) -> Matrix:
-        key = (r, p, q)
-        hit = self.dr.get(key)
-        if hit is None:
-            hit = _dr_matrix(self, r, p, q)
-            self.dr[key] = hit
-        return hit
+        """Matrix of d_r from the page basis at (p,q) to the one at (p+r, q-r+1)."""
+        src = self.page_reps(r, p, q)
+        tp, tq = p + r, q - r + 1
+        dst = self.page_reps(r, tp, tq)
+        if not src or not dst:
+            return Matrix.zero(len(dst), len(src))
+        cc_dst = self.space(TowerKind.PAGE_EXACT, r, tp, tq)
+        cols = [class_coordinates(cc_dst, dst, _dr_image(self, r, p, q, alpha))
+                for alpha in src]
+        return Matrix.from_columns(cols, len(dst))
 
+    @memoised
     def total_image(self, k) -> Subspace:
         """Image of the total differential landing in degree k."""
-        hit = self._total_image.get(k)
-        if hit is None:
-            hit = image_basis(self.total.differential(k - 1))
-            self._total_image[k] = hit
-        return hit
+        return image_basis(self.total.differential(k - 1))
 
 
 def _build_space(ws, kind, r, p, q):
@@ -198,9 +217,6 @@ class PageTable:
     def dim(self, r, p, q):
         return self.e.get((r, p, q), 0)
 
-    def dim_bar(self, r, p, q):
-        return self.ebar.get((r, p, q), 0)
-
     def total(self, r):
         return sum(v for (rr, _, _), v in self.e.items() if rr == r)
 
@@ -211,39 +227,27 @@ class PageTable:
         return sum(v for (rr, p, q), v in self.e.items() if rr == r and p + q == k)
 
 
+@memoised
+def _page_dim(ws: Workspace, r, p, q):
+    """dim Z_r - dim C_r at (p,q); the conjugate page is `_page_dim(ws.swapped, r, q, p)`."""
+    return quotient_dim(ws.space(TowerKind.PAGE_CLOSED, r, p, q),
+                        ws.space(TowerKind.PAGE_EXACT, r, p, q))
+
+
 def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=True) -> PageTable:
     """Dimensions e_r^{p,q} = dim Z_r - dim C_r for r = 1..r_max, plus conjugates."""
     ws = ws or Workspace(c)
     table = PageTable(r_max)
     for (p, q) in ws.c.support():
         for r in range(1, r_max + 1):
-            z = ws.space(TowerKind.PAGE_CLOSED, r, p, q)
-            cc = ws.space(TowerKind.PAGE_EXACT, r, p, q)
-            d = quotient_dim(z, cc)
+            d = _page_dim(ws, r, p, q)
             if d:
                 table.e[(r, p, q)] = d
             if conjugate:
-                zb = ws.space(TowerKind.CONJ_PAGE_CLOSED, r, p, q)
-                cb = ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q)
-                db = quotient_dim(zb, cb)
+                db = _page_dim(ws.swapped, r, q, p)
                 if db:
                     table.ebar[(r, p, q)] = db
     return table
-
-
-def _dr_matrix(ws: Workspace, r, p, q) -> Matrix:
-    """Matrix of d_r from the page basis at (p,q) to the one at (p+r, q-r+1)."""
-    src = ws.page_reps(r, p, q)
-    tp, tq = p + r, q - r + 1
-    dst = ws.page_reps(r, tp, tq)
-    if not src or not dst:
-        return Matrix.zero(len(dst), len(src))
-    cc_dst = ws.space(TowerKind.PAGE_EXACT, r, tp, tq)
-    cols = []
-    for alpha in src:
-        v = _dr_image(ws, r, p, q, alpha)
-        cols.append(class_coordinates(cc_dst, dst, v))
-    return Matrix.from_columns(cols, len(dst))
 
 
 def _dr_image(ws: Workspace, r, p, q, alpha):

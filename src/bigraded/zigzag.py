@@ -28,12 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from bigraded.bca import bca_table
-from bigraded.bicomplex import DoubleComplex, change_of_basis, de_rham_dims
+from bigraded.bca import bca_dims
+from bigraded.bicomplex import (DoubleComplex, _parse_rational, _rational_str, _unkey,
+                                change_of_basis, de_rham_dims)
 from bigraded.linalg import LinalgError, Matrix, kernel_basis
 from bigraded.models import (Square, ZigzagShape, shape_arrows, shape_cells,
                              shape_length)
-from bigraded.spectral import ConsistencyError, Workspace, page_dims
+from bigraded.spectral import ConsistencyError, Workspace, memoised, page_dims
 
 __all__ = [
     "enumerate_shapes",
@@ -172,7 +173,7 @@ def measured_invariants(c: DoubleComplex, r_max, ws: Workspace | None = None) ->
     pages = page_dims(ws.c, r_max, ws)
     out.e = dict(pages.e)
     out.ebar = dict(pages.ebar)
-    table = bca_table(ws, r_max)
+    table = bca_dims(ws.c, r_max, ws)
     out.bc = dict(table.bc)
     out.a = dict(table.a)
     out.b = {k: v for k, v in de_rham_dims(ws.total).items() if v}
@@ -378,9 +379,7 @@ def certificate_to_dict(cert: DecompositionCertificate):
     """JSON form: transforms as rational-string matrices, blocks with cells."""
     out = {"transforms": {}, "blocks": []}
     for (p, q), m in sorted(cert.transforms.items()):
-        out["transforms"][f"{p},{q}"] = [
-            [str(x) if x.denominator != 1 else str(x.numerator) for x in row]
-            for row in m.data]
+        out["transforms"][f"{p},{q}"] = [[_rational_str(x) for x in row] for row in m.data]
     for shape, cells in cert.blocks:
         out["blocks"].append({
             "shape": _shape_to_dict(shape),
@@ -390,20 +389,17 @@ def certificate_to_dict(cert: DecompositionCertificate):
 
 
 def certificate_from_dict(obj) -> DecompositionCertificate:
-    from fractions import Fraction
-    transforms = {}
-    for key, rows in obj.get("transforms", {}).items():
-        p, q = (int(x) for x in key.split(","))
-        transforms[(p, q)] = Matrix(
-            len(rows), len(rows[0]) if rows else 0,
-            [[Fraction(str(x)) for x in row] for row in rows])
-    blocks = []
-    for item in obj.get("blocks", []):
-        cells = {}
-        for key, ix in item["cells"].items():
-            p, q = (int(x) for x in key.split(","))
-            cells[(p, q)] = tuple(ix)
-        blocks.append((_shape_from_dict(item["shape"]), cells))
+    """Read back `certificate_to_dict`'s form; LinalgError for malformed input."""
+    try:
+        transforms = {}
+        for key, rows in obj.get("transforms", {}).items():
+            data = [[_parse_rational(x) for x in row] for row in rows]
+            transforms[_unkey(key)] = Matrix(len(data), len(data[0]) if data else 0, data)
+        blocks = [(_shape_from_dict(item["shape"]),
+                   {_unkey(key): tuple(ix) for key, ix in item["cells"].items()})
+                  for item in obj.get("blocks", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise LinalgError(f"malformed certificate: {exc}") from exc
     return DecompositionCertificate(transforms, blocks)
 
 
@@ -472,16 +468,13 @@ def decompose(c: DoubleComplex, ws: Workspace | None = None) -> Decomposition:
     (at the default `r_max` of `multiplicity_solve`); otherwise the
     implementation is at fault and ConsistencyError is raised.
     """
-    ws = ws or Workspace(c)
-    if ws.decomposition is None:
-        dec = split(ws.c)
-        _check_decomposition(ws, dec)
-        ws.decomposition = dec
-    return ws.decomposition
+    return _checked_split(ws or Workspace(c))
 
 
-def _check_decomposition(ws: Workspace, dec: Decomposition):
+@memoised
+def _checked_split(ws: Workspace) -> Decomposition:
     c = ws.c
+    dec = split(c)
     if _tally(dec.certificate.blocks) != dec.inventory:
         raise ConsistencyError(
             f"the split inventory of {c.name!r} differs from its certificate's blocks; "
@@ -505,6 +498,7 @@ def _check_decomposition(ws: Workspace, dec: Decomposition):
             raise ConsistencyError(
                 f"the split inventory of {c.name!r} predicts other {tag!r} tables "
                 "than the measured ones; the implementation is at fault")
+    return dec
 
 
 def split(c: DoubleComplex) -> Decomposition:

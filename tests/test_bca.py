@@ -2,6 +2,7 @@
 
 import pytest
 
+from bigraded import bca, spectral
 from bigraded.bca import (bca_dims, canonical_maps, closed_pure,
                           ddbar_closed_space, ddbar_exact_space, exact_pure,
                           im_both, inequality_check, page_ddbar_verdict)
@@ -10,7 +11,7 @@ from bigraded.linalg import (Matrix, Subspace, kernel_basis,
                              subspace_intersection, subspace_sum)
 from bigraded.models import (ZigzagShape, build_square, build_zigzag,
                              dot_shape, example_calabi_eckmann)
-from bigraded.spectral import TowerKind, Workspace
+from bigraded.spectral import ConsistencyError, TowerKind, Workspace, page_dims
 
 
 def classical_bc_a_dims(c, p, q):
@@ -306,3 +307,47 @@ def test_hopf_model_never_page_ddbar():
     ws = Workspace(ce)
     for r in (1, 2, 3):
         assert page_ddbar_verdict(ce, r, ws, use_structure=False).verdict is False
+
+
+# ---------------------------------------------------------------------------
+# per-cell memo
+
+
+def _restrict(table, r_max):
+    return {key: v for key, v in table.items() if key[0] <= r_max}
+
+
+def test_smaller_rmax_tables_are_restrictions(random_suite):
+    for seed, c, _ in random_suite[:3]:
+        ws = Workspace(c)
+        big_bca, big_pages = bca_dims(c, 4, ws), page_dims(c, 4, ws)
+        small_bca, small_pages = bca_dims(c, 2, ws), page_dims(c, 2, ws)
+        fresh = Workspace(c)
+        assert small_bca.bc == _restrict(big_bca.bc, 2) == bca_dims(c, 2, fresh).bc, seed
+        assert small_bca.a == _restrict(big_bca.a, 2) == bca_dims(c, 2, fresh).a, seed
+        assert small_pages.e == _restrict(big_pages.e, 2) == page_dims(c, 2, fresh).e, seed
+        assert small_pages.ebar == _restrict(big_pages.ebar, 2), seed
+
+
+def test_broken_ddbar_exact_worker_raises(monkeypatch):
+    # the whole component is ddbar-exact: not inside ker d1 ∩ ker d2 at the
+    # square's generator, so the Bott-Chern quotient is of a non-nested pair
+    monkeypatch.setattr(bca, "_ddbar_exact",
+                        lambda ws, r, p, q: Subspace.full(ws.c.dim(p, q)))
+    c = build_square(0, 0)
+    with pytest.raises(ConsistencyError):
+        bca_dims(c, 2, Workspace(c))
+
+
+def test_accessors_with_equal_arguments_keep_separate_entries(random_suite):
+    _, c, _ = random_suite[0]
+    by_cell = (closed_pure, im_both, bca.im_dd, exact_pure)
+    by_page_cell = (bca._ddbar_closed, bca._ddbar_exact, bca.bc_reps, bca.a_reps,
+                    bca._bca_cell, spectral._page_dim, Workspace.page_reps,
+                    Workspace.dr_matrix)
+    for (p, q) in c.support():
+        shared = Workspace(c)
+        calls = [(fn, (p, q)) for fn in by_cell] + [(fn, (2, p, q)) for fn in by_page_cell]
+        for fn, args in calls:
+            assert fn(shared, *args) == fn(Workspace(c), *args), (fn.__name__, args)
+            assert (f"{fn.__module__}.{fn.__qualname__}",) + args in shared.memo

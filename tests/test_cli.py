@@ -275,3 +275,28 @@ def test_zero_denominator_in_gram_or_pairing_is_error_object(tmp_path, capsys):
     pairing.write_text('{"n": [0, 0], "pairs": {"0,0": [["1/0"]]}}')
     code, doc = run_json(capsys, "duality", "example://dot", "--pairing", str(pairing))
     assert code == 1 and doc["error"]["kind"] == "input"
+
+
+def test_bad_example_values_are_usage_errors(capsys):
+    cases = [(("square", "--at", "abc"), "example://square?at=abc"),
+             (("random", "--grid", "4"), "example://random?grid=4"),
+             (("square", "--at=-1,0"), "example://square?at=-1,0"),
+             (("zigzag", "--gens", "0"), "example://zigzag?gens=0")]
+    for options, uri in cases:
+        for argv in (("example",) + options, ("validate", uri)):
+            code, doc = run_json(capsys, *argv)
+            assert code == 2, argv
+            assert doc["error"]["kind"] == "usage", argv
+
+
+def test_gram_file_checked_against_complex(tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    # a cell the complex lacks, a wrong-size Gram, and no cell map at all
+    for content in ('{"5,5": [["1"]]}', '{"0,0": [["1", "0"], ["0", "1"]]}', "[]"):
+        gram.write_text(content)
+        code, doc = run_json(capsys, "hodge", "example://square", "--gram", str(gram))
+        assert code == 2, content
+        assert doc["error"]["kind"] == "usage", content
+    gram.write_text('{"1,1": [["2"]]}')
+    code, _ = run_json(capsys, "hodge", "example://square", "--gram", str(gram))
+    assert code == 0

@@ -101,7 +101,7 @@ def test_dr_rank_invariant_under_representative_choice(random_suite):
                         noise = [n + f * x for n, x in zip(noise, col)]
                     perturbed.append(tuple(a + b for a, b in zip(v, noise)))
                 fresh = Workspace(c)
-                fresh.reps[(r, p, q)] = perturbed
+                fresh.memo[("bigraded.spectral.Workspace.page_reps", r, p, q)] = perturbed
                 other = fresh.dr_matrix(r, p, q)
                 assert other.rank() == base.rank()
 

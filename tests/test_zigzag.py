@@ -207,6 +207,37 @@ def test_certificate_json_roundtrip(structured_suite):
         assert verify_certificate(c, back).ok
 
 
+def _certificate_dict():
+    from bigraded.zigzag import certificate_to_dict
+    c = random_complex((2, 2), 3, 4)
+    return certificate_to_dict(decompose(c).certificate)
+
+
+def _zero_denominator(obj):
+    rows = next(iter(obj["transforms"].values()))
+    rows[0][0] = "1/0"
+
+
+def _no_shape(obj):
+    del obj["blocks"][0]["shape"]
+
+
+def _semicolon_key(obj):
+    key = next(iter(obj["transforms"]))
+    obj["transforms"][key.replace(",", ";")] = obj["transforms"].pop(key)
+
+
+@pytest.mark.parametrize("breakage", [_zero_denominator, _no_shape, _semicolon_key])
+def test_malformed_certificate_is_linalg_error(breakage):
+    from bigraded.linalg import LinalgError
+    from bigraded.zigzag import certificate_from_dict
+    obj = _certificate_dict()
+    certificate_from_dict(obj)
+    breakage(obj)
+    with pytest.raises(LinalgError):
+        certificate_from_dict(obj)
+
+
 # ---------------------------------------------------------------------------
 # the constructive splitter
 
