@@ -111,10 +111,7 @@ def green_inverse(op: Matrix, gram: Matrix) -> Matrix:
     coords = basis.inverse()
     # op maps im(op) isomorphically to itself: invert it there
     if im.dim:
-        op_on_im = []
-        for col in im.basis_columns():
-            v = op.apply(col)
-            op_on_im.append(im.basis.solve(Matrix.from_columns([v], n)).column(0))
+        op_on_im = [im.coordinates(op.apply(col)) for col in im.basis_columns()]
         inv_on_im = Matrix.from_columns(op_on_im, im.dim).inverse()
     out_cols = []
     for j in range(n):

@@ -254,6 +254,14 @@ def _tokenize(src):
     return tokens
 
 
+def _require_int(value, what, minimum=None):
+    """Accept an int (never a bool) of at least `minimum`, else raise LinalgError."""
+    if type(value) is not int:
+        raise LinalgError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise LinalgError(f"{what} must be at least {minimum}, got {value}")
+
+
 @dataclass
 class CdgaSpec:
     """Generators with bidegrees, polynomial differential rules, truncation.
@@ -275,16 +283,32 @@ class CdgaSpec:
     def __post_init__(self):
         seen = set()
         for name, (p, q) in self.generators:
+            if not isinstance(name, str):
+                raise LinalgError(f"generator name {name!r} is not a string")
             if name in seen:
                 raise LinalgError(f"duplicate generator {name!r}")
             seen.add(name)
+            _require_int(p, f"bidegree of {name!r}")
+            _require_int(q, f"bidegree of {name!r}")
             if p < 0 or q < 0:
                 raise LinalgError(f"generator {name!r} outside the first quadrant")
             if p == 0 and q == 0:
                 raise LinalgError(f"generator {name!r} of bidegree (0,0) makes the algebra infinite per bidegree")
+        for which, rules in (("d1", self.d1_rules), ("d2", self.d2_rules)):
+            for name, expr in rules.items():
+                if not isinstance(expr, str):
+                    raise LinalgError(
+                        f"{which} rule for {name!r} must be an expression string, got {expr!r}")
+        for bound in self.truncation:
+            _require_int(bound, "truncation bound", minimum=0)
         for name, w in (self.weights or {}).items():
+            if name not in seen:
+                raise LinalgError(f"weight for undeclared generator {name!r}")
+            _require_int(w, f"weight for {name!r}")
             if w < 0:
                 raise LinalgError(f"negative weight for {name!r}")
+        if self.max_weight is not None:
+            _require_int(self.max_weight, "max_weight", minimum=0)
 
     @property
     def names(self):
@@ -547,10 +571,8 @@ def build_cdga(spec: CdgaSpec, name="cdga") -> DoubleComplex:
     validates the resulting complex.
     """
     max_p, max_q = spec.truncation
-    d1_rules = {n: parse_expression(e, spec) if isinstance(e, str) else e
-                for n, e in spec.d1_rules.items()}
-    d2_rules = {n: parse_expression(e, spec) if isinstance(e, str) else e
-                for n, e in spec.d2_rules.items()}
+    d1_rules = {n: parse_expression(e, spec) for n, e in spec.d1_rules.items()}
+    d2_rules = {n: parse_expression(e, spec) for n, e in spec.d2_rules.items()}
     _check_rule_bidegrees(spec, d1_rules, (1, 0), "d1")
     _check_rule_bidegrees(spec, d2_rules, (0, 1), "d2")
     _check_truncation_stability(spec, d1_rules, "d1")
@@ -680,10 +702,10 @@ def cdga_from_dict(obj, name="cdga") -> DoubleComplex:
             generators=gens,
             d1_rules=dict(obj.get("d1", {})),
             d2_rules=dict(obj.get("d2", {})),
-            truncation=(int(trunc["max_p"]), int(trunc["max_q"])),
+            truncation=(trunc["max_p"], trunc["max_q"]),
             weights=trunc.get("weights"),
             max_weight=trunc.get("max_weight"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LinalgError(f"malformed CDGA file: {exc}") from exc
     return build_cdga(spec, name=obj.get("name", name))

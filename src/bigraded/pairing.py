@@ -88,13 +88,17 @@ def validate_pairing(c: DoubleComplex, pairing: DualityPairing) -> PairingValida
     """Check both integration-by-parts identities and record perfectness.
 
     Perfect means every form with a nonzero side is square and invertible;
-    only then do the duality theorems apply unconditionally.
+    only then do the duality theorems apply unconditionally.  A form whose
+    shape does not match the complex's dimensions at its cell is a `shape`
+    violation, and then nothing else is checked.
     """
     n = pairing.n
     violations = []
     for (p, q), m in pairing.pairs.items():
         if m.rows != c.dim(p, q) or m.cols != c.dim(n - p, n - q):
             violations.append(("shape", p, q, f"{m.rows}x{m.cols}"))
+    if violations:
+        return PairingValidation(False, False, violations)
     for p in range(-1, c.pmax + 1):
         for q in range(-1, c.qmax + 1):
             # d1 rule: pair (p,q)+(1,0) against (n-p-1, n-q)

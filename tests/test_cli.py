@@ -300,3 +300,39 @@ def test_gram_file_checked_against_complex(tmp_path, capsys):
     gram.write_text('{"1,1": [["2"]]}')
     code, _ = run_json(capsys, "hodge", "example://square", "--gram", str(gram))
     assert code == 0
+
+
+def _cdga(**changes):
+    obj = {"name": "t",
+           "generators": [{"name": "a", "bidegree": [1, 0]}, {"name": "b", "bidegree": [0, 1]}],
+           "d1": {}, "d2": {}, "truncation": {"max_p": 2, "max_q": 2}}
+    for key, value in changes.items():
+        obj[key] = value
+    return obj
+
+
+def test_cdga_rule_that_is_not_a_string_is_input_error(tmp_path, capsys):
+    _assert_input_error(capsys, _write(tmp_path, _cdga(d1={"a": 5})))
+
+
+def test_cdga_boolean_bidegree_is_input_error(tmp_path, capsys):
+    gens = [{"name": "a", "bidegree": [True, 0]}, {"name": "b", "bidegree": [0, 1]}]
+    _assert_input_error(capsys, _write(tmp_path, _cdga(generators=gens)))
+
+
+def test_cdga_negative_truncation_is_input_error(tmp_path, capsys):
+    _assert_input_error(capsys, _write(tmp_path, _cdga(truncation={"max_p": -1, "max_q": 2})))
+
+
+def test_cdga_weight_of_unknown_generator_is_input_error(tmp_path, capsys):
+    trunc = {"max_p": 2, "max_q": 2, "weights": {"zz": 3}}
+    _assert_input_error(capsys, _write(tmp_path, _cdga(truncation=trunc)))
+
+
+def test_pairing_of_wrong_shape_at_a_real_cell_is_shape_violation(tmp_path, capsys):
+    pairing = tmp_path / "pairing.json"
+    for n in (0, 1):
+        pairing.write_text(json.dumps({"n": [n, n], "pairs": {"0,0": [["1", "2"]]}}))
+        code, doc = run_json(capsys, "duality", "example://dot", "--pairing", str(pairing))
+        assert code == 0, n
+        assert doc["compatible"] is False and doc["violations"] == [["shape", 0, 0]], n

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bigraded.linalg import (ContainmentError, Matrix, Subspace,
+from bigraded.linalg import (ContainmentError, LinalgError, Matrix, Subspace,
                              class_coordinates, extend_basis, image_basis,
                              kernel_basis, map_subspace, orthogonal_complement,
-                             preimage, quotient_dim, rank_bareiss, rref,
+                             preimage, quotient_dim, rref,
                              subspace_intersection, subspace_sum)
 
 
@@ -36,11 +37,12 @@ def test_rref_proportional_rows():
 
 
 def test_rref_rank_matches_bareiss_oracle():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(7)
     for _ in range(50):
         m = random_matrix(rng, 6, 6)
         _, _, rank = rref(m)
-        assert rank == rank_bareiss(m)
+        assert rank == sympy.Matrix([[int(x) for x in row] for row in m.data]).rank()
 
 
 def test_rref_rank_matches_sympy():
@@ -200,3 +202,127 @@ def test_map_subspace():
     m = Matrix.from_rows([[1, 0], [1, 0]])
     s = Subspace.full(2)
     assert map_subspace(m, s) == Subspace.from_columns([(1, 1)], 2)
+
+
+def test_zero_matrices_are_shared_and_immutable():
+    z = Matrix.zero(2, 3)
+    assert Matrix.zero(2, 3) is z
+    assert Matrix.zero(3, 2) is not z
+    assert z == Matrix(2, 3, [[0, 0, 0], [0, 0, 0]])
+    with pytest.raises(AttributeError):
+        z.data = ((Q(1),) * 3,) * 2
+    assert isinstance(z.data, tuple) and all(isinstance(row, tuple) for row in z.data)
+    assert Matrix.zero(2, 3).is_zero()
+
+
+def test_equal_subspaces_from_different_spanning_sets_hash_equal():
+    a = Subspace.from_columns([(Q(1, 2), 0, Q(-3, 7)), (0, 5, 1), (1, 5, Q(1, 7))], 3)
+    b = Subspace.from_columns([(7, 35, 1), (Q(-7, 3), 0, 2), (0, 0, 0)], 3)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Subspace.from_columns([(7, 35, 1)], 3)
+
+
+# ---------------------------------------------------------------------------
+# the integer core against sympy
+
+SMALL = st.integers(-6, 6)
+RATIONALS = st.one_of(
+    SMALL.map(Q),
+    st.builds(Q, SMALL, st.integers(1, 4)),
+    st.builds(Q, st.integers(-10**7, 10**7), st.integers(10**6 + 1, 10**9)))
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=4):
+    """Rational matrices, 0xn and nx0 included, often rank-deficient (a product)."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+
+    def block(r, c):
+        return Matrix(r, c, [[draw(RATIONALS) for _ in range(c)] for _ in range(r)])
+    if draw(st.booleans()):
+        return block(rows, cols)
+    k = draw(st.integers(0, 3))
+    return block(rows, k) * block(k, cols)
+
+
+def _sym_rational(x):
+    import sympy
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def _sym(m):
+    import sympy
+    return sympy.Matrix(m.rows, m.cols, [_sym_rational(x) for row in m.data for x in row])
+
+
+def _sym_span(vectors):
+    """sympy's canonical echelon basis (unit-pivot rows) of the span of column vectors."""
+    import sympy
+    if not vectors:
+        return []
+    red, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return [tuple(red.row(i)) for i in range(len(pivots))]
+
+
+def _sym_kernel(sm):
+    import sympy
+    if sm.rows == 0:
+        return [sympy.eye(sm.cols).col(j) for j in range(sm.cols)]
+    return sm.nullspace()
+
+
+def _ours(s):
+    return [tuple(_sym_rational(x) for x in col) for col in s.basis_columns()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=matrices(), t=matrices(), coeffs=st.lists(RATIONALS, min_size=4, max_size=4),
+       probe=st.lists(RATIONALS, min_size=4, max_size=4))
+def test_integer_core_matches_sympy(m, t, coeffs, probe):
+    sympy = pytest.importorskip("sympy")
+    sm = _sym(m)
+    red, pivots, rank = rref(m)
+    sred, spivots = sm.rref()
+    assert _sym(red) == sred and pivots == tuple(spivots)
+    assert rank == m.rank() == sm.rank()
+    assert _ours(kernel_basis(m)) == _sym_span(_sym_kernel(sm))
+    im = image_basis(m)
+    assert _ours(im) == _sym_span([sm.col(j) for j in range(sm.cols)])
+
+    # a second subspace of the codomain: t's columns cut or padded to length m.rows
+    n = m.rows
+    cols = [tuple(col[:n]) + (Q(0),) * (n - len(col)) for col in t.columns()]
+    s = Subspace.from_columns(cols, n)
+    assert _ours(s) == _sym_span([sympy.Matrix(n, 1, [_sym_rational(x) for x in col])
+                                  for col in cols])
+    s_cols = [sympy.Matrix(v) for v in _ours(s)]
+
+    # preimage: the kernel of (rows annihilating s) * m
+    if s_cols:
+        ann = sympy.Matrix.hstack(*s_cols).T.nullspace()
+    else:
+        ann = [sympy.eye(n).col(j) for j in range(n)]
+    cut = sympy.Matrix.hstack(*ann).T * sm if ann else sympy.zeros(0, m.cols)
+    assert _ours(preimage(m, s)) == _sym_span(_sym_kernel(cut))
+
+    # intersection with the image, through the kernel of [A | -B]
+    im_cols = [sympy.Matrix(v) for v in _ours(im)]
+    meet = []
+    if im_cols and s_cols:
+        stacked = sympy.Matrix.hstack(*im_cols, *[-b for b in s_cols])
+        meet = [sympy.Matrix.hstack(*im_cols) * k[:len(im_cols), :]
+                for k in stacked.nullspace()]
+    assert _ours(subspace_intersection(im, s)) == _sym_span(meet)
+
+    # membership and coordinates
+    vec = tuple(probe[i % 4] for i in range(n))
+    svec = sympy.Matrix(n, 1, [_sym_rational(x) for x in vec])
+    inside = sympy.Matrix.hstack(*s_cols, svec).rank() == len(s_cols) if n else True
+    assert s.contains(vec) == inside
+    c = tuple(coeffs[j % 4] for j in range(s.dim))
+    member = s.basis.apply(c)
+    assert s.contains(member) and s.coordinates(member) == c
+    if not inside:
+        with pytest.raises(LinalgError):
+            s.coordinates(vec)
