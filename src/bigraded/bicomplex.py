@@ -47,7 +47,7 @@ __all__ = [
 class DoubleComplex:
     """Bounded bigraded space with differentials d1: (p,q)->(p+1,q), d2: (p,q)->(p,q+1)."""
 
-    __slots__ = ("name", "pmax", "qmax", "dims", "d1", "d2", "labels", "meta")
+    __slots__ = ("name", "pmax", "qmax", "dims", "d1", "d2", "labels", "meta", "_zero_maps")
 
     def __init__(self, name, pmax, qmax, dims, d1, d2, labels=None, meta=None):
         self.name = name
@@ -70,6 +70,7 @@ class DoubleComplex:
                 self.d2[(p, q)] = m
         self.labels = labels or {}
         self.meta = meta or {}
+        self._zero_maps = {}   # (p, q, 1 or 2) -> the zero d1 or d2 at (p, q)
 
     def dim(self, p, q):
         if p < 0 or q < 0 or p > self.pmax or q > self.qmax:
@@ -77,15 +78,15 @@ class DoubleComplex:
         return self.dims.get((p, q), 0)
 
     def d1_at(self, p, q):
-        m = self.d1.get((p, q))
+        m = self.d1.get((p, q)) or self._zero_maps.get((p, q, 1))
         if m is None:
-            return Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
+            m = self._zero_maps[(p, q, 1)] = Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
         return m
 
     def d2_at(self, p, q):
-        m = self.d2.get((p, q))
+        m = self.d2.get((p, q)) or self._zero_maps.get((p, q, 2))
         if m is None:
-            return Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
+            m = self._zero_maps[(p, q, 2)] = Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
         return m
 
     def cells(self):
@@ -456,6 +457,30 @@ def _unkey(s):
     return int(parts[0]), int(parts[1])
 
 
+def _require_int(value, what, minimum=None):
+    """Accept an int (never a bool) of at least `minimum`, else raise LinalgError."""
+    if type(value) is not int:
+        raise LinalgError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise LinalgError(f"{what} must be at least {minimum}, got {value}")
+
+
+def _by_cell(table, what):
+    """{cell: value} for a JSON object keyed by "p,q"; a bad key or a cell named twice raises."""
+    if not isinstance(table, dict):
+        raise LinalgError(f"{what} must map cells \"p,q\" to values")
+    out = {}
+    for key, value in table.items():
+        try:
+            cell = _unkey(key)
+        except ValueError as exc:
+            raise LinalgError(f"malformed {what} key {key!r}: {exc}") from exc
+        if cell in out:
+            raise LinalgError(f"{what} names cell {_key(*cell)} twice")
+        out[cell] = value
+    return out
+
+
 def complex_to_dict(c: DoubleComplex):
     out = {
         "name": c.name,
@@ -484,32 +509,30 @@ def complex_from_dict(obj) -> DoubleComplex:
     try:
         pmax, qmax = obj["grid"]
         convention = obj.get("convention", "anticommute")
-        if convention not in ("anticommute", "commute"):
-            raise LinalgError(f"unknown convention {convention!r}")
-        dims = {_unkey(k): int(v) for k, v in obj.get("dims", {}).items()}
         name = obj.get("name", "unnamed")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LinalgError(f"malformed complex file: {exc}") from exc
+    if convention not in ("anticommute", "commute"):
+        raise LinalgError(f"unknown convention {convention!r}")
+    _require_int(pmax, "grid pmax", minimum=0)
+    _require_int(qmax, "grid qmax", minimum=0)
+    dims = _by_cell(obj.get("dims", {}), "dims")
     for (p, q), n in dims.items():
-        if n < 0:
-            raise LinalgError(f"negative dimension {n} at {p},{q}")
+        _require_int(n, f"dimension at {p},{q}", minimum=0)
         if n and not (0 <= p <= pmax and 0 <= q <= qmax):
             raise LinalgError(f"dims entry {p},{q} lies outside the grid {pmax}x{qmax}")
 
-    def read_maps(table, rows_of, cols_of):
-        if not isinstance(table, dict):
-            raise LinalgError("d1 and d2 must map cells \"p,q\" to matrices")
+    def read_maps(which, rows_of, cols_of):
         out = {}
-        for k, rows in table.items():
+        for (p, q), rows in _by_cell(obj.get(which, {}), which).items():
             try:
-                p, q = _unkey(k)
                 data = [[_parse_rational(x) for x in row] for row in rows]
             except (TypeError, ValueError) as exc:
-                raise LinalgError(f"malformed map at {k!r}: {exc}") from exc
+                raise LinalgError(f"malformed map at {_key(p, q)}: {exc}") from exc
             nr, nc = rows_of(p, q), cols_of(p, q)
             if len(data) != nr or any(len(r) != nc for r in data):
                 raise LinalgError(
-                    f"map at {k} has shape {len(data)}x{len(data[0]) if data else 0}, "
+                    f"map at {_key(p, q)} has shape {len(data)}x{len(data[0]) if data else 0}, "
                     f"expected {nr}x{nc}")
             out[(p, q)] = Matrix(nr, nc, data)
         return out
@@ -519,8 +542,8 @@ def complex_from_dict(obj) -> DoubleComplex:
             return 0
         return dims.get((p, q), 0)
 
-    d1 = read_maps(obj.get("d1", {}), lambda p, q: dim(p + 1, q), dim)
-    d2 = read_maps(obj.get("d2", {}), lambda p, q: dim(p, q + 1), dim)
+    d1 = read_maps("d1", lambda p, q: dim(p + 1, q), dim)
+    d2 = read_maps("d2", lambda p, q: dim(p, q + 1), dim)
     if convention == "commute":
         d2 = {(p, q): m.scale((-1) ** p) for (p, q), m in d2.items()}
     return DoubleComplex(name, pmax, qmax, dims, d1, d2,

@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from bigraded.bicomplex import DoubleComplex, require_valid
+from bigraded.bicomplex import DoubleComplex, _require_int, require_valid
 from bigraded.linalg import LinalgError, Matrix
 
 Q = Fraction
@@ -252,14 +252,6 @@ def _tokenize(src):
         pos = m.end()
     tokens.append(("end", None, len(src)))
     return tokens
-
-
-def _require_int(value, what, minimum=None):
-    """Accept an int (never a bool) of at least `minimum`, else raise LinalgError."""
-    if type(value) is not int:
-        raise LinalgError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise LinalgError(f"{what} must be at least {minimum}, got {value}")
 
 
 @dataclass

@@ -15,9 +15,10 @@ independent engines find the summands:
 
       sum over shapes  mult(s) * predicted(s)  =  measured(c),
 
-  extended by Hom-dimension fingerprints, determines the inventory.  When
-  the system has a kernel the result is reported as ambiguous, never
-  guessed.  It serves as the independent oracle of the test suite.
+  extended by Hom-dimension fingerprints, determines the inventory.  The
+  system is all integers and is reduced once; when it has a kernel the
+  result is reported as ambiguous, never guessed.  It serves as the
+  independent oracle of the test suite.
 
 A certificate carries a basis change and an assignment of the new basis
 vectors to shape instances; `verify_certificate` checks block-diagonality
@@ -27,13 +28,14 @@ plus per-block shape isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from bigraded.bca import bca_dims
 from bigraded.bicomplex import (DoubleComplex, _parse_rational, _rational_str, _unkey,
                                 change_of_basis, de_rham_dims)
-from bigraded.linalg import LinalgError, Matrix, kernel_basis
-from bigraded.models import (Square, ZigzagShape, shape_arrows, shape_cells,
-                             shape_length)
+from bigraded.linalg import LinalgError, Matrix, Subspace
+from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
+                             shape_cells, shape_length)
 from bigraded.spectral import ConsistencyError, Workspace, memoised, page_dims
 
 __all__ = [
@@ -97,6 +99,9 @@ class ShapePrediction:
     bc: dict = field(default_factory=dict)     # Bott-Chern
     a: dict = field(default_factory=dict)      # Aeppli
     b: dict = field(default_factory=dict)      # k -> Betti number
+
+
+_TAGS = ("dims", "e", "ebar", "bc", "a", "b")
 
 
 def predicted_invariants(shape, r_max) -> ShapePrediction:
@@ -189,60 +194,45 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
     test shapes a sharp fingerprint of the summands of b: dimension-type
     invariants alone cannot always separate overlapping odd zigzags.
     """
-    cells = [cell for cell in a.support() if b.dim(*cell) > 0]
     offsets = {}
     total = 0
-    for cell in cells:
-        offsets[cell] = total
-        total += a.dim(*cell) * b.dim(*cell)
+    for cell in a.support():
+        if b.dim(*cell):
+            offsets[cell] = total
+            total += a.dim(*cell) * b.dim(*cell)
     if total == 0:
         return 0
+    # f(cell) is vectorised row-major in (b-index, a-index) from offsets[cell];
+    # a row is one entry of db f(source) - f(target) da, on two disjoint blocks
     rows = []
-
-    def block(cell):
-        # column indices of the vectorised unknown f(cell), row-major in
-        # (b-index, a-index)
-        return offsets.get(cell)
-
     for (p, q) in a.support():
+        src_off = offsets.get((p, q))
+        na_s = a.dim(p, q)
         for da, db, tgt in ((a.d1_at(p, q), b.d1_at(p, q), (p + 1, q)),
                             (a.d2_at(p, q), b.d2_at(p, q), (p, q + 1))):
-            nb_t = b.dim(*tgt)
-            if nb_t == 0:
-                continue
-            na_s, nb_s = a.dim(p, q), b.dim(p, q)
             na_t = a.dim(*tgt)
-            src_off = block((p, q))
-            tgt_off = block(tgt)
-            for i in range(nb_t):
+            tgt_off = offsets.get(tgt)
+            for i, db_row in enumerate(db.data):
                 for j in range(na_s):
                     row = [0] * total
-                    if src_off is not None:
-                        for k in range(nb_s):
-                            if db.data[i][k]:
-                                row[src_off + k * na_s + j] += db.data[i][k]
-                    if tgt_off is not None:
-                        for l in range(na_t):
-                            if da.data[l][j]:
-                                row[tgt_off + i * na_t + l] -= da.data[l][j]
-                    if any(row):
-                        rows.append(row)
-    if not rows:
-        return total
-    return total - Matrix(len(rows), total, rows).rank()
+                    for k, x in enumerate(db_row):
+                        if x:
+                            row[src_off + k * na_s + j] = x
+                    for l, da_row in enumerate(da.data):
+                        if da_row[j]:
+                            row[tgt_off + i * na_t + l] = -da_row[j]
+                    rows.append(row)
+    return total - Subspace.from_columns(rows, total).dim
 
 
-_SHAPE_HOM_CACHE = {}
+@cache
+def _built(shape):
+    return build_shape(shape)
 
 
+@cache
 def _shape_hom(test_shape, target_shape):
-    key = (test_shape, target_shape)
-    hit = _SHAPE_HOM_CACHE.get(key)
-    if hit is None:
-        from bigraded.models import build_shape
-        hit = hom_dim(build_shape(test_shape), build_shape(target_shape))
-        _SHAPE_HOM_CACHE[key] = hit
-    return hit
+    return hom_dim(_built(test_shape), _built(target_shape))
 
 
 @dataclass
@@ -261,8 +251,12 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
 
     Only shapes supported inside the complex's support can occur (component
     dimensions are additive and nonnegative), so the system is restricted to
-    those.  An infeasible system falsifies the implementation, since a
-    decomposition into squares and zigzags always exists.
+    those.  Its rows [A | b] are integers: one per table entry or Hom count,
+    the shapes' predictions in A and the measured value in b.  One integer
+    elimination decides everything: a pivot in b means no inventory fits,
+    which falsifies the implementation, since a decomposition into squares
+    and zigzags always exists; fewer pivots than shapes mean a kernel; else
+    the reduced rows give the inventory, which must be nonnegative integers.
     """
     ws = ws or Workspace(c)
     c = ws.c
@@ -273,44 +267,33 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
               if all(cell in support for cell in shape_cells(s))]
     if not shapes:
         return MultiplicityResult("unique", {}, 0, r_max)
-    measured = measured_invariants(c, r_max, ws)
-    preds = [predicted_invariants(s, r_max) for s in shapes]
-
-    features = set()
-    for tables in [measured] + preds:
-        for tag in ("dims", "e", "ebar", "bc", "a", "b"):
-            for key in getattr(tables, tag):
-                features.add((tag, key))
-    features = sorted(features, key=repr)
-
+    tables = [predicted_invariants(s, r_max) for s in shapes]
+    tables.append(measured_invariants(c, r_max, ws))
     rows = []
-    rhs = []
-    for tag, key in features:
-        rows.append([getattr(p, tag).get(key, 0) for p in preds])
-        rhs.append([getattr(measured, tag).get(key, 0)])
-    from bigraded.models import build_shape
+    for tag in _TAGS:
+        columns = [getattr(t, tag) for t in tables]
+        for key in dict.fromkeys(key for col in columns for key in col):
+            rows.append([col.get(key, 0) for col in columns])
     for test in shapes:
-        test_complex = build_shape(test)
-        rows.append([_shape_hom(test, s) for s in shapes])
-        rhs.append([hom_dim(test_complex, c)])
-    system = Matrix(len(rows), len(shapes), rows)
-    sol = system.solve(Matrix(len(rows), 1, rhs))
-    if sol is None:
+        rows.append([_shape_hom(test, s) for s in shapes] + [hom_dim(_built(test), c)])
+    n = len(shapes)
+    # repeated rows (a table entry that stays the same for every r) add nothing
+    reduced = Subspace.from_columns(list(dict.fromkeys(map(tuple, rows))), n + 1)
+    if reduced.pivot_rows and reduced.pivot_rows[-1] == n:
         raise ConsistencyError(
             f"no shape inventory matches the invariants of {c.name!r}; "
             "the implementation is at fault")
-    kdim = kernel_basis(system).dim
-    if kdim:
-        return MultiplicityResult("ambiguous", None, kdim, r_max)
+    if reduced.dim < n:
+        return MultiplicityResult("ambiguous", None, n - reduced.dim, r_max)
+    # row p is (pivot at p, value at n) and primitive: integral iff the pivot is 1
     inventory = {}
-    for shape, value in zip(shapes, sol.column(0)):
-        if value == 0:
-            continue
-        if value.denominator != 1 or value < 0:
+    for p, (shape, row) in enumerate(zip(shapes, reduced.echelon)):
+        if row[p] != 1 or row[n] < 0:
             raise ConsistencyError(
                 f"unique inventory solution is not a nonnegative integer vector "
-                f"({shape} -> {value})")
-        inventory[shape] = int(value)
+                f"({shape} -> {row[n]}/{row[p]})")
+        if row[n]:
+            inventory[shape] = row[n]
     return MultiplicityResult("unique", inventory, 0, r_max)
 
 
@@ -488,12 +471,12 @@ def _checked_split(ws: Workspace) -> Decomposition:
     predicted = ShapePrediction(None)
     for shape, mult in dec.inventory.items():
         pred = predicted_invariants(shape, r_max)
-        for tag in ("dims", "e", "ebar", "bc", "a", "b"):
+        for tag in _TAGS:
             acc = getattr(predicted, tag)
             for key, v in getattr(pred, tag).items():
                 acc[key] = acc.get(key, 0) + mult * v
     measured = measured_invariants(c, r_max, ws)
-    for tag in ("dims", "e", "ebar", "bc", "a", "b"):
+    for tag in _TAGS:
         if getattr(predicted, tag) != getattr(measured, tag):
             raise ConsistencyError(
                 f"the split inventory of {c.name!r} predicts other {tag!r} tables "

@@ -233,6 +233,25 @@ def test_malformed_cell_key_is_input_error(tmp_path, capsys):
     _assert_input_error(capsys, path)
 
 
+_ONE_CELL = {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1}}
+
+
+@pytest.mark.parametrize("changes", [
+    {"grid": ["1", 1]},
+    {"grid": [1.5, 1]},
+    {"grid": [True, 1]},
+    {"grid": [-1, 1], "dims": {}},
+    {"dims": {"0,0": 1.5}},
+    {"dims": {"0,0": True}},
+    {"dims": {"0,0": "2"}},
+    {"dims": {"0,0": 1, "0,0 ": 2}},
+    {"d1": {"0,0": [["1"]], " 0,0": [["0"]]}},
+], ids=["grid-string", "grid-float", "grid-bool", "grid-negative", "dim-float",
+        "dim-bool", "dim-string", "dims-cell-twice", "map-cell-twice"])
+def test_malformed_grid_dimension_or_repeated_cell_is_input_error(tmp_path, capsys, changes):
+    _assert_input_error(capsys, _write(tmp_path, {**_ONE_CELL, **changes}))
+
+
 def test_negative_maxdim_is_usage_error(capsys):
     for argv in (("validate", "example://random?grid=2,2&maxdim=-1"),
                  ("example", "random", "--grid", "2,2", "--max-dim", "-1")):

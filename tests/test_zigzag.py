@@ -10,14 +10,17 @@ from bigraded.bca import bca_dims
 from bigraded.bicomplex import (change_of_basis, de_rham_dims, direct_sum,
                                 random_complex, random_invertible,
                                 swap_complex, validate)
-from bigraded.linalg import Matrix
+from bigraded.linalg import Matrix, kernel_basis
 from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
-                             dot_shape, shape_length)
+                             dot_shape, shape_cells, shape_length)
 from bigraded.spectral import ConsistencyError, Workspace, page_dims
 from bigraded.zigzag import (DecompositionCertificate, decompose,
                              enumerate_shapes, hom_dim, multiplicity_solve,
                              predicted_invariants, split, structure_verdict,
                              verify_certificate)
+
+
+SMALL = st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)])
 
 
 def test_enumerate_1x1_grid():
@@ -107,7 +110,7 @@ def test_multiplicity_roundtrip(structured_suite):
         assert res.inventory == inventory, seed
 
 
-def test_multiplicity_resolves_overlapping_odd_zigzags():
+def _overlapping_odd_zigzags():
     # dimension-type invariants alone cannot tell these two sums apart; the
     # Hom features must
     a1 = direct_sum(
@@ -116,11 +119,80 @@ def test_multiplicity_resolves_overlapping_odd_zigzags():
     a2 = direct_sum(
         build_zigzag(ZigzagShape(((0, 3), (1, 2), (2, 1), (3, 0)), True, True), (4, 4)),
         build_zigzag(ZigzagShape(((1, 2), (2, 1)), True, True), (4, 4)))
+    return a1, a2
+
+
+def test_multiplicity_resolves_overlapping_odd_zigzags():
+    a1, a2 = _overlapping_odd_zigzags()
     r1 = multiplicity_solve(a1)
     r2 = multiplicity_solve(a2)
     assert r1.status == r2.status == "unique"
     assert r1.inventory != r2.inventory
     assert sum(r1.inventory.values()) == 2 and sum(r2.inventory.values()) == 2
+
+
+# the oracle's one elimination of [A | b]: a pivot in b, a kernel, or the inventory
+
+
+def test_multiplicity_inconsistent_system_raises(monkeypatch):
+    real = zigzag.measured_invariants
+
+    def measured(c, r_max, ws=None):
+        out = real(c, r_max, ws)
+        out.b[99] = 1       # a Betti number no shape contributes to
+        return out
+    monkeypatch.setattr(zigzag, "measured_invariants", measured)
+    with pytest.raises(ConsistencyError, match="no shape inventory"):
+        multiplicity_solve(random_complex((2, 2), 3, 4))
+
+
+def test_multiplicity_kernel_is_ambiguous_with_kernel_basis_dim(monkeypatch):
+    monkeypatch.setattr(zigzag, "hom_dim", lambda a, b: 0)
+    monkeypatch.setattr(zigzag, "_shape_hom", lambda test, target: 0)
+    a1, _ = _overlapping_odd_zigzags()
+    shifted = direct_sum(*(build_zigzag(ZigzagShape(gens, True, True), (5, 5))
+                           for gens in (((1, 3), (2, 2), (3, 1)), ((2, 2), (3, 1), (4, 0)))))
+    c = direct_sum(a1, shifted)
+    res = multiplicity_solve(c)
+    # the system as a Matrix: one row per table entry that some shape predicts
+    shapes = [s for s in enumerate_shapes((c.pmax, c.qmax))
+              if set(shape_cells(s)) <= set(c.dims)]
+    preds = [predicted_invariants(s, res.r_max) for s in shapes]
+    keys = sorted({(tag, key) for p in preds for tag in zigzag._TAGS for key in getattr(p, tag)},
+                  key=repr)
+    system = Matrix(len(keys), len(shapes),
+                    [[getattr(p, tag).get(key, 0) for p in preds] for tag, key in keys])
+    assert res.status == "ambiguous" and res.inventory is None
+    assert res.kernel_dim == kernel_basis(system).dim > 1
+
+
+@pytest.mark.parametrize("scale", [2, -1], ids=["half", "negative"])
+def test_multiplicity_non_integral_or_negative_solution_raises(monkeypatch, scale):
+    # every predicted count scaled by `scale` makes the unique solution 1/scale
+    real_pred, real_hom = zigzag.predicted_invariants, zigzag._shape_hom
+
+    def predicted(shape, r_max):
+        pred = real_pred(shape, r_max)
+        for tag in zigzag._TAGS:
+            table = getattr(pred, tag)
+            for key in table:
+                table[key] *= scale
+        return pred
+    monkeypatch.setattr(zigzag, "predicted_invariants", predicted)
+    monkeypatch.setattr(zigzag, "_shape_hom", lambda test, target: scale * real_hom(test, target))
+    with pytest.raises(ConsistencyError, match="nonnegative integer"):
+        multiplicity_solve(build_zigzag(dot_shape(0, 0)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid=SMALL, seed=st.integers(0, 10**6), tseed=st.integers(0, 10**6))
+def test_multiplicity_solve_is_split_and_basis_invariant(grid, seed, tseed):
+    c = random_complex(grid, 2, seed)
+    rng = random.Random(tseed)
+    moved = change_of_basis(c, {cell: random_invertible(n, rng) for cell, n in c.dims.items()})
+    res = multiplicity_solve(c)
+    assert res.status == "unique" and res.inventory == split(c).inventory
+    assert multiplicity_solve(moved).inventory == res.inventory
 
 
 def test_structure_verdict_from_inventory():
@@ -240,9 +312,6 @@ def test_malformed_certificate_is_linalg_error(breakage):
 
 # ---------------------------------------------------------------------------
 # the constructive splitter
-
-SMALL = st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)])
-
 
 def _transpose(shape):
     if isinstance(shape, Square):
