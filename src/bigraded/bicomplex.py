@@ -122,19 +122,23 @@ class ValidationReport:
 
 
 def validate(c: DoubleComplex) -> ValidationReport:
-    """Check d1^2 = 0, d2^2 = 0 and anticommutation on every bidegree."""
+    """Check d1^2 = 0, d2^2 = 0 and anticommutation on every bidegree.
+
+    Every product starts at (p,q), so a zero-dimensional cell has nothing to check.
+    """
     violations = []
-    for p in range(-1, c.pmax + 1):
-        for q in range(-1, c.qmax + 1):
-            m = c.d1_at(p + 1, q) * c.d1_at(p, q)
-            if not m.is_zero():
-                violations.append(("d1∘d1", p, q, m))
-            m = c.d2_at(p, q + 1) * c.d2_at(p, q)
-            if not m.is_zero():
-                violations.append(("d2∘d2", p, q, m))
-            m = c.d1_at(p, q + 1) * c.d2_at(p, q) + c.d2_at(p + 1, q) * c.d1_at(p, q)
-            if not m.is_zero():
-                violations.append(("anticommutation", p, q, m))
+    for p, q in c.cells():
+        if not c.dim(p, q):
+            continue
+        m = c.d1_at(p + 1, q) * c.d1_at(p, q)
+        if not m.is_zero():
+            violations.append(("d1∘d1", p, q, m))
+        m = c.d2_at(p, q + 1) * c.d2_at(p, q)
+        if not m.is_zero():
+            violations.append(("d2∘d2", p, q, m))
+        m = c.d1_at(p, q + 1) * c.d2_at(p, q) + c.d2_at(p + 1, q) * c.d1_at(p, q)
+        if not m.is_zero():
+            violations.append(("anticommutation", p, q, m))
     return ValidationReport(not violations, violations)
 
 

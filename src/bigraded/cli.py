@@ -27,7 +27,7 @@ from urllib.parse import parse_qsl, urlparse
 
 from bigraded import bca as bca_mod
 from bigraded import bicomplex, hodge, models, pairing as pairing_mod, spectral, zigzag
-from bigraded.bicomplex import _parse_rational, _unkey
+from bigraded.bicomplex import _by_cell, _key, _parse_rational, _unkey
 from bigraded.linalg import LinalgError, Matrix
 from bigraded.spectral import ConsistencyError
 
@@ -104,11 +104,9 @@ def _load_gram(path, c):
     try:
         with open(path) as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise LinalgError('a Gram file maps cells "p,q" to matrices')
         grams = {}
-        for key, rows in obj.items():
-            cell = _unkey(key)
+        for cell, rows in _by_cell(obj, "Gram file").items():
+            key = _key(*cell)
             n = c.dim(*cell)
             if n == 0:
                 raise LinalgError(f"{key} is not a nonzero component of the complex")

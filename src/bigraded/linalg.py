@@ -12,11 +12,24 @@ plain ``==`` and the subspace calculus stays in the integers.
 `Matrix(rows, cols, data)` checks and converts parsed and user-built input;
 results computed here, already tuples of `Fraction` tuples, go through the
 trusted `Matrix._trusted`.  `Matrix.zero` is one shared instance per shape.
+
+The invariants are cut out of the same few kernels and images again and
+again, so `kernel_basis`, `image_basis`, `map_subspace`, `preimage` and
+`Matrix.inverse` share one bounded memo: a `functools.lru_cache` of
+`_MEMO_SIZE` (256) entries, keyed by the function and its arguments.
+`Matrix` and `Subspace` hash and compare by value (a `Matrix` keeps its hash
+once computed), so equal arguments built anywhere, from ints or `Fraction`s,
+find one entry, and a key never depends on object identity.  Results are
+immutable and shared; an exception, such as `inverse` of a singular matrix,
+is never cached.  `Matrix.rank` and `subspace_intersection` are not
+memoised: a hit, which hashes its arguments, costs about as much as they do.
+`_memo.cache_info()` counts hits and misses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import gcd, lcm
 from operator import mul
 
@@ -49,6 +62,23 @@ class ContainmentError(LinalgError):
     """A quotient was requested for a pair that is not nested."""
 
 
+_MEMO_SIZE = 256
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _memo(fn, *args):
+    """fn(*args), kept for the _MEMO_SIZE most recently used keys."""
+    return fn(*args)
+
+
+def _memoised(fn):
+    """`fn` answered from the shared memo; `fn.__wrapped__` is the uncached function."""
+    @wraps(fn)
+    def cached(*args):
+        return _memo(fn, *args)
+    return cached
+
+
 def _set_fields(m, rows, cols, data):
     if len(data) != rows or (data and set(map(len, data)) != {cols}):
         raise LinalgError(f"shape mismatch: declared {rows}x{cols}")
@@ -63,7 +93,7 @@ _zeros = {}
 class Matrix:
     """Immutable dense matrix over Q, row-major."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_hash")
 
     def __init__(self, rows, cols, data):
         _set_fields(self, rows, cols, tuple(
@@ -109,7 +139,12 @@ class Matrix:
             other.rows, other.cols, other.data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        try:
+            return self._hash
+        except AttributeError:  # first call: hashing every Fraction is not cheap
+            h = hash((self.rows, self.cols, self.data))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -155,6 +190,8 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise LinalgError(f"matmul shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+            if not (self.rows and self.cols and other.cols):
+                return Matrix.zero(self.rows, other.cols)
             cols = [_cleared(c) for c in other.columns()]
             return Matrix._trusted(self.rows, other.cols, tuple(
                 tuple(_fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
@@ -204,6 +241,7 @@ class Matrix:
             sol[p] = red.data[i][self.cols:]
         return Matrix._trusted(self.cols, rhs.cols, tuple(sol))
 
+    @_memoised
     def inverse(self):
         """A x = 1 is solvable exactly when A is invertible."""
         if self.rows != self.cols:
@@ -418,16 +456,19 @@ def _kernel_vectors(a, ncols):
     return vectors
 
 
+@_memoised
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space of `m` as a subspace of the domain Q^cols."""
     return _span(_kernel_vectors([_cleared(row)[0] for row in m.data], m.cols), m.cols)
 
 
+@_memoised
 def image_basis(m: Matrix) -> Subspace:
     """Column space of `m` as a subspace of the codomain Q^rows."""
     return Subspace.from_columns(m.columns(), m.rows)
 
 
+@_memoised
 def map_subspace(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map."""
     if m.cols != s.ambient_dim:
@@ -459,6 +500,7 @@ def _pullback(s: Subspace, a, ncols):
     return _kernel_vectors(conditions, ncols) if conditions else None
 
 
+@_memoised
 def preimage(m: Matrix, s: Subspace) -> Subspace:
     """{x : m x in s}, as a subspace of the domain Q^cols."""
     if m.rows != s.ambient_dim:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
-from bigraded.bicomplex import (DoubleComplex, _parse_rational, _rational_str, _unkey,
+from bigraded.bicomplex import (DoubleComplex, _by_cell, _parse_rational, _rational_str,
                                 direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
@@ -99,18 +99,19 @@ def validate_pairing(c: DoubleComplex, pairing: DualityPairing) -> PairingValida
             violations.append(("shape", p, q, f"{m.rows}x{m.cols}"))
     if violations:
         return PairingValidation(False, False, violations)
-    for p in range(-1, c.pmax + 1):
-        for q in range(-1, c.qmax + 1):
-            # d1 rule: pair (p,q)+(1,0) against (n-p-1, n-q)
-            lhs = c.d1_at(p, q).transpose() * pairing.at(c, p + 1, q)
-            rhs = pairing.at(c, p, q) * c.d1_at(n - p - 1, n - q)
-            sign = (-1) ** (p + q)
-            if not (lhs + rhs.scale(sign)).is_zero():
-                violations.append(("d1-compatibility", p, q, None))
-            lhs = c.d2_at(p, q).transpose() * pairing.at(c, p, q + 1)
-            rhs = pairing.at(c, p, q) * c.d2_at(n - p, n - q - 1)
-            if not (lhs + rhs.scale(sign)).is_zero():
-                violations.append(("d2-compatibility", p, q, None))
+    for p, q in c.cells():
+        if not c.dim(p, q):  # both sides of both rules have dim(p, q) rows
+            continue
+        # d1 rule: pair (p,q)+(1,0) against (n-p-1, n-q)
+        lhs = c.d1_at(p, q).transpose() * pairing.at(c, p + 1, q)
+        rhs = pairing.at(c, p, q) * c.d1_at(n - p - 1, n - q)
+        sign = (-1) ** (p + q)
+        if not (lhs + rhs.scale(sign)).is_zero():
+            violations.append(("d1-compatibility", p, q, None))
+        lhs = c.d2_at(p, q).transpose() * pairing.at(c, p, q + 1)
+        rhs = pairing.at(c, p, q) * c.d2_at(n - p, n - q - 1)
+        if not (lhs + rhs.scale(sign)).is_zero():
+            violations.append(("d2-compatibility", p, q, None))
     perfect = True
     for p in range(c.pmax + 1):
         for q in range(c.qmax + 1):
@@ -304,9 +305,9 @@ def pairing_from_dict(obj) -> DualityPairing:
         if obj["n"][0] != obj["n"][1]:
             raise LinalgError("top bidegree must be of the form (n, n)")
         pairs = {}
-        for key, rows in obj.get("pairs", {}).items():
+        for cell, rows in _by_cell(obj.get("pairs", {}), "pairing").items():
             data = [[_parse_rational(x) for x in row] for row in rows]
-            pairs[_unkey(key)] = Matrix(len(data), len(data[0]) if data else 0, data)
+            pairs[cell] = Matrix(len(data), len(data[0]) if data else 0, data)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise LinalgError(f"malformed pairing file: {exc}") from exc
     return DualityPairing(n, pairs)

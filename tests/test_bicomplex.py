@@ -32,6 +32,20 @@ def test_negated_map_breaks_anticommutation():
                for kind, p, q, _ in report.violations)
 
 
+def test_validate_describes_violations_next_to_empty_cells():
+    # (1,1) and (2,2) are empty, so several products there have an empty factor
+    M = Matrix.from_rows
+    dims = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (2, 1): 1, (0, 2): 1, (1, 2): 1}
+    d1 = {(0, 0): M([[1], [2]]), (1, 0): M([[1, 1]]), (0, 2): M([[3]])}
+    d2 = {(0, 0): M([[1]]), (0, 1): M([[1]]), (2, 0): M([[1]])}
+    report = validate(DoubleComplex("broken", 2, 2, dims, d1, d2))
+    assert report.describe() == (
+        "d1∘d1 fails at (0,0): product = Matrix(1x1: 3)\n"
+        "d2∘d2 fails at (0,0): product = Matrix(1x1: 1)\n"
+        "anticommutation fails at (0,1): product = Matrix(1x1: 3)\n"
+        "anticommutation fails at (1,0): product = Matrix(1x2: 1 1)")
+
+
 def test_entry_edit_is_rejected():
     sq = build_square(0, 0)
     d2 = dict(sq.d2)

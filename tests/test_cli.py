@@ -355,3 +355,32 @@ def test_pairing_of_wrong_shape_at_a_real_cell_is_shape_violation(tmp_path, caps
         code, doc = run_json(capsys, "duality", "example://dot", "--pairing", str(pairing))
         assert code == 0, n
         assert doc["compatible"] is False and doc["violations"] == [["shape", 0, 0]], n
+
+
+def test_gram_file_naming_a_cell_twice_is_usage_error(tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    gram.write_text('{"0,0": [["0"]], "0, 0": [["1"]]}')
+    code, doc = run_json(capsys, "hodge", "example://square", "--gram", str(gram))
+    assert code == 2 and doc["error"]["kind"] == "usage"
+    assert "0,0 twice" in doc["error"]["message"]
+
+
+def test_pairing_file_naming_a_cell_twice_is_input_error(tmp_path, capsys):
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text('{"n": [1, 1], "pairs": {"0,0": [["1"]], " 0,0": [["0"]]}}')
+    code, doc = run_json(capsys, "duality", "example://square", "--pairing", str(pairing))
+    assert code == 1 and doc["error"]["kind"] == "input"
+    assert "0,0 twice" in doc["error"]["message"]
+    pairing.write_text('{"n": [1, 1], "pairs": []}')  # no cell map at all
+    code, doc = run_json(capsys, "duality", "example://square", "--pairing", str(pairing))
+    assert code == 1 and doc["error"]["kind"] == "input"
+
+
+def test_report_bytes_do_not_depend_on_the_shared_memo():
+    from bigraded import linalg
+    from bigraded.cli import build_report, load_input, render_json
+    uri = "example://ce?u=1&v=1"
+    build_report(load_input(uri), 4)
+    warm = render_json(build_report(load_input(uri), 4))
+    linalg._memo.cache_clear()
+    assert render_json(build_report(load_input(uri), 4)) == warm

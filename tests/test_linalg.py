@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bigraded import linalg
 from bigraded.linalg import (ContainmentError, LinalgError, Matrix, Subspace,
                              class_coordinates, extend_basis, image_basis,
                              kernel_basis, map_subspace, orthogonal_complement,
@@ -326,3 +327,61 @@ def test_integer_core_matches_sympy(m, t, coeffs, probe):
     if not inside:
         with pytest.raises(LinalgError):
             s.coordinates(vec)
+
+
+# ---------------------------------------------------------------------------
+# the shared memo
+
+
+def _memoised_calls(m, t):
+    """(memoised primitive, arguments) for each memoised primitive on m.
+
+    t's columns, cut or padded, span a subspace of m's domain and one of its
+    codomain.
+    """
+    def span_in(n):
+        return Subspace.from_columns(
+            [tuple(col[:n]) + (Q(0),) * (n - len(col)) for col in t.columns()], n)
+    return [(kernel_basis, (m,)), (image_basis, (m,)), (map_subspace, (m, span_in(m.cols))),
+            (preimage, (m, span_in(m.rows))), (Matrix.inverse, (m,))]
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except LinalgError as exc:  # inverse of a singular or non-square matrix
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=matrices(), t=matrices())
+def test_memoised_primitives_equal_their_uncached_computation(m, t):
+    calls = _memoised_calls(m, t)
+    for _ in range(2):  # a miss, then a hit
+        for fn, args in calls:
+            assert _outcome(fn, args) == _outcome(fn.__wrapped__, args)
+    for i in range(linalg._MEMO_SIZE + 1):  # distinct keys evict every entry
+        kernel_basis(Matrix(1, 2, [[1, i]]))
+    assert linalg._memo.cache_info().currsize == linalg._MEMO_SIZE
+    for fn, args in calls:
+        assert _outcome(fn, args) == _outcome(fn.__wrapped__, args)
+
+
+def test_equal_matrices_share_one_memo_entry():
+    from_ints = Matrix(2, 3, [[1, 2, 3], [2, 4, 6]])
+    from_fractions = Matrix(2, 3, [[Q(1), Q(4, 2), Q(3)], [Q(2), Q(4), Q(12, 2)]])
+    assert from_ints is not from_fractions
+    linalg._memo.cache_clear()
+    assert kernel_basis(from_ints) is kernel_basis(from_fractions)
+    info = linalg._memo.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_singular_inverse_raises_on_every_call():
+    m = Matrix.from_rows([[1, 2], [2, 4]])
+    linalg._memo.cache_clear()
+    for _ in range(2):
+        with pytest.raises(LinalgError, match="singular"):
+            m.inverse()
+    info = linalg._memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 0)

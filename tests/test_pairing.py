@@ -29,6 +29,20 @@ def test_sum_with_dual_pairing_valid_and_perfect():
     assert report.ok and report.perfect
 
 
+def test_broken_pairing_violations_in_cell_order():
+    z = build_zigzag(ZigzagShape(((0, 2), (1, 1)), False, True))
+    tot, pairing = sum_with_dual(z)
+    pairs = dict(pairing.pairs)
+    for cell in ((0, 1), (0, 2), (1, 0)):
+        pairs[cell] = pairs[cell].scale(2)
+    report = validate_pairing(tot, DualityPairing(pairing.n, pairs))
+    assert not report.ok and report.perfect
+    assert report.violations == [("d1-compatibility", 0, 1, None),
+                                 ("d1-compatibility", 0, 2, None),
+                                 ("d1-compatibility", 1, 0, None),
+                                 ("d2-compatibility", 1, 0, None)]
+
+
 def test_dot_with_dual_dot():
     dot = build_zigzag(dot_shape(1, 0))
     tot, pairing = sum_with_dual(dot, 2)
