@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from bigraded.bicomplex import DoubleComplex, de_rham_dims
+from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (Matrix, Subspace, class_coordinates, extend_basis,
                              image_basis, kernel_basis, map_subspace,
                              subspace_intersection, subspace_sum)
@@ -113,7 +113,7 @@ def exact_pure(ws: Workspace, p, q) -> Subspace:
     k = p + q
     t = ws.total
     block = Subspace.from_columns(
-        [t.inject(p, q, row) for row in Matrix.identity(n).data], t.dim(k))
+        [t.inject(p, q, row) for row in Matrix.identity(n).num], t.dim(k))
     meet = subspace_intersection(ws.total_image(k), block)
     return Subspace.from_columns(
         [t.project(k, p, q, col) for col in meet.basis_columns()], n)
@@ -345,14 +345,18 @@ class PageDdbarVerdict:
         return self.verdict
 
 
+@memoised
+def _bc_a_rank(ws, r, p, q):
+    """Rank of the identity-induced map BC_r -> A_r at (p,q), for criteria (B) and (D)."""
+    return _class_matrix(im_both(ws, p, q), a_reps(ws, r, p, q), bc_reps(ws, r, p, q)).rank()
+
+
 def _criterion_bc_a_maps(ws, r, injective_only):
     for (p, q) in ws.c.support():
         bc = bc_reps(ws, r, p, q)
-        a = a_reps(ws, r, p, q)
-        m = _class_matrix(im_both(ws, p, q), a, bc)
-        if m.rank() != len(bc):
+        if _bc_a_rank(ws, r, p, q) != len(bc):
             return False
-        if not injective_only and len(a) != len(bc):
+        if not injective_only and len(a_reps(ws, r, p, q)) != len(bc):
             return False
     return True
 
@@ -518,7 +522,7 @@ def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
     pages = page_dims(ws.c, r, ws)
     bca_total = bca.bc_total(r) + bca.a_total(r)
     page_total = pages.total(r) + pages.total_bar(r)
-    betti2 = 2 * sum(de_rham_dims(ws.total).values())
+    betti2 = 2 * sum(ws.betti.values())
     chain_ok = bca_total >= page_total >= betti2
     if verdict is None:
         verdict = page_ddbar_verdict(ws.c, r, ws, use_structure=False).verdict

@@ -165,16 +165,8 @@ def direct_sum(a: DoubleComplex, b: DoubleComplex, name=None) -> DoubleComplex:
 
 
 def _block_diag(m1: Matrix, m2: Matrix) -> Matrix:
-    rows = m1.rows + m2.rows
-    cols = m1.cols + m2.cols
-    out = [[Q(0)] * cols for _ in range(rows)]
-    for i in range(m1.rows):
-        for j in range(m1.cols):
-            out[i][j] = m1.data[i][j]
-    for i in range(m2.rows):
-        for j in range(m2.cols):
-            out[m1.rows + i][m1.cols + j] = m2.data[i][j]
-    return Matrix(rows, cols, out)
+    return Matrix.from_blocks(m1.rows + m2.rows, m1.cols + m2.cols,
+                              [(0, 0, m1), (m1.rows, m1.cols, m2)])
 
 
 def change_of_basis(c: DoubleComplex, transforms) -> DoubleComplex:
@@ -291,23 +283,14 @@ def total_complex(c: DoubleComplex) -> TotalComplex:
         degree_dims[k] = off
     differentials = {}
     for k in range(kmax + 1):
-        rows = degree_dims.get(k + 1, 0)
-        cols = degree_dims.get(k, 0)
-        data = [[Q(0)] * cols for _ in range(rows)]
-        for (p, q, off, d) in layout[k]:
-            for m, tp, tq in ((c.d1_at(p, q), p + 1, q), (c.d2_at(p, q), p, q + 1)):
-                target = None
-                for (pp, qq, toff, td) in layout.get(k + 1, []):
-                    if (pp, qq) == (tp, tq):
-                        target = (toff, td)
-                        break
-                if target is None:
-                    continue
-                toff, _ = target
-                for i in range(m.rows):
-                    for j in range(m.cols):
-                        data[toff + i][off + j] = m.data[i][j]
-        differentials[k] = Matrix(rows, cols, data)
+        targets = {(p, q): off for (p, q, off, _) in layout.get(k + 1, [])}
+        blocks = []
+        for (p, q, off, _) in layout[k]:
+            for m, tgt in ((c.d1_at(p, q), (p + 1, q)), (c.d2_at(p, q), (p, q + 1))):
+                if tgt in targets:
+                    blocks.append((targets[tgt], off, m))
+        differentials[k] = Matrix.from_blocks(degree_dims.get(k + 1, 0),
+                                              degree_dims.get(k, 0), blocks)
     t = TotalComplex(kmax, degree_dims, layout, differentials)
     for k in range(kmax):
         if not (t.differential(k + 1) * t.differential(k)).is_zero():
@@ -317,12 +300,9 @@ def total_complex(c: DoubleComplex) -> TotalComplex:
 
 def de_rham_dims(t: TotalComplex):
     """Betti numbers of the total complex: b_k = dim ker D_k - rank D_{k-1}."""
-    betti = {}
-    for k in range(t.kmax + 1):
-        ker = t.dim(k) - t.differential(k).rank()
-        im = t.differential(k - 1).rank() if k > 0 else 0
-        betti[k] = ker - im
-    return betti
+    ranks = [t.differential(k).rank() for k in range(t.kmax + 1)]
+    return {k: t.dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
+            for k in range(t.kmax + 1)}
 
 
 def euler_characteristic(c: DoubleComplex):
@@ -432,15 +412,21 @@ def _random_shape(rng, pmax, qmax):
 
 
 def _parse_rational(s):
-    """A JSON number or string such as "3", "-1/2" or "0.25" as a Fraction.
+    """A JSON number or string such as "3", "-1/2" or "0.25" as an exact rational.
 
-    Booleans, unparsable text and zero denominators raise LinalgError; this
-    is the one reader of matrix entries for complex, Gram and pairing files.
+    Integers (a JSON integer, or a string of decimal digits with an optional
+    minus sign) stay `int`s, which `Matrix` takes without a `Fraction`; the
+    rest become `Fraction`s.  Booleans, unparsable text and zero
+    denominators raise LinalgError; this is the one reader of matrix entries
+    for complex, Gram, pairing and certificate files.
     """
     if isinstance(s, bool):
         raise LinalgError(f"not a rational number: {s!r}")
     try:
-        return Q(s) if isinstance(s, int) else Q(str(s))
+        if isinstance(s, int):
+            return s
+        text = str(s)
+        return int(text) if text.lstrip("-").isdecimal() else Q(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise LinalgError(f"not a rational number: {s!r}") from exc
 

@@ -288,8 +288,7 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
     }
     if c.meta:
         report["meta"] = {k: v for k, v in sorted(c.meta.items())}
-    betti = bicomplex.de_rham_dims(ws.total)
-    report["betti"] = {str(k): v for k, v in betti.items() if v}
+    report["betti"] = {str(k): v for k, v in ws.betti.items() if v}
     report["degeneration_page"] = spectral.degeneration_page(c, ws)
     report["einfty_ok"] = bool(spectral.einfty_check(c, ws))
     report.update(_pages_section(c, ws, rmax))
@@ -297,8 +296,9 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
     report["verdicts"] = {str(r): _verdict_section(c, ws, r, explain)
                           for r in range(1, rmax + 1)}
     for r in range(1, rmax + 1):
-        ineq = bca_mod.inequality_check(c, r, ws)
-        report["verdicts"][str(r)]["inequality"] = {
+        section = report["verdicts"][str(r)]
+        ineq = bca_mod.inequality_check(c, r, ws, verdict=section["verdict"])
+        section["inequality"] = {
             "bott_chern_plus_aeppli": ineq.bca_total,
             "pages_plus_conjugate": ineq.page_total,
             "twice_betti": ineq.betti_doubled,

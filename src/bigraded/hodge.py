@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from bigraded.bca import _bca_cell, ddbar_closed_space
 from bigraded.bicomplex import DoubleComplex
-from bigraded.linalg import (LinalgError, Matrix, Subspace, kernel_basis,
-                             subspace_intersection, subspace_sum)
+from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis,
+                             kernel_basis, subspace_intersection, subspace_sum)
 from bigraded.spectral import (ConsistencyError, TowerKind, Workspace, memoised,
                                page_dims)
 
@@ -103,7 +103,7 @@ def green_inverse(op: Matrix, gram: Matrix) -> Matrix:
     if op.cols != n:
         raise LinalgError("green_inverse: operator must be square")
     ker = kernel_basis(op)
-    im = op.image()
+    im = image_basis(op)
     if ker.dim + im.dim != n:
         raise ConsistencyError("green_inverse: kernel and image do not split the space")
     cols = ker.basis_columns() + im.basis_columns()

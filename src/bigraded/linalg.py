@@ -9,33 +9,46 @@ checks both against sympy.  A `Subspace` keeps its canonical echelon basis as
 primitive integer rows with positive pivots, a unique form, so equality is
 plain ``==`` and the subspace calculus stays in the integers.
 
-`Matrix(rows, cols, data)` checks and converts parsed and user-built input;
-results computed here, already tuples of `Fraction` tuples, go through the
-trusted `Matrix._trusted`.  `Matrix.zero` is one shared instance per shape.
+A `Matrix` is `num`, a tuple of integer row tuples, over `den`, one positive
+integer, in lowest terms.  That form is unique, so ``==`` and `hash` compare
+plain int tuples.  Products, sums, `transpose`, `scale`, `hstack`, `rank`,
+`rref`, `solve`, `inverse`, kernels, images, preimages and `Subspace.basis`
+work on `num` and `den`, and build their results with `_matrix`, the one
+internal constructor, which divides out a common factor.  `Matrix(rows, cols,
+data)` is the checking constructor for parsed and user-built entries (ints,
+`Fraction`s or strings).  `Fraction`s are made only at the boundary, where
+values leave the module: `data` (and with it `column` and `columns`) is a
+view built on first use and kept, and `apply`, `extend_basis` and
+`Subspace.coordinates` return `Fraction` tuples.
+
+`Matrix.zero` and `Matrix.identity` are one shared instance per shape.  A
+product with the shared identity returns the other operand, and the identity
+is its own `inverse`, so the identity Gram of every cell without an explicit
+one costs no arithmetic in the adjoints, projections and transfer chains of
+`hodge`, with no separate code path there.
 
 The invariants are cut out of the same few kernels and images again and
 again, so `kernel_basis`, `image_basis`, `map_subspace`, `preimage` and
 `Matrix.inverse` share one bounded memo: a `functools.lru_cache` of
 `_MEMO_SIZE` (256) entries, keyed by the function and its arguments.
-`Matrix` and `Subspace` hash and compare by value (a `Matrix` keeps its hash
-once computed), so equal arguments built anywhere, from ints or `Fraction`s,
-find one entry, and a key never depends on object identity.  Results are
-immutable and shared; an exception, such as `inverse` of a singular matrix,
-is never cached.  `Matrix.rank` and `subspace_intersection` are not
-memoised: a hit, which hashes its arguments, costs about as much as they do.
-`_memo.cache_info()` counts hits and misses.
+`Matrix` and `Subspace` hash and compare by value, so equal arguments built
+anywhere, from ints, `Fraction`s or strings, find one entry, and a key never
+depends on object identity.  Results are immutable and shared; an exception,
+such as `inverse` of a singular matrix, is never cached.  `Matrix.rank` and
+`subspace_intersection` are not memoised: a hit, which hashes its arguments,
+costs about as much as they do.  `_memo.cache_info()` counts hits and misses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, wraps
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 Q = Fraction
 _ZERO = Q(0)
-_ONE = Q(1)
 
 __all__ = [
     "Matrix",
@@ -79,32 +92,44 @@ def _memoised(fn):
     return cached
 
 
-def _set_fields(m, rows, cols, data):
-    if len(data) != rows or (data and set(map(len, data)) != {cols}):
-        raise LinalgError(f"shape mismatch: declared {rows}x{cols}")
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "data", data)
-
-
+_put = object.__setattr__
 _zeros = {}
+_identities = {}
+
+
+def _matrix(rows, cols, num, den=1):
+    """num / den in lowest terms, from a tuple of `rows` tuples of `cols` ints and den > 0."""
+    g = gcd(den, *chain.from_iterable(num)) if den != 1 else 1
+    if g != 1:
+        num, den = tuple(tuple(x // g for x in row) for row in num), den // g
+    m = object.__new__(Matrix)
+    _put(m, "rows", rows)
+    _put(m, "cols", cols)
+    _put(m, "num", num)
+    _put(m, "den", den)
+    return m
+
+
+def _scaled(num, f):
+    """The integer rows `num` times f."""
+    return num if f == 1 else tuple(tuple(x * f for x in row) for row in num)
 
 
 class Matrix:
-    """Immutable dense matrix over Q, row-major."""
+    """Immutable dense matrix over Q, row-major: the integer rows `num` over `den`."""
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "num", "den", "_data")
 
     def __init__(self, rows, cols, data):
-        _set_fields(self, rows, cols, tuple(
-            tuple(x if type(x) is Q else Q(x) for x in row) for row in data))
-
-    @classmethod
-    def _trusted(cls, rows, cols, data):
-        """A matrix over `data`, which must be a tuple of tuples of `Fraction`s."""
-        m = object.__new__(cls)
-        _set_fields(m, rows, cols, data)
-        return m
+        data = [[x if type(x) is int or type(x) is Q else Q(x) for x in row] for row in data]
+        if len(data) != rows or (data and set(map(len, data)) != {cols}):
+            raise LinalgError(f"shape mismatch: declared {rows}x{cols}")
+        den = lcm(*{x.denominator for row in data for x in row})
+        _put(self, "rows", rows)
+        _put(self, "cols", cols)
+        _put(self, "num", tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                                for row in data))
+        _put(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -119,32 +144,38 @@ class Matrix:
     @classmethod
     def zero(cls, rows, cols):
         """The rows x cols zero matrix; one shared instance per shape."""
-        m = _zeros.get((rows, cols))
-        if m is None:
-            m = _zeros[(rows, cols)] = cls._trusted(rows, cols, ((_ZERO,) * cols,) * rows)
-        return m
+        if (rows, cols) not in _zeros:
+            _zeros[(rows, cols)] = _matrix(rows, cols, ((0,) * cols,) * rows)
+        return _zeros[(rows, cols)]
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted(n, n, tuple(
-            tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        """The n x n identity; one shared instance per n, which products skip."""
+        if n not in _identities:
+            _identities[n] = _matrix(n, n, tuple(tuple(int(i == j) for j in range(n))
+                                                 for i in range(n)))
+        return _identities[n]
 
     @classmethod
     def from_columns(cls, columns, rows):
-        cols = len(columns)
-        return cls(rows, cols, [[columns[j][i] for j in range(cols)] for i in range(rows)])
+        return cls(len(columns), rows, columns).transpose()
+
+    @classmethod
+    def from_blocks(cls, rows, cols, blocks):
+        """Zero but for each m of the disjoint (i, j, m) `blocks`, placed at row i, column j."""
+        den = lcm(*[m.den for _, _, m in blocks])
+        num = [[0] * cols for _ in range(rows)]
+        for i, j, m in blocks:
+            for k, row in enumerate(_scaled(m.num, den // m.den)):
+                num[i + k][j:j + m.cols] = row
+        return _matrix(rows, cols, tuple(map(tuple, num)), den)
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and (self.rows, self.cols, self.data) == (
-            other.rows, other.cols, other.data)
+        return isinstance(other, Matrix) and (self.rows, self.cols, self.den, self.num) == (
+            other.rows, other.cols, other.den, other.num)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # first call: hashing every Fraction is not cheap
-            h = hash((self.rows, self.cols, self.data))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
@@ -152,50 +183,60 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
-    def row(self, i):
-        return self.data[i]
+    @property
+    def data(self):
+        """The entries as tuples of `Fraction`s, built on first use and kept."""
+        if not hasattr(self, "_data"):
+            _put(self, "_data", tuple(tuple(_fraction(x, self.den) for x in row)
+                                      for row in self.num))
+        return self._data
 
     def column(self, j):
         return tuple(row[j] for row in self.data)
 
     def columns(self):
-        return list(zip(*self.data)) if self.rows else [()] * self.cols
+        return list(zip(*self.data)) or [()] * self.cols
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return not any(map(any, self.num))
 
     def transpose(self):
-        return Matrix._trusted(self.cols, self.rows, tuple(self.columns()))
+        return _matrix(self.cols, self.rows, tuple(zip(*self.num)) or ((),) * self.cols, self.den)
 
     def __neg__(self):
-        return Matrix._trusted(self.rows, self.cols,
-                               tuple(tuple(-x for x in row) for row in self.data))
+        return _matrix(self.rows, self.cols, _scaled(self.num, -1), self.den)
 
     def __add__(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise LinalgError("matrix addition shape mismatch")
-        return Matrix._trusted(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.data, other.data)))
+        den = lcm(self.den, other.den)
+        return _matrix(self.rows, self.cols, tuple(
+            tuple(map(add, r1, r2)) for r1, r2 in zip(
+                _scaled(self.num, den // self.den), _scaled(other.num, den // other.den))), den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = Q(c)
-        return Matrix._trusted(self.rows, self.cols,
-                               tuple(tuple(c * x for x in row) for row in self.data))
+        return _matrix(self.rows, self.cols, _scaled(self.num, c.numerator),
+                       self.den * c.denominator)
 
     def __mul__(self, other):
-        """Products of `Matrix`es run on cleared integer rows and columns."""
+        """Products run on `num`; a factor that is the shared identity is skipped."""
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise LinalgError(f"matmul shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")
             if not (self.rows and self.cols and other.cols):
                 return Matrix.zero(self.rows, other.cols)
-            cols = [_cleared(c) for c in other.columns()]
-            return Matrix._trusted(self.rows, other.cols, tuple(
-                tuple(_fraction(sum(map(mul, a, b)), da * db) for b, db in cols)
-                for a, da in map(_cleared, self.data)))
+            if self is _identities.get(self.rows):
+                return other
+            if other is _identities.get(other.rows):
+                return self
+            cols = list(zip(*other.num))
+            return _matrix(self.rows, other.cols, tuple(
+                tuple(sum(map(mul, a, b)) for b in cols) for a in self.num),
+                self.den * other.den)
         return self.scale(other)
 
     __rmul__ = scale
@@ -205,25 +246,18 @@ class Matrix:
         if len(vec) != self.cols:
             raise LinalgError("apply: vector length mismatch")
         b, db = _cleared(vec)
-        return tuple(_fraction(sum(map(mul, a, b)), da * db)
-                     for a, da in map(_cleared, self.data))
+        den = self.den * db
+        return tuple(_fraction(sum(map(mul, a, b)), den) for a in self.num)
 
     def hstack(self, other):
         if self.rows != other.rows:
             raise LinalgError("hstack row mismatch")
-        return Matrix._trusted(self.rows, self.cols + other.cols,
-                               tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)))
-
-    def rref(self):
-        """Reduced row-echelon form; returns (rref matrix, pivot columns, rank)."""
-        return rref(self)
+        return Matrix.from_blocks(self.rows, self.cols + other.cols,
+                                  [(0, 0, self), (0, self.cols, other)])
 
     def rank(self):
         """The pivot count of the integer echelon step."""
-        return len(_echelon([_cleared(row)[0] for row in self.data], self.cols))
-
-    def image(self):
-        return image_basis(self)
+        return len(_echelon(list(self.num), self.cols))
 
     def solve(self, rhs):
         """One exact solution of self * x = rhs column-wise, or None if inconsistent.
@@ -236,17 +270,18 @@ class Matrix:
         red, pivots, _ = rref(self.hstack(rhs))
         if pivots and pivots[-1] >= self.cols:
             return None
-        sol = [(_ZERO,) * rhs.cols] * self.cols
+        sol = [(0,) * rhs.cols] * self.cols
         for i, p in enumerate(pivots):
-            sol[p] = red.data[i][self.cols:]
-        return Matrix._trusted(self.cols, rhs.cols, tuple(sol))
+            sol[p] = red.num[i][self.cols:]
+        return _matrix(self.cols, rhs.cols, tuple(sol), red.den)
 
     @_memoised
     def inverse(self):
-        """A x = 1 is solvable exactly when A is invertible."""
+        """A x = 1 is solvable exactly when A is invertible; the identity is its own."""
         if self.rows != self.cols:
             raise LinalgError("inverse of non-square matrix")
-        sol = self.solve(Matrix.identity(self.rows))
+        one = Matrix.identity(self.rows)
+        sol = one if self == one else self.solve(one)
         if sol is None:
             raise LinalgError("matrix is singular")
         return sol
@@ -255,15 +290,7 @@ class Matrix:
 def _cleared(row):
     """(D * row, D) for the least D > 0 making every entry of `row` an integer."""
     den = lcm(*{x.denominator for x in row})
-    if den == 1:
-        return [x.numerator for x in row], 1
     return [x.numerator * (den // x.denominator) for x in row], den
-
-
-def _integer_rows(m: Matrix):
-    """The rows of D*m for one D > 0 clearing all of m, so images and kernels are kept."""
-    ints, _ = _cleared([x for row in m.data for x in row])
-    return [ints[i * m.cols:(i + 1) * m.cols] for i in range(m.rows)]
 
 
 def _fraction(num, den):
@@ -314,16 +341,12 @@ def _echelon(a, ncols):
 
 def rref(m: Matrix):
     """Unique reduced row-echelon form of `m` with pivot columns and rank."""
-    a = [_cleared(row)[0] for row in m.data]
+    a = list(m.num)
     pivots = _echelon(a, m.cols)
-    data = [_unit_row(a[i], p) for i, p in enumerate(pivots)]
-    data += [(_ZERO,) * m.cols] * (m.rows - len(pivots))
-    return Matrix._trusted(m.rows, m.cols, tuple(data)), tuple(pivots), len(pivots)
-
-
-def _unit_row(row, pivot):
-    """The integer row `row` divided by its entry at `pivot`, as Fractions."""
-    return tuple(_fraction(x, row[pivot]) for x in row)
+    den = lcm(*[a[i][p] for i, p in enumerate(pivots)])
+    num = [tuple(x * (den // a[i][p]) for x in a[i]) for i, p in enumerate(pivots)]
+    num += [(0,) * m.cols] * (m.rows - len(pivots))
+    return _matrix(m.rows, m.cols, tuple(num), den), tuple(pivots), len(pivots)
 
 
 def _residue(rows, v):
@@ -353,10 +376,10 @@ class Subspace:
     __slots__ = ("ambient_dim", "echelon", "pivot_rows", "_basis")
 
     def __init__(self, ambient_dim, echelon, pivot_rows):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "echelon", echelon)
-        object.__setattr__(self, "pivot_rows", pivot_rows)
-        object.__setattr__(self, "_basis", None)
+        _put(self, "ambient_dim", ambient_dim)
+        _put(self, "echelon", echelon)
+        _put(self, "pivot_rows", pivot_rows)
+        _put(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -376,8 +399,7 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim):
-        rng = range(ambient_dim)
-        return cls(ambient_dim, tuple(tuple(int(i == j) for j in rng) for i in rng), tuple(rng))
+        return cls(ambient_dim, Matrix.identity(ambient_dim).num, tuple(range(ambient_dim)))
 
     @property
     def dim(self):
@@ -385,11 +407,11 @@ class Subspace:
 
     @property
     def basis(self):
-        if self._basis is None:
-            cols = [_unit_row(row, p) for row, p in zip(self.echelon, self.pivot_rows)]
-            object.__setattr__(self, "_basis", Matrix._trusted(
-                self.ambient_dim, len(cols), tuple(zip(*cols)) if cols
-                else ((),) * self.ambient_dim))
+        if self._basis is None:  # unit pivots: the rows over the lcm of the pivots
+            pairs = list(zip(self.echelon, self.pivot_rows))
+            den = lcm(*[row[p] for row, p in pairs])
+            _put(self, "_basis", _matrix(self.dim, self.ambient_dim, tuple(
+                tuple(x * (den // row[p]) for x in row) for row, p in pairs), den).transpose())
         return self._basis
 
     def __eq__(self, other):
@@ -405,12 +427,8 @@ class Subspace:
     def basis_columns(self):
         return self.basis.columns() if self.pivot_rows else []
 
-    def reduce(self, vec):
-        """A positive integer multiple of `vec`'s residue against the echelon basis."""
-        return _residue(zip(self.echelon, self.pivot_rows), _cleared(vec)[0])
-
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not any(_residue(zip(self.echelon, self.pivot_rows), _cleared(vec)[0]))
 
     def contains_subspace(self, other):
         if other.ambient_dim != self.ambient_dim:
@@ -459,13 +477,13 @@ def _kernel_vectors(a, ncols):
 @_memoised
 def kernel_basis(m: Matrix) -> Subspace:
     """Null space of `m` as a subspace of the domain Q^cols."""
-    return _span(_kernel_vectors([_cleared(row)[0] for row in m.data], m.cols), m.cols)
+    return _span(_kernel_vectors(list(m.num), m.cols), m.cols)
 
 
 @_memoised
 def image_basis(m: Matrix) -> Subspace:
     """Column space of `m` as a subspace of the codomain Q^rows."""
-    return Subspace.from_columns(m.columns(), m.rows)
+    return _span([col for col in zip(*m.num) if any(col)], m.rows)
 
 
 @_memoised
@@ -473,7 +491,7 @@ def map_subspace(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map."""
     if m.cols != s.ambient_dim:
         raise LinalgError("map_subspace: domain mismatch")
-    a = _integer_rows(m) if s.pivot_rows else ()
+    a = m.num if s.pivot_rows else ()
     return _span([[sum(map(mul, row, e)) for row in a] for e in s.echelon], m.rows)
 
 
@@ -505,7 +523,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     """{x : m x in s}, as a subspace of the domain Q^cols."""
     if m.rows != s.ambient_dim:
         raise LinalgError("preimage: codomain mismatch")
-    vectors = _pullback(s, _integer_rows(m), m.cols)
+    vectors = _pullback(s, m.num, m.cols)
     return Subspace.full(m.cols) if vectors is None else _span(vectors, m.cols)
 
 
@@ -553,7 +571,7 @@ def orthogonal_complement(s: Subspace, gram: Matrix | None = None) -> Subspace:
     """Vectors orthogonal to `s` for the bilinear form `gram` (identity default)."""
     rows = list(s.echelon)
     if gram is not None:
-        g = list(zip(*_integer_rows(gram)))
+        g = list(zip(*gram.num))
         rows = [[sum(map(mul, e, col)) for col in g] for e in rows]
     return _span(_kernel_vectors(rows, s.ambient_dim), s.ambient_dim)
 
@@ -572,7 +590,7 @@ def extend_basis(small: Subspace, big: Subspace):
     for row, p in zip(big.echelon, big.pivot_rows):
         v = _residue(span, row)
         if any(v):
-            chosen.append(_unit_row(row, p))
+            chosen.append(tuple(_fraction(x, row[p]) for x in row))
             span.append((v, next(i for i, x in enumerate(v) if x)))
     return chosen
 

@@ -129,6 +129,12 @@ class Workspace:
     def total(self):
         return total_complex(self.c)
 
+    @property
+    @memoised
+    def betti(self):
+        """Betti numbers of the total complex, degree -> b_k; read, never changed."""
+        return de_rham_dims(self.total)
+
     def space(self, kind: TowerKind, r, p, q) -> Subspace:
         key = (kind, r, p, q)
         hit = self.spaces.get(key)
@@ -346,7 +352,7 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
     ws = ws or Workspace(c)
     bound = effective_page_bound(ws.c)
     table = page_dims(ws.c, bound + 1, ws, conjugate=False)
-    betti = de_rham_dims(ws.total)
+    betti = ws.betti
     per_degree = {}
     ok = True
     for k in range(ws.c.pmax + ws.c.qmax + 1):

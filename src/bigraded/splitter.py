@@ -17,6 +17,8 @@ them.  Everything is built from the elimination routines of
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (Matrix, Subspace, extend_basis, image_basis,
                              kernel_basis, rref, subspace_sum)
@@ -90,8 +92,10 @@ def _split_squares(c: DoubleComplex):
     for cell, rows in conditions.items():
         n = c.dim(*cell)
         if rows:
-            stacked = Matrix(sum(m.rows for m in rows), n, [r for m in rows for r in m.data])
-            embed[cell] = Matrix.from_columns(kernel_basis(stacked).basis_columns(), n)
+            starts = accumulate((m.rows for m in rows), initial=0)
+            stacked = Matrix.from_blocks(sum(m.rows for m in rows), n,
+                                         [(i, 0, m) for i, m in zip(starts, rows)])
+            embed[cell] = kernel_basis(stacked).basis
         else:
             embed[cell] = Matrix.identity(n)
     if not squares:
@@ -216,7 +220,7 @@ def _sweep(w, k, images, complements):
         if coords is None:
             raise ConsistencyError(f"d2 image at {cell} leaves im d1 + im d2")
         red, pivots, rk = rref(coords.transpose())
-        rows = [red.row(i) for i in range(rk)]
+        rows = red.data[:rk]
         lifts = coords.solve(Matrix.from_columns(rows, len(order)))
         live = []
         for i, (iv, vecs) in enumerate([_absorb(order, row) for row in rows]):

@@ -32,7 +32,7 @@ from functools import cache
 
 from bigraded.bca import bca_dims
 from bigraded.bicomplex import (DoubleComplex, _parse_rational, _rational_str, _unkey,
-                                change_of_basis, de_rham_dims)
+                                change_of_basis)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
                              shape_cells, shape_length)
@@ -181,7 +181,7 @@ def measured_invariants(c: DoubleComplex, r_max, ws: Workspace | None = None) ->
     table = bca_dims(ws.c, r_max, ws)
     out.bc = dict(table.bc)
     out.a = dict(table.a)
-    out.b = {k: v for k, v in de_rham_dims(ws.total).items() if v}
+    out.b = {k: v for k, v in ws.betti.items() if v}
     return out
 
 
@@ -212,15 +212,16 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
                             (a.d2_at(p, q), b.d2_at(p, q), (p, q + 1))):
             na_t = a.dim(*tgt)
             tgt_off = offsets.get(tgt)
-            for i, db_row in enumerate(db.data):
+            # both blocks scaled by da.den * db.den, so the row is integral
+            for i, db_row in enumerate(db.num):
                 for j in range(na_s):
                     row = [0] * total
                     for k, x in enumerate(db_row):
                         if x:
-                            row[src_off + k * na_s + j] = x
-                    for l, da_row in enumerate(da.data):
+                            row[src_off + k * na_s + j] = x * da.den
+                    for l, da_row in enumerate(da.num):
                         if da_row[j]:
-                            row[tgt_off + i * na_t + l] = -da_row[j]
+                            row[tgt_off + i * na_t + l] = -da_row[j] * db.den
                     rows.append(row)
     return total - Subspace.from_columns(rows, total).dim
 
@@ -414,7 +415,7 @@ def verify_certificate(c: DoubleComplex, cert: DecompositionCertificate) -> Cert
                               ("d2", transformed.d2_at(p, q), (p, q + 1))):
             for i in range(m.rows):
                 for j in range(m.cols):
-                    if m.data[i][j] != 0 and owner[(tgt, i)] != owner[((p, q), j)]:
+                    if m.num[i][j] and owner[(tgt, i)] != owner[((p, q), j)]:
                         return CertificateReport(
                             False,
                             f"{which} at {(p, q)} couples block {owner[((p, q), j)]} "
@@ -424,7 +425,7 @@ def verify_certificate(c: DoubleComplex, cert: DecompositionCertificate) -> Cert
             m = transformed.d1_at(*src) if which == "d1" else transformed.d2_at(*src)
             i = cells[dst][0]
             j = cells[src][0]
-            if m.data[i][j] == 0:
+            if not m.num[i][j]:
                 return CertificateReport(
                     False, f"block {bi}: expected nonzero {which} arrow {src} -> {dst}", bi)
     return CertificateReport(True)

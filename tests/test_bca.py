@@ -7,7 +7,7 @@ from bigraded.bca import (bca_dims, canonical_maps, closed_pure,
                           ddbar_closed_space, ddbar_exact_space, exact_pure,
                           im_both, inequality_check, page_ddbar_verdict)
 from bigraded.bicomplex import direct_sum
-from bigraded.linalg import (Matrix, Subspace, kernel_basis,
+from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection, subspace_sum)
 from bigraded.models import (ZigzagShape, build_square, build_zigzag,
                              dot_shape, example_calabi_eckmann)
@@ -26,7 +26,7 @@ def classical_bc_a_dims(c, p, q):
     dd_in = c.d1_at(p - 1, q) * c.d2_at(p - 1, q - 1)
     bc = both.dim - dd_in.rank()
     dd_out = c.d1_at(p, q + 1) * c.d2_at(p, q)
-    imboth = subspace_sum(c.d1_at(p - 1, q).image(), c.d2_at(p, q - 1).image())
+    imboth = subspace_sum(image_basis(c.d1_at(p - 1, q)), image_basis(c.d2_at(p, q - 1)))
     a = (c.dim(p, q) - dd_out.rank()) - imboth.dim
     return bc, a
 
@@ -74,6 +74,34 @@ def test_ddbar_exact_one_way_inclusions(random_suite):
                 assert ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q).contains_subspace(d)
                 assert closed_pure(ws, p, q).contains_subspace(d)
                 assert exact_pure(ws, p, q).contains_subspace(d)
+
+
+def test_report_decides_each_verdict_once(monkeypatch):
+    """The report hands each page's verdict to the inequality check."""
+    from bigraded import cli
+    calls = []
+    verdict = bca.page_ddbar_verdict
+    monkeypatch.setattr(bca, "page_ddbar_verdict",
+                        lambda c, r, *args, **kwargs: calls.append(r) or verdict(c, r, *args, **kwargs))
+    c = direct_sum(build_square(0, 0, grid=(2, 2)),
+                   build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, False), grid=(2, 2)))
+    verdicts = cli.build_report(c, 3)["verdicts"]
+    assert calls == [1, 2, 3]
+    for v in verdicts.values():
+        assert v["inequality"]["equality_ok"] is (True if v["verdict"] else None)
+
+
+def test_bc_to_a_map_built_once_per_cell(monkeypatch):
+    """Criteria (B) and (D) share one class matrix and rank per page and cell."""
+    built = []
+    class_matrix = bca._class_matrix
+    monkeypatch.setattr(bca, "_class_matrix", lambda *args: built.append(1) or class_matrix(*args))
+    c = direct_sum(direct_sum(build_zigzag(dot_shape(0, 1), grid=(2, 2)),
+                              build_square(0, 0, grid=(2, 2))),
+                   build_zigzag(dot_shape(2, 2), grid=(2, 2)))
+    v = bca.page_ddbar_verdict(c, 1, Workspace(c), use_structure=False)
+    assert v.criteria["B"] and v.criteria["D"]
+    assert len(built) == len(c.support())
 
 
 def test_exact_sum_identity(random_suite):

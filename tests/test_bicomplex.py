@@ -160,6 +160,18 @@ def test_total_rank_oracle_sympy():
         assert de_rham_dims(t)[k] == ker - prev.rank()
 
 
+def test_betti_numbers_rank_each_differential_once(monkeypatch):
+    ws = Workspace(example_calabi_eckmann(1, 1))
+    t = ws.total
+    ranked = []
+    rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append(m) or rank(m))
+    betti = ws.betti
+    assert len(ranked) == t.kmax + 1
+    assert ws.betti is betti and len(ranked) == t.kmax + 1
+    assert [betti[k] for k in range(7)] == [1, 0, 0, 2, 0, 0, 1]
+
+
 def test_euler_characteristic_consistency(random_suite):
     for _, c, ws in random_suite[:8]:
         betti = de_rham_dims(ws.total)

@@ -321,6 +321,22 @@ def test_gram_file_checked_against_complex(tmp_path, capsys):
     assert code == 0
 
 
+def test_hodge_with_rational_gram(tmp_path, capsys):
+    """Non-diagonal rational Grams give the same harmonic dimensions as the identity."""
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({
+        "0,1": [["1/2", "1/2"], ["1/2", "7/6"]], "0,2": [["1/2", "-1/2"], ["-1/2", "7/6"]],
+        "0,3": [["1/2"]], "1,0": [["1/2", "1/2"], ["1/2", "7/6"]]}))
+    uri = "example://random?grid=3,3&seed=5&maxdim=3"
+    stable = {"0,1": 1, "0,2": 1, "0,3": 1, "3,1": 1}
+    expected = {"harmonic_dims": {"1": dict(stable, **{"1,3": 1, "2,3": 1}), "2": stable,
+                                  "3": stable},
+                "name": "random-5", "pages_match": True, "three_space_checks": True}
+    for extra in ((), ("--gram", str(gram))):
+        code, doc = run_json(capsys, "hodge", uri, "--rmax", "3", *extra)
+        assert (code, doc) == (0, expected), extra
+
+
 def _cdga(**changes):
     obj = {"name": "t",
            "generators": [{"name": "a", "bidegree": [1, 0]}, {"name": "b", "bidegree": [0, 1]}],

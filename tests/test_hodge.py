@@ -10,7 +10,7 @@ from bigraded.hodge import (InnerProduct, adjoint, bc_a_harmonic_spaces,
                             flipped_adjoint_workspace, green_inverse,
                             harmonic_tower, star_tower_space,
                             three_space_decomposition)
-from bigraded.linalg import (LinalgError, Matrix, Subspace, kernel_basis,
+from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection)
 from bigraded.models import ZigzagShape, build_zigzag, dot_shape
 from bigraded.spectral import TowerKind, Workspace
@@ -63,7 +63,7 @@ def test_green_inverse_properties():
         for col in ker.basis_columns():
             assert all(x == 0 for x in plus.apply(col))
         # on the image the composition is the identity
-        for col in lap.image().basis_columns():
+        for col in image_basis(lap).basis_columns():
             assert plus.apply(tuple(lap.apply(plus.apply(col)))) == plus.apply(col)
             assert lap.apply(plus.apply(col)) == col
 

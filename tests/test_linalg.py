@@ -1,5 +1,6 @@
 """Exact linear algebra: elimination oracles, subspace calculus, preimages."""
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -53,7 +54,7 @@ def test_rref_rank_matches_sympy():
         m = random_matrix(rng, 5, 7, denoms=True)
         sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                            for row in m.data])
-        assert m.rref()[2] == sm.rank()
+        assert rref(m)[2] == sm.rank()
 
 
 def test_rref_idempotent():
@@ -80,7 +81,7 @@ def test_rank_nullity():
     rng = random.Random(5)
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert m.rref()[2] + kernel_basis(m).dim == m.cols
+        assert rref(m)[2] + kernel_basis(m).dim == m.cols
         for col in kernel_basis(m).basis_columns():
             assert all(x == 0 for x in m.apply(col))
 
@@ -235,16 +236,20 @@ RATIONALS = st.one_of(
 
 
 @st.composite
-def matrices(draw, max_rows=4, max_cols=4):
-    """Rational matrices, 0xn and nx0 included, often rank-deficient (a product)."""
-    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
-
+def shaped(draw, rows, cols):
+    """A rows x cols rational matrix, often rank-deficient (a product)."""
     def block(r, c):
         return Matrix(r, c, [[draw(RATIONALS) for _ in range(c)] for _ in range(r)])
     if draw(st.booleans()):
         return block(rows, cols)
     k = draw(st.integers(0, 3))
     return block(rows, k) * block(k, cols)
+
+
+@st.composite
+def matrices(draw, max_rows=4, max_cols=4):
+    """Rational matrices, 0xn and nx0 included, often rank-deficient."""
+    return draw(shaped(draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))))
 
 
 def _sym_rational(x):
@@ -369,12 +374,140 @@ def test_memoised_primitives_equal_their_uncached_computation(m, t):
 
 def test_equal_matrices_share_one_memo_entry():
     from_ints = Matrix(2, 3, [[1, 2, 3], [2, 4, 6]])
-    from_fractions = Matrix(2, 3, [[Q(1), Q(4, 2), Q(3)], [Q(2), Q(4), Q(12, 2)]])
-    assert from_ints is not from_fractions
+    built = [
+        from_ints,
+        Matrix(2, 3, [[Q(1), Q(4, 2), Q(3)], [Q(2), Q(4), Q(12, 2)]]),
+        Matrix(2, 3, [["1", "2", "6/2"], [" 2", "4/1", "12/2"]]),
+        Matrix(2, 1, [[Q(1, 3)], [Q(2, 3)]]) * Matrix(1, 3, [[3, 6, 9]]),
+        Matrix(2, 3, [["1/2", 1, "3/2"], [1, 2, 3]]).scale(2) - Matrix(2, 3, [[0] * 3, [1, 2, 3]]).scale(0),
+    ]
+    for m in built:
+        assert m == from_ints and hash(m) == hash(from_ints)
+        assert (m.num, m.den) == (((1, 2, 3), (2, 4, 6)), 1)
+    assert len({id(m) for m in built}) == len(built)
     linalg._memo.cache_clear()
-    assert kernel_basis(from_ints) is kernel_basis(from_fractions)
+    assert len({id(kernel_basis(m)) for m in built}) == 1
     info = linalg._memo.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (1, len(built) - 1)
+
+
+def test_rational_matrices_keep_one_lowest_denominator():
+    halves = Matrix(1, 3, [["1/2", "-3/4", 0]])
+    assert (halves.num, halves.den) == (((2, -3, 0),), 4)
+    assert halves == Matrix(1, 3, [[Q(2, 4), Q(-6, 8), Q(0, 5)]])
+    assert halves.data == ((Q(1, 2), Q(-3, 4), Q(0)),)
+    assert halves.scale(4) == Matrix(1, 3, [[2, -3, 0]]) and halves.scale(4).den == 1
+    assert (halves - halves).den == 1 and (halves - halves) == Matrix.zero(1, 3)
+
+
+def test_identity_is_shared_and_skipped_by_products():
+    one = Matrix.identity(3)
+    assert Matrix.identity(3) is one and one.inverse() is one
+    m = Matrix(3, 2, [["1/2", 0], [1, "-2/3"], [4, 5]])
+    t = m.transpose()
+    assert one * m is m and t * one is t
+    built = Matrix(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert built == one and built is not one
+    assert built * m == m and t * built == t
+    assert built.inverse() == one
+
+
+def _ref(m):
+    """`m` as a list of lists of `Fraction`s."""
+    return [list(row) for row in m.data]
+
+
+def _ref_mul(a, b, inner, cols):
+    return [[sum((row[k] * b[k][j] for k in range(inner)), Q(0)) for j in range(cols)]
+            for row in a]
+
+
+def _ref_rref(a, ncols):
+    """Gauss-Jordan elimination over `Fraction`s: (reduced rows, pivot columns)."""
+    a = [list(row) for row in a]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+def _ref_solve(a, b, ncols, rhs_cols):
+    """One solution of a x = b with free variables zero, or None."""
+    red, pivots = _ref_rref([ra + rb for ra, rb in zip(a, b)], ncols + rhs_cols)
+    if pivots and pivots[-1] >= ncols:
+        return None
+    sol = [[Q(0)] * rhs_cols for _ in range(ncols)]
+    for i, p in enumerate(pivots):
+        sol[p] = red[i][ncols:]
+    return sol
+
+
+def _assert_canonical(m):
+    """Integer rows of the declared shape over a positive denominator, in lowest terms."""
+    assert len(m.num) == m.rows and all(len(row) == m.cols for row in m.num)
+    assert all(type(x) is int for row in m.num for x in row)
+    assert type(m.den) is int and m.den > 0
+    assert math.gcd(m.den, *[x for row in m.num for x in row]) == 1
+    assert Matrix(m.rows, m.cols, m.data) == m
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_matrix_operations_match_a_fraction_reference(data):
+    sympy = pytest.importorskip("sympy")
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    m, u, t = data.draw(shaped(r, k)), data.draw(shaped(r, k)), data.draw(shaped(k, c))
+    square, rhs = data.draw(shaped(r, r)), data.draw(shaped(r, c))
+    s = data.draw(RATIONALS)
+    vec = tuple(data.draw(RATIONALS) for _ in range(k))
+    a, b = _ref(m), _ref(u)
+    expected = [
+        (m * t, _ref_mul(a, _ref(t), k, c)),
+        (m + u, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (m - u, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]),
+        (-m, [[-x for x in row] for row in a]),
+        (m.scale(s), [[s * x for x in row] for row in a]),
+        (s * m, [[s * x for x in row] for row in a]),
+        (m.transpose(), [[a[i][j] for i in range(r)] for j in range(k)]),
+        (m.hstack(u), [ra + rb for ra, rb in zip(a, b)]),
+    ]
+    for got, want in expected:
+        _assert_canonical(got)
+        assert _ref(got) == want
+    assert m.apply(vec) == tuple(sum((x * y for x, y in zip(row, vec)), Q(0)) for row in a)
+
+    red, pivots, rank = rref(m)
+    want_red, want_pivots = _ref_rref(a, k)
+    _assert_canonical(red)
+    assert _ref(red) == want_red and pivots == tuple(want_pivots)
+    assert rank == m.rank() == len(want_pivots) == _sym(m).rank()
+
+    sol = m.solve(rhs)
+    want_sol = _ref_solve(a, _ref(rhs), k, c)
+    assert (sol is None) == (want_sol is None)
+    if sol is not None:
+        _assert_canonical(sol)
+        assert _ref(sol) == want_sol and m * sol == rhs
+
+    want_inv = _ref_solve(_ref(square), _ref(Matrix.identity(r)), r, r)
+    if want_inv is None:
+        with pytest.raises(LinalgError, match="singular"):
+            square.inverse()
+    else:
+        inv = square.inverse()
+        _assert_canonical(inv)
+        assert _ref(inv) == want_inv and square * inv == Matrix.identity(r)
+    for sub in (kernel_basis(m), image_basis(m)):
+        _assert_canonical(sub.basis)
 
 
 def test_singular_inverse_raises_on_every_call():

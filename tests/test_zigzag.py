@@ -80,6 +80,11 @@ def test_hom_dim_end_of_indecomposable_is_one():
     for shape in (dot_shape(1, 1), Square(0, 0)):
         c = build_shape(shape)
         assert hom_dim(c, c) == 1
+    # the same square with maps of denominators 2, 3, 1 and 1
+    c = change_of_basis(build_shape(Square(0, 0)), {(1, 0): Matrix.from_rows([[2]]),
+                                                    (0, 1): Matrix.from_rows([[3]])})
+    assert {m.den for m in (*c.d1.values(), *c.d2.values())} == {1, 2, 3}
+    assert hom_dim(c, c) == hom_dim(c, build_shape(Square(0, 0))) == 1
 
 
 def test_hom_dim_additive():
