@@ -12,8 +12,11 @@ anticommuting square-zero differentials:
 * duality pairings induced on pages and on Bott-Chern x Aeppli,
 * decompositions into indecomposable squares and zigzags.
 
-Everything is computed over Q with `fractions.Fraction`; there is no floating
-point anywhere, so every reported dimension and verdict is exact.
+Everything is computed exactly over Q: the core eliminates on Python integers
+(a `Matrix` is integer rows over one positive denominator), and
+`fractions.Fraction` values are made only where numbers leave it, as in the
+JSON output.  There is no floating point anywhere, so every reported
+dimension and verdict is exact.
 """
 
 from bigraded.linalg import Matrix, Subspace

@@ -43,8 +43,6 @@ module compares against this verdict and enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (Matrix, Subspace, class_coordinates, extend_basis,
                              image_basis, kernel_basis, map_subspace,
@@ -191,11 +189,13 @@ def de_rham_reps(ws: Workspace, k):
 # dimensions
 
 
-@dataclass
 class BcaTable:
-    r_max: int
-    bc: dict = field(default_factory=dict)  # (r, p, q) -> dim BC_r
-    a: dict = field(default_factory=dict)   # (r, p, q) -> dim A_r
+    __slots__ = ("r_max", "bc", "a")
+
+    def __init__(self, r_max, bc=None, a=None):
+        self.r_max = r_max
+        self.bc = {} if bc is None else bc  # (r, p, q) -> dim BC_r
+        self.a = {} if a is None else a     # (r, p, q) -> dim A_r
 
     def bc_dim(self, r, p, q):
         return self.bc.get((r, p, q), 0)
@@ -252,7 +252,6 @@ def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> BcaTable:
 # canonical comparison maps
 
 
-@dataclass
 class CanonicalMaps:
     """Identity-induced maps between BC_r, the pages, de Rham and A_r.
 
@@ -263,19 +262,26 @@ class CanonicalMaps:
     A_r -> A_1 behave as the defining filtrations force them to.
     """
 
-    r: int
-    bc_to_page: dict
-    bc_to_conj: dict
-    bc_to_de_rham: dict
-    bc_to_a: dict
-    page_to_a: dict
-    conj_to_a: dict
-    de_rham_to_a: dict
-    bc1_to_bcr: dict
-    ar_to_a1: dict
-    commutes: bool
-    bc_surjective: bool
-    a_injective: bool
+    __slots__ = ("r", "bc_to_page", "bc_to_conj", "bc_to_de_rham", "bc_to_a", "page_to_a",
+                 "conj_to_a", "de_rham_to_a", "bc1_to_bcr", "ar_to_a1", "commutes",
+                 "bc_surjective", "a_injective")
+
+    def __init__(self, r, bc_to_page, bc_to_conj, bc_to_de_rham, bc_to_a, page_to_a,
+                 conj_to_a, de_rham_to_a, bc1_to_bcr, ar_to_a1, commutes, bc_surjective,
+                 a_injective):
+        self.r = r
+        self.bc_to_page = bc_to_page
+        self.bc_to_conj = bc_to_conj
+        self.bc_to_de_rham = bc_to_de_rham
+        self.bc_to_a = bc_to_a
+        self.page_to_a = page_to_a
+        self.conj_to_a = conj_to_a
+        self.de_rham_to_a = de_rham_to_a
+        self.bc1_to_bcr = bc1_to_bcr
+        self.ar_to_a1 = ar_to_a1
+        self.commutes = commutes
+        self.bc_surjective = bc_surjective
+        self.a_injective = a_injective
 
 
 def _class_matrix(denom: Subspace, target_reps, vectors):
@@ -333,13 +339,15 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
 # the page-(r-1) del-delbar verdict
 
 
-@dataclass
 class PageDdbarVerdict:
-    r: int
-    verdict: bool
-    criteria: dict          # name -> bool
-    witness: dict | None    # a concrete failing form, when requested
-    duality_gap: bool = False   # (C)/(D)/(E) hold although the property fails
+    __slots__ = ("r", "verdict", "criteria", "witness", "duality_gap")
+
+    def __init__(self, r, verdict, criteria, witness, duality_gap=False):
+        self.r = r
+        self.verdict = verdict
+        self.criteria = criteria        # name -> bool
+        self.witness = witness          # a concrete failing form, when requested, else None
+        self.duality_gap = duality_gap  # (C)/(D)/(E) hold although the property fails
 
     def __bool__(self):
         return self.verdict
@@ -496,15 +504,19 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
 # dimension inequality
 
 
-@dataclass
 class InequalityReport:
-    r: int
-    bca_total: int       # e_{r,BC} + e_{r,A}, summed over the grid
-    page_total: int      # e_r + conjugate e_r, summed over the grid
-    betti_doubled: int   # 2 * sum of Betti numbers
-    chain_ok: bool
-    verdict: bool | None
-    equality_ok: bool | None
+    __slots__ = ("r", "bca_total", "page_total", "betti_doubled", "chain_ok", "verdict",
+                 "equality_ok")
+
+    def __init__(self, r, bca_total, page_total, betti_doubled, chain_ok, verdict,
+                 equality_ok):
+        self.r = r
+        self.bca_total = bca_total          # e_{r,BC} + e_{r,A}, summed over the grid
+        self.page_total = page_total        # e_r + conjugate e_r, summed over the grid
+        self.betti_doubled = betti_doubled  # 2 * sum of Betti numbers
+        self.chain_ok = chain_ok
+        self.verdict = verdict              # bool, or None when not computed
+        self.equality_ok = equality_ok      # bool, or None when the verdict fails
 
     def __bool__(self):
         return self.chain_ok and self.equality_ok is not False

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from bigraded.linalg import LinalgError, Matrix
@@ -104,10 +103,12 @@ class DoubleComplex:
                 f"total dim {self.total_dim()})")
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    violations: list
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok, violations):
+        self.ok = ok
+        self.violations = violations
 
     def __bool__(self):
         return self.ok

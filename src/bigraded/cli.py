@@ -26,7 +26,7 @@ import sys
 from urllib.parse import parse_qsl, urlparse
 
 from bigraded import bca as bca_mod
-from bigraded import bicomplex, hodge, models, pairing as pairing_mod, spectral, zigzag
+from bigraded import bicomplex, hodge, models, spectral, zigzag
 from bigraded.bicomplex import _by_cell, _key, _parse_rational, _unkey
 from bigraded.linalg import LinalgError, Matrix
 from bigraded.spectral import ConsistencyError
@@ -119,8 +119,9 @@ def _load_gram(path, c):
 
 
 def _load_pairing(path):
+    from bigraded.pairing import load_pairing  # only commands with --pairing compile it
     try:
-        return pairing_mod.load_pairing(path)
+        return load_pairing(path)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad pairing file {path!r}: {exc}") from exc
 
@@ -224,6 +225,7 @@ def _decompose_section(c, ws, certificate=False):
 
 
 def _duality_section(c, ws, duality_pairing, rmax):
+    from bigraded import pairing as pairing_mod
     val = pairing_mod.validate_pairing(c, duality_pairing)
     out = {
         "compatible": val.ok,

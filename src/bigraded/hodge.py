@@ -24,8 +24,6 @@ valid double complex on the same underlying components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from bigraded.bca import _bca_cell, ddbar_closed_space
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis,
@@ -173,18 +171,22 @@ def _star_ddbar_closed(c, ip, r, p, q, ws):
     return ddbar_closed_space(flip.c, r, c.pmax - p, c.qmax - q, flip)
 
 
-@dataclass
 class HarmonicTower:
     """Harmonic spaces H_r with projections, transfer operators and Laplacians."""
 
-    c: DoubleComplex
-    ip: InnerProduct
-    r_max: int
-    spaces: dict = field(default_factory=dict)      # (r,p,q) -> Subspace H_r
-    projections: dict = field(default_factory=dict)  # (r,p,q) -> Matrix p_r
-    transfer: dict = field(default_factory=dict)    # (r,p,q) -> Matrix D_{r-1}
-    page_maps: dict = field(default_factory=dict)   # (r,p,q) -> Matrix d_r
-    laplacians: dict = field(default_factory=dict)  # (r,p,q) -> Matrix
+    __slots__ = ("c", "ip", "r_max", "spaces", "projections", "transfer", "page_maps",
+                 "laplacians")
+
+    def __init__(self, c: DoubleComplex, ip: InnerProduct, r_max, spaces=None,
+                 projections=None, transfer=None, page_maps=None, laplacians=None):
+        self.c = c
+        self.ip = ip
+        self.r_max = r_max
+        self.spaces = {} if spaces is None else spaces                 # (r,p,q) -> Subspace H_r
+        self.projections = {} if projections is None else projections  # (r,p,q) -> Matrix p_r
+        self.transfer = {} if transfer is None else transfer           # (r,p,q) -> Matrix D_{r-1}
+        self.page_maps = {} if page_maps is None else page_maps        # (r,p,q) -> Matrix d_r
+        self.laplacians = {} if laplacians is None else laplacians     # (r,p,q) -> Matrix
 
     def space(self, r, p, q) -> Subspace:
         hit = self.spaces.get((r, p, q))
@@ -329,14 +331,17 @@ def harmonic_tower(c: DoubleComplex, ip: InnerProduct | None = None, r_max=3,
     return tower
 
 
-@dataclass
 class ThreeSpaceDecomposition:
-    harmonic: Subspace
-    exact: Subspace
-    coexact: Subspace
-    orthogonal: bool
-    dims_add_up: bool
-    closed_splits: bool
+    __slots__ = ("harmonic", "exact", "coexact", "orthogonal", "dims_add_up", "closed_splits")
+
+    def __init__(self, harmonic: Subspace, exact: Subspace, coexact: Subspace, orthogonal,
+                 dims_add_up, closed_splits):
+        self.harmonic = harmonic
+        self.exact = exact
+        self.coexact = coexact
+        self.orthogonal = orthogonal
+        self.dims_add_up = dims_add_up
+        self.closed_splits = closed_splits
 
     def ok(self):
         return self.orthogonal and self.dims_add_up and self.closed_splits

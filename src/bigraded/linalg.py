@@ -567,15 +567,6 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
     return big.dim - small.dim
 
 
-def orthogonal_complement(s: Subspace, gram: Matrix | None = None) -> Subspace:
-    """Vectors orthogonal to `s` for the bilinear form `gram` (identity default)."""
-    rows = list(s.echelon)
-    if gram is not None:
-        g = list(zip(*gram.num))
-        rows = [[sum(map(mul, e, col)) for col in g] for e in rows]
-    return _span(_kernel_vectors(rows, s.ambient_dim), s.ambient_dim)
-
-
 def extend_basis(small: Subspace, big: Subspace):
     """Vectors of `big`'s canonical basis extending `small` to a basis of `big`.
 

@@ -28,7 +28,6 @@ monomial weight.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from bigraded.bicomplex import DoubleComplex, _require_int, require_valid
@@ -60,14 +59,41 @@ __all__ = [
 # Indecomposable shapes
 
 
-@dataclass(frozen=True, order=True)
-class Square:
-    p: int
-    q: int
+class _Shape:
+    """An immutable shape, equal only to a shape of its own class with the same `_key()`."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, order=True)
-class ZigzagShape:
+class Square(_Shape):
+    __slots__ = ("p", "q")
+
+    def __init__(self, p, q):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def _key(self):
+        return (self.p, self.q)
+
+    def __repr__(self):
+        return f"Square(p={self.p!r}, q={self.q!r})"
+
+
+class ZigzagShape(_Shape):
     """Zigzag with generators on a down-right staircase of one total degree.
 
     `generators` lists the bidegrees of a_1, ..., a_g with consecutive
@@ -76,21 +102,28 @@ class ZigzagShape:
     (one extra cell right of the last).  Length = vector-space dimension.
     """
 
-    generators: tuple
-    d2_out_first: bool
-    d1_out_last: bool
+    __slots__ = ("generators", "d2_out_first", "d1_out_last")
 
-    def __post_init__(self):
-        gens = self.generators
-        if not gens:
+    def __init__(self, generators, d2_out_first, d1_out_last):
+        if not generators:
             raise LinalgError("zigzag needs at least one generator")
-        for (p, q) in gens:
+        for (p, q) in generators:
             if p < 0 or q < 0:
                 raise LinalgError("zigzag generator outside the first quadrant")
-        for (p0, q0), (p1, q1) in zip(gens, gens[1:]):
+        for (p0, q0), (p1, q1) in zip(generators, generators[1:]):
             if (p1 - p0, q1 - q0) != (1, -1):
                 raise LinalgError(
                     f"malformed staircase: {(p0, q0)} -> {(p1, q1)} is not a (+1,-1) step")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "d2_out_first", d2_out_first)
+        object.__setattr__(self, "d1_out_last", d1_out_last)
+
+    def _key(self):
+        return (self.generators, self.d2_out_first, self.d1_out_last)
+
+    def __repr__(self):
+        return (f"ZigzagShape(generators={self.generators!r}, "
+                f"d2_out_first={self.d2_out_first!r}, d1_out_last={self.d1_out_last!r})")
 
     @property
     def gen_count(self):
@@ -254,7 +287,6 @@ def _tokenize(src):
     return tokens
 
 
-@dataclass
 class CdgaSpec:
     """Generators with bidegrees, polynomial differential rules, truncation.
 
@@ -265,14 +297,16 @@ class CdgaSpec:
     and `max_weight` cuts monomials with larger total weight.
     """
 
-    generators: list
-    d1_rules: dict
-    d2_rules: dict
-    truncation: tuple
-    weights: dict | None = None
-    max_weight: int | None = None
+    __slots__ = ("generators", "d1_rules", "d2_rules", "truncation", "weights", "max_weight")
 
-    def __post_init__(self):
+    def __init__(self, generators, d1_rules, d2_rules, truncation, weights=None,
+                 max_weight=None):
+        self.generators = generators
+        self.d1_rules = d1_rules
+        self.d2_rules = d2_rules
+        self.truncation = truncation
+        self.weights = weights
+        self.max_weight = max_weight
         seen = set()
         for name, (p, q) in self.generators:
             if not isinstance(name, str):

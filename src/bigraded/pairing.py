@@ -19,12 +19,11 @@ linear dual carries an evaluation pairing that is compatible and perfect.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
 from bigraded.bicomplex import (DoubleComplex, _by_cell, _parse_rational, _rational_str,
-                                direct_sum)
+                                _require_int, direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
@@ -74,11 +73,13 @@ def _bilinear(form: Matrix, x, y):
     return acc
 
 
-@dataclass
 class PairingValidation:
-    ok: bool
-    perfect: bool
-    violations: list = field(default_factory=list)
+    __slots__ = ("ok", "perfect", "violations")
+
+    def __init__(self, ok, perfect, violations=None):
+        self.ok = ok
+        self.perfect = perfect
+        self.violations = [] if violations is None else violations
 
     def __bool__(self):
         return self.ok
@@ -180,14 +181,16 @@ def sum_with_dual(c: DoubleComplex, n=None):
     return total, DualityPairing(n, pairs)
 
 
-@dataclass
 class InducedPairing:
-    r: int
-    cell: tuple
-    gram: Matrix
-    well_defined: bool
-    dims_match: bool
-    nondegenerate: bool
+    __slots__ = ("r", "cell", "gram", "well_defined", "dims_match", "nondegenerate")
+
+    def __init__(self, r, cell, gram: Matrix, well_defined, dims_match, nondegenerate):
+        self.r = r
+        self.cell = cell
+        self.gram = gram
+        self.well_defined = well_defined
+        self.dims_match = dims_match
+        self.nondegenerate = nondegenerate
 
 
 def _gram_of_reps(pairing, c, p, q, left_reps, right_reps):
@@ -243,13 +246,15 @@ def induced_pairing_bc_a(c: DoubleComplex, pairing: DualityPairing, r, p, q,
     return InducedPairing(r, (p, q), gram, well, dims_match, nondeg)
 
 
-@dataclass
 class BcBcReport:
-    r: int
-    per_cell: dict          # (p,q) -> InducedPairing
-    nondegenerate: bool     # all cells
-    verdict: bool | None    # page-(r-1) ddbar verdict, when computed
-    agrees: bool | None
+    __slots__ = ("r", "per_cell", "nondegenerate", "verdict", "agrees")
+
+    def __init__(self, r, per_cell, nondegenerate, verdict, agrees):
+        self.r = r
+        self.per_cell = per_cell            # (p,q) -> InducedPairing
+        self.nondegenerate = nondegenerate  # all cells
+        self.verdict = verdict              # page-(r-1) ddbar verdict, or None when not computed
+        self.agrees = agrees                # bool, or None when not computed
 
     def __bool__(self):
         return self.nondegenerate
@@ -301,8 +306,10 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
 
 def pairing_from_dict(obj) -> DualityPairing:
     try:
-        n = int(obj["n"][0])
-        if obj["n"][0] != obj["n"][1]:
+        n, n2 = obj["n"]
+        _require_int(n, "pairing top degree n", minimum=0)
+        _require_int(n2, "pairing top degree n", minimum=0)
+        if n != n2:
             raise LinalgError("top bidegree must be of the form (n, n)")
         pairs = {}
         for cell, rows in _by_cell(obj.get("pairs", {}), "pairing").items():

@@ -31,7 +31,6 @@ complex.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 
 from bigraded.bicomplex import (DoubleComplex, de_rham_dims, require_valid,
@@ -212,13 +211,15 @@ def tower_space(c: DoubleComplex, kind: TowerKind, r, p, q, ws: Workspace | None
     return ws.space(kind, r, p, q)
 
 
-@dataclass
 class PageTable:
     """Per-page dimensions (and conjugate-page dimensions) over the grid."""
 
-    r_max: int
-    e: dict = field(default_factory=dict)      # (r, p, q) -> dim of page r at (p,q)
-    ebar: dict = field(default_factory=dict)   # same, row filtration
+    __slots__ = ("r_max", "e", "ebar")
+
+    def __init__(self, r_max, e=None, ebar=None):
+        self.r_max = r_max
+        self.e = {} if e is None else e            # (r, p, q) -> dim of page r at (p,q)
+        self.ebar = {} if ebar is None else ebar   # same, row filtration
 
     def dim(self, r, p, q):
         return self.e.get((r, p, q), 0)
@@ -334,10 +335,13 @@ def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     return last_drop + 1
 
 
-@dataclass
 class ConvergenceReport:
-    ok: bool
-    per_degree: dict  # k -> (sum of stable page dims on the antidiagonal, betti number)
+    __slots__ = ("ok", "per_degree")
+
+    def __init__(self, ok, per_degree):
+        self.ok = ok
+        # k -> (sum of stable page dims on the antidiagonal, betti number)
+        self.per_degree = per_degree
 
     def __bool__(self):
         return self.ok

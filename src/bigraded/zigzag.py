@@ -27,7 +27,6 @@ plus per-block shape isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 
 from bigraded.bca import bca_dims
@@ -88,17 +87,19 @@ def _shape_key(shape):
     return (1, shape.generators, int(shape.d2_out_first), int(shape.d1_out_last))
 
 
-@dataclass
 class ShapePrediction:
     """Closed-form invariant tables of one shape, keyed like the measured ones."""
 
-    shape: object
-    dims: dict = field(default_factory=dict)   # (p,q) -> component dimension
-    e: dict = field(default_factory=dict)      # (r,p,q) -> page dimension
-    ebar: dict = field(default_factory=dict)   # conjugate pages
-    bc: dict = field(default_factory=dict)     # Bott-Chern
-    a: dict = field(default_factory=dict)      # Aeppli
-    b: dict = field(default_factory=dict)      # k -> Betti number
+    __slots__ = ("shape", "dims", "e", "ebar", "bc", "a", "b")
+
+    def __init__(self, shape, dims=None, e=None, ebar=None, bc=None, a=None, b=None):
+        self.shape = shape
+        self.dims = {} if dims is None else dims  # (p,q) -> component dimension
+        self.e = {} if e is None else e           # (r,p,q) -> page dimension
+        self.ebar = {} if ebar is None else ebar  # conjugate pages
+        self.bc = {} if bc is None else bc        # Bott-Chern
+        self.a = {} if a is None else a           # Aeppli
+        self.b = {} if b is None else b           # k -> Betti number
 
 
 _TAGS = ("dims", "e", "ebar", "bc", "a", "b")
@@ -236,12 +237,14 @@ def _shape_hom(test_shape, target_shape):
     return hom_dim(_built(test_shape), _built(target_shape))
 
 
-@dataclass
 class MultiplicityResult:
-    status: str                 # "unique" or "ambiguous"
-    inventory: dict | None      # shape -> multiplicity (status "unique" only)
-    kernel_dim: int
-    r_max: int
+    __slots__ = ("status", "inventory", "kernel_dim", "r_max")
+
+    def __init__(self, status, inventory, kernel_dim, r_max):
+        self.status = status        # "unique" or "ambiguous"
+        self.inventory = inventory  # shape -> multiplicity (status "unique" only, else None)
+        self.kernel_dim = kernel_dim
+        self.r_max = r_max
 
     def __bool__(self):
         return self.status == "unique"
@@ -322,7 +325,6 @@ def structure_verdict(inventory, r) -> bool:
 # certificates
 
 
-@dataclass
 class DecompositionCertificate:
     """Checkable decomposition: a basis change plus a block assignment.
 
@@ -331,15 +333,20 @@ class DecompositionCertificate:
     partition every component's index set.
     """
 
-    transforms: dict
-    blocks: list
+    __slots__ = ("transforms", "blocks")
+
+    def __init__(self, transforms, blocks):
+        self.transforms = transforms
+        self.blocks = blocks
 
 
-@dataclass
 class CertificateReport:
-    ok: bool
-    reason: str | None = None
-    failing_block: int | None = None
+    __slots__ = ("ok", "reason", "failing_block")
+
+    def __init__(self, ok, reason=None, failing_block=None):
+        self.ok = ok
+        self.reason = reason
+        self.failing_block = failing_block
 
     def __bool__(self):
         return self.ok
@@ -435,12 +442,14 @@ def verify_certificate(c: DoubleComplex, cert: DecompositionCertificate) -> Cert
 # the constructive splitter
 
 
-@dataclass
 class Decomposition:
     """Shape inventory of a complex together with the certificate that proves it."""
 
-    inventory: dict                         # shape -> multiplicity
-    certificate: DecompositionCertificate
+    __slots__ = ("inventory", "certificate")
+
+    def __init__(self, inventory, certificate: DecompositionCertificate):
+        self.inventory = inventory  # shape -> multiplicity
+        self.certificate = certificate
 
 
 def decompose(c: DoubleComplex, ws: Workspace | None = None) -> Decomposition:

@@ -373,6 +373,16 @@ def test_pairing_of_wrong_shape_at_a_real_cell_is_shape_violation(tmp_path, caps
         assert doc["compatible"] is False and doc["violations"] == [["shape", 0, 0]], n
 
 
+@pytest.mark.parametrize("n", [[2.5, 2.5], ["2", "2"], [True, True], [-1, -1], [2, 2, 2], 2],
+                         ids=["float", "string", "bool", "negative", "three", "scalar"])
+def test_pairing_top_degree_must_be_a_pair_of_integers(tmp_path, capsys, n):
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text(json.dumps({"n": n, "pairs": {"0,0": [["1"]]}}))
+    for command in ("duality", "report"):
+        code, doc = run_json(capsys, command, "example://dot", "--pairing", str(pairing))
+        assert code == 1 and doc["error"]["kind"] == "input", (command, doc)
+
+
 def test_gram_file_naming_a_cell_twice_is_usage_error(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text('{"0,0": [["0"]], "0, 0": [["1"]]}')

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bigraded import linalg
 from bigraded.linalg import (ContainmentError, LinalgError, Matrix, Subspace,
                              class_coordinates, extend_basis, image_basis,
-                             kernel_basis, map_subspace, orthogonal_complement,
-                             preimage, quotient_dim, rref,
+                             kernel_basis, map_subspace, preimage, quotient_dim, rref,
                              subspace_intersection, subspace_sum)
 
 
@@ -190,14 +189,6 @@ def test_class_coordinates_roundtrip():
         noise = denom.basis.apply((Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3))))
         v = tuple(cs[0] * a + cs[1] * b + n for a, b, n in zip(*reps, noise))
         assert list(class_coordinates(denom, reps, v)) == cs
-
-
-def test_orthogonal_complement():
-    s = Subspace.from_columns([(1, 1, 0)], 3)
-    comp = orthogonal_complement(s)
-    assert comp.dim == 2
-    for v in comp.basis_columns():
-        assert sum(a * b for a, b in zip(v, (1, 1, 0))) == 0
 
 
 def test_map_subspace():

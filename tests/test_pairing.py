@@ -1,9 +1,12 @@
 """Duality pairings: chain-level validation and induced pairings on cohomology."""
 
+import json
 import random
 from fractions import Fraction as Q
 
-from bigraded.bicomplex import direct_sum, validate
+from hypothesis import given, settings, strategies as st
+
+from bigraded.bicomplex import direct_sum, random_complex, validate
 from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
                              dot_shape)
 from bigraded.pairing import (DualityPairing, dual_complex,
@@ -209,13 +212,27 @@ def test_pairing_json_roundtrip():
     assert back.pairs == pairing.pairs
 
 
+@settings(max_examples=10, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)]), seed=st.integers(0, 10**6),
+       factor=st.fractions().filter(bool))
+def test_pairing_survives_a_json_round_trip(grid, seed, factor):
+    tot, pairing = sum_with_dual(random_complex(grid, 2, seed))
+    # a nonzero multiple stays compatible and perfect and brings in denominators
+    pairing = DualityPairing(pairing.n,
+                             {cell: m.scale(factor) for cell, m in pairing.pairs.items()})
+    obj = pairing_to_dict(pairing)
+    back = pairing_from_dict(json.loads(json.dumps(obj)))
+    assert back.n == pairing.n and back.pairs == pairing.pairs
+    report = validate_pairing(tot, back)
+    assert report.ok and report.perfect
+
+
 def test_perfect_pairing_restores_injectivity_criteria():
     # on c + dual(c) with the evaluation pairing, injectivity (D) and the
     # exactness equivalence (E) match the verdict exactly; the antidiagonal
     # counts (C) may still balance accidentally, and the BC x BC pairing
     # always tracks the verdict (enforced with an error inside the call)
     from bigraded.bca import page_ddbar_verdict
-    from bigraded.bicomplex import random_complex
     for seed in range(8):
         c = random_complex((3, 3), 3, 3100 + seed)
         tot, pairing = sum_with_dual(c)

@@ -1,5 +1,6 @@
 """Shape enumeration, closed-form invariants, decompositions, certificates."""
 
+import json
 import random
 
 import pytest
@@ -14,10 +15,10 @@ from bigraded.linalg import Matrix, kernel_basis
 from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
                              dot_shape, shape_cells, shape_length)
 from bigraded.spectral import ConsistencyError, Workspace, page_dims
-from bigraded.zigzag import (DecompositionCertificate, decompose,
-                             enumerate_shapes, hom_dim, multiplicity_solve,
-                             predicted_invariants, split, structure_verdict,
-                             verify_certificate)
+from bigraded.zigzag import (DecompositionCertificate, certificate_from_dict,
+                             certificate_to_dict, decompose, enumerate_shapes,
+                             hom_dim, multiplicity_solve, predicted_invariants,
+                             split, structure_verdict, verify_certificate)
 
 
 SMALL = st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)])
@@ -357,6 +358,19 @@ def test_split_invariant_under_change_of_basis(grid, seed, tseed):
     dec = split(moved)
     assert verify_certificate(moved, dec.certificate).ok
     assert dec.inventory == split(c).inventory
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid=SMALL, seed=st.integers(0, 10**6), tseed=st.integers(0, 10**6))
+def test_certificate_survives_a_json_round_trip(grid, seed, tseed):
+    c = random_complex(grid, 3, seed)
+    rng = random.Random(tseed)
+    moved = change_of_basis(c, {cell: random_invertible(n, rng)
+                                for cell, n in c.dims.items()})
+    obj = certificate_to_dict(split(moved).certificate)
+    back = certificate_from_dict(json.loads(json.dumps(obj)))
+    assert verify_certificate(moved, back).ok
+    assert certificate_to_dict(back) == obj
 
 
 @settings(max_examples=25, deadline=None)
