@@ -44,7 +44,7 @@ module compares against this verdict and enforces.
 from __future__ import annotations
 
 from bigraded.bicomplex import DoubleComplex
-from bigraded.linalg import (Matrix, Subspace, class_coordinates, extend_basis,
+from bigraded.linalg import (Matrix, Subspace, _span, class_coordinates, extend_basis,
                              image_basis, kernel_basis, map_subspace,
                              subspace_intersection, subspace_sum)
 from bigraded.spectral import (ConsistencyError, TowerKind, Workspace, memoised,
@@ -101,20 +101,19 @@ def im_dd(ws: Workspace, p, q) -> Subspace:
 def exact_pure(ws: Workspace, p, q) -> Subspace:
     """Pure (p,q) elements that are exact for the total differential.
 
-    Computed as (im D) ∩ A^{p,q} inside the total complex, then read back in
-    component coordinates.
+    Computed as (im D) ∩ A^{p,q} inside the total complex: once the echelon
+    rows of im D are reduced with the other components' coordinates first,
+    the rows that vanish on those coordinates span the meet.
     """
-    c = ws.c
-    n = c.dim(p, q)
+    n = ws.c.dim(p, q)
     if n == 0:
         return Subspace.zero(0)
     k = p + q
-    t = ws.total
-    block = Subspace.from_columns(
-        [t.inject(p, q, row) for row in Matrix.identity(n).num], t.dim(k))
-    meet = subspace_intersection(ws.total_image(k), block)
-    return Subspace.from_columns(
-        [t.project(k, p, q, col) for col in meet.basis_columns()], n)
+    off, _ = ws.total.block_offset(k, p, q)
+    rest = ws.total.dim(k) - n
+    reduced = _span([row[:off] + row[off + n:] + row[off:off + n]
+                     for row in ws.total_image(k).echelon], rest + n)
+    return _span([row[rest:] for row in reduced.echelon if not any(row[:rest])], n)
 
 
 def ddbar_closed_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Subspace:
@@ -134,9 +133,8 @@ def _ddbar_closed(ws: Workspace, r, p, q) -> Subspace:
         return Subspace.zero(0)
     if r == 1:
         return kernel_basis(c.d1_at(p, q + 1) * c.d2_at(p, q))
-    return subspace_intersection(
-        ws.space(TowerKind.RUNS, r - 1, p, q),
-        ws.space(TowerKind.RUNS_SWAPPED, r - 1, p, q))
+    return subspace_intersection(ws.space(TowerKind.RUNS, r - 1, p, q),
+                                 ws.swapped.space(TowerKind.RUNS, r - 1, q, p))
 
 
 def ddbar_exact_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Subspace:
@@ -160,7 +158,7 @@ def _ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
         e = ws.space(TowerKind.REACHES_ZERO, r - 1, p - 1, q)
         out = subspace_sum(out, map_subspace(c.d1_at(p - 1, q), e))
     if c.dim(p, q - 1):
-        e = ws.space(TowerKind.REACHES_ZERO_SWAPPED, r - 1, p, q - 1)
+        e = ws.swapped.space(TowerKind.REACHES_ZERO, r - 1, q - 1, p)
         out = subspace_sum(out, map_subspace(c.d2_at(p, q - 1), e))
     return out
 
@@ -307,7 +305,7 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
         conj = ws.swapped.page_reps(r, q, p)
         drr = de_rham_reps(ws, k)
         c_r = ws.space(TowerKind.PAGE_EXACT, r, p, q)
-        cbar_r = ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q)
+        cbar_r = ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p)
         imb = im_both(ws, p, q)
         dd_exact = ddbar_exact_space(c, r, p, q, ws)
         out["bc_to_page"][(p, q)] = _class_matrix(c_r, page, bc)
@@ -377,15 +375,14 @@ def _criterion_dims(ws, r):
 
 
 def _four_exactness_spaces(ws, r, p, q):
-    c = ws.c
     k = closed_pure(ws, p, q)
-    spaces = {
+    return {
         "d_exact": subspace_intersection(k, exact_pure(ws, p, q)),
         "page_exact": subspace_intersection(k, ws.space(TowerKind.PAGE_EXACT, r, p, q)),
-        "conj_page_exact": subspace_intersection(k, ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q)),
-        "ddbar_exact": subspace_intersection(k, ddbar_exact_space(c, r, p, q, ws)),
+        "conj_page_exact": subspace_intersection(
+            k, ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p)),
+        "ddbar_exact": subspace_intersection(k, ddbar_exact_space(ws.c, r, p, q, ws)),
     }
-    return spaces
 
 
 def _criterion_exactness(ws, r, want_witness=False):

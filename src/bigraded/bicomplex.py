@@ -46,13 +46,16 @@ __all__ = [
 class DoubleComplex:
     """Bounded bigraded space with differentials d1: (p,q)->(p+1,q), d2: (p,q)->(p,q+1)."""
 
-    __slots__ = ("name", "pmax", "qmax", "dims", "d1", "d2", "labels", "meta", "_zero_maps")
+    __slots__ = ("name", "pmax", "qmax", "dims", "d1", "d2", "labels", "meta", "_d1_at", "_d2_at")
 
     def __init__(self, name, pmax, qmax, dims, d1, d2, labels=None, meta=None):
         self.name = name
         self.pmax = pmax
         self.qmax = qmax
         self.dims = {k: v for k, v in dims.items() if v}
+        for (p, q) in self.dims:
+            if not (0 <= p <= pmax and 0 <= q <= qmax):
+                raise LinalgError(f"dimension at {(p, q)} lies outside the grid {pmax}x{qmax}")
         self.d1 = {}
         self.d2 = {}
         for (p, q), m in d1.items():
@@ -69,23 +72,22 @@ class DoubleComplex:
                 self.d2[(p, q)] = m
         self.labels = labels or {}
         self.meta = meta or {}
-        self._zero_maps = {}   # (p, q, 1 or 2) -> the zero d1 or d2 at (p, q)
+        self._d1_at = dict(self.d1)  # plus each zero map once it is asked for
+        self._d2_at = dict(self.d2)
 
     def dim(self, p, q):
-        if p < 0 or q < 0 or p > self.pmax or q > self.qmax:
-            return 0
         return self.dims.get((p, q), 0)
 
     def d1_at(self, p, q):
-        m = self.d1.get((p, q)) or self._zero_maps.get((p, q, 1))
+        m = self._d1_at.get((p, q))
         if m is None:
-            m = self._zero_maps[(p, q, 1)] = Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
+            m = self._d1_at[(p, q)] = Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
         return m
 
     def d2_at(self, p, q):
-        m = self.d2.get((p, q)) or self._zero_maps.get((p, q, 2))
+        m = self._d2_at.get((p, q))
         if m is None:
-            m = self._zero_maps[(p, q, 2)] = Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
+            m = self._d2_at[(p, q)] = Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
         return m
 
     def cells(self):
@@ -456,6 +458,15 @@ def _require_int(value, what, minimum=None):
         raise LinalgError(f"{what} must be at least {minimum}, got {value}")
 
 
+def _int_pair(value, what):
+    """A list or tuple of two non-negative ints, as a tuple; else LinalgError naming `what`."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise LinalgError(f"{what} must be a pair of integers, got {value!r}")
+    for x in value:
+        _require_int(x, what, minimum=0)
+    return tuple(value)
+
+
 def _by_cell(table, what):
     """{cell: value} for a JSON object keyed by "p,q"; a bad key or a cell named twice raises."""
     if not isinstance(table, dict):
@@ -498,20 +509,17 @@ def complex_from_dict(obj) -> DoubleComplex:
     (-1)^p on input.
     """
     try:
-        pmax, qmax = obj["grid"]
+        grid = obj["grid"]
         convention = obj.get("convention", "anticommute")
         name = obj.get("name", "unnamed")
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise LinalgError(f"malformed complex file: {exc}") from exc
     if convention not in ("anticommute", "commute"):
         raise LinalgError(f"unknown convention {convention!r}")
-    _require_int(pmax, "grid pmax", minimum=0)
-    _require_int(qmax, "grid qmax", minimum=0)
+    pmax, qmax = _int_pair(grid, "grid")
     dims = _by_cell(obj.get("dims", {}), "dims")
     for (p, q), n in dims.items():
         _require_int(n, f"dimension at {p},{q}", minimum=0)
-        if n and not (0 <= p <= pmax and 0 <= q <= qmax):
-            raise LinalgError(f"dims entry {p},{q} lies outside the grid {pmax}x{qmax}")
 
     def read_maps(which, rows_of, cols_of):
         out = {}
@@ -528,9 +536,7 @@ def complex_from_dict(obj) -> DoubleComplex:
             out[(p, q)] = Matrix(nr, nc, data)
         return out
 
-    def dim(p, q):
-        if p < 0 or q < 0 or p > pmax or q > qmax:
-            return 0
+    def dim(p, q):  # an entry outside the grid is refused by DoubleComplex
         return dims.get((p, q), 0)
 
     d1 = read_maps("d1", lambda p, q: dim(p + 1, q), dim)

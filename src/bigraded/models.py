@@ -60,9 +60,12 @@ __all__ = [
 
 
 class _Shape:
-    """An immutable shape, equal only to a shape of its own class with the same `_key()`."""
+    """An immutable shape, equal only to a shape of its own class with the same `_key()`.
 
-    __slots__ = ()
+    The hash is that of the `_key()` tuple, computed once in the constructor.
+    """
+
+    __slots__ = ("_hash",)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -70,7 +73,7 @@ class _Shape:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -85,6 +88,7 @@ class Square(_Shape):
     def __init__(self, p, q):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def _key(self):
         return (self.p, self.q)
@@ -117,6 +121,7 @@ class ZigzagShape(_Shape):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "d2_out_first", d2_out_first)
         object.__setattr__(self, "d1_out_last", d1_out_last)
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def _key(self):
         return (self.generators, self.d2_out_first, self.d1_out_last)
@@ -653,16 +658,11 @@ def build_cdga(spec: CdgaSpec, name="cdga") -> DoubleComplex:
     qmax = max((q for (_, q) in by_cell), default=0)
     dims = {cell: len(monos) for cell, monos in by_cell.items()}
 
-    def dim(p, q):
-        if p < 0 or q < 0 or p > pmax or q > qmax:
-            return 0
-        return dims.get((p, q), 0)
-
     def derivative_matrices(rules, shift):
         table = {}
         for (p, q), monos in by_cell.items():
             tgt = (p + shift[0], q + shift[1])
-            nr = dim(*tgt)
+            nr = dims.get(tgt, 0)
             if nr == 0:
                 continue
             data = [[Q(0)] * len(monos) for _ in range(nr)]

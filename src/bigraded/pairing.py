@@ -22,8 +22,8 @@ import json
 from fractions import Fraction
 
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
-from bigraded.bicomplex import (DoubleComplex, _by_cell, _parse_rational, _rational_str,
-                                _require_int, direct_sum)
+from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _parse_rational,
+                                _rational_str, direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
@@ -306,9 +306,7 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
 
 def pairing_from_dict(obj) -> DualityPairing:
     try:
-        n, n2 = obj["n"]
-        _require_int(n, "pairing top degree n", minimum=0)
-        _require_int(n2, "pairing top degree n", minimum=0)
+        n, n2 = _int_pair(obj["n"], "pairing top degree n")
         if n != n2:
             raise LinalgError("top bidegree must be of the form (n, n)")
         pairs = {}

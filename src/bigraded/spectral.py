@@ -24,14 +24,14 @@ of the page differentials.  `page_dims` and `iterated_pages_oracle` must
 agree on every input.
 
 Everything here is orientation-symmetric: the conjugate pages (row
-filtration) are obtained by running the same constructions on the swapped
-complex.
+filtration) and the conjugate towers are the same constructions run on the
+swapped complex, whose workspace is `ws.swapped`; the conjugate tower space
+at (p,q) is ``ws.swapped.space(kind, r, q, p)``.
 """
 
 from __future__ import annotations
 
 import functools
-from enum import Enum
 
 from bigraded.bicomplex import (DoubleComplex, de_rham_dims, require_valid,
                                 swap_complex, total_complex)
@@ -58,23 +58,13 @@ class ConsistencyError(RuntimeError):
     """Two provably-equal computations disagreed; the implementation is at fault."""
 
 
-class TowerKind(Enum):
-    PAGE_CLOSED = "page_closed"            # Z_r
-    PAGE_EXACT = "page_exact"              # C_r
-    CONJ_PAGE_CLOSED = "conj_page_closed"  # same with d1 and d2 exchanged
-    CONJ_PAGE_EXACT = "conj_page_exact"
-    REACHES_ZERO = "reaches_zero"          # d2-image reaches 0 in <= s steps
-    REACHES_ZERO_SWAPPED = "reaches_zero_swapped"
-    RUNS = "runs"                          # d1-image continues through s lifts
-    RUNS_SWAPPED = "runs_swapped"
+class TowerKind:
+    """Names of the tower spaces; plain strings, so `Workspace.spaces` keys hash in C."""
 
-
-_SWAPPED = {
-    TowerKind.CONJ_PAGE_CLOSED: TowerKind.PAGE_CLOSED,
-    TowerKind.CONJ_PAGE_EXACT: TowerKind.PAGE_EXACT,
-    TowerKind.REACHES_ZERO_SWAPPED: TowerKind.REACHES_ZERO,
-    TowerKind.RUNS_SWAPPED: TowerKind.RUNS,
-}
+    PAGE_CLOSED = "page_closed"    # Z_r
+    PAGE_EXACT = "page_exact"      # C_r
+    REACHES_ZERO = "reaches_zero"  # d2-image reaches 0 in <= s steps
+    RUNS = "runs"                  # d1-image continues through s lifts
 
 
 _MISSING = object()
@@ -83,8 +73,8 @@ _MISSING = object()
 def memoised(fn):
     """`fn(ws, *args)` cached in `ws.memo` under (fn's qualified name,) + args.
 
-    The arguments must be values (ints, `TowerKind`s, tuples of them or of
-    (cell, Matrix) pairs), so a key never depends on object identity and
+    The arguments must be values (ints, `TowerKind` names, tuples of them or
+    of (cell, Matrix) pairs), so a key never depends on object identity and
     two accessors never share an entry.  Nothing else reads or writes
     `Workspace.memo`.
     """
@@ -103,12 +93,14 @@ def memoised(fn):
 class Workspace:
     """Per-complex cache of everything derived from one validated complex.
 
-    `spaces` holds the tower spaces, keyed by (kind, r, p, q) and filled by
-    `space`.  Every other derived value (the swapped and total complexes,
-    page representatives, page differentials, and the values of the
-    higher modules) is a `memoised` accessor kept in `memo`.  The complex
-    is validated once on entry; all cached values are pure functions of
-    it, so the workspace can be shared freely.
+    `spaces` holds the tower spaces of this orientation, keyed by
+    (kind, r, p, q) and filled by `space`; the conjugate towers live in the
+    workspace of the swapped complex, `swapped`.  `swapped`, `total` and
+    `betti` are computed on first use and then read as plain attributes.
+    Every other derived value (page representatives, page differentials,
+    and the values of the higher modules) is a `memoised` accessor kept in
+    `memo`.  The complex is validated once on entry; all cached values are
+    pure functions of it, so the workspace can be shared freely.
     """
 
     def __init__(self, c: DoubleComplex, checked=False):
@@ -118,18 +110,15 @@ class Workspace:
         self.spaces = {}
         self.memo = {}
 
-    @property
-    @memoised
+    @functools.cached_property
     def swapped(self):
         return Workspace(swap_complex(self.c), checked=True)
 
-    @property
-    @memoised
+    @functools.cached_property
     def total(self):
         return total_complex(self.c)
 
-    @property
-    @memoised
+    @functools.cached_property
     def betti(self):
         """Betti numbers of the total complex, degree -> b_k; read, never changed."""
         return de_rham_dims(self.total)
@@ -138,12 +127,7 @@ class Workspace:
         key = (kind, r, p, q)
         hit = self.spaces.get(key)
         if hit is None:
-            swapped_kind = _SWAPPED.get(kind)
-            if swapped_kind is not None:
-                hit = self.swapped.space(swapped_kind, r, q, p)
-            else:
-                hit = _build_space(self, kind, r, p, q)
-            self.spaces[key] = hit
+            hit = self.spaces[key] = _build_space(self, kind, r, p, q)
         return hit
 
     @memoised
@@ -174,29 +158,29 @@ class Workspace:
 
 def _build_space(ws, kind, r, p, q):
     """One step of the tower recursions; lower steps come from `ws.space`."""
-    lowest = 0 if kind is TowerKind.RUNS else 1
+    lowest = 0 if kind == TowerKind.RUNS else 1
     if r < lowest:
-        raise ValueError(f"{kind.value} step count must be >= {lowest}")
+        raise ValueError(f"{kind} step count must be >= {lowest}")
     c = ws.c
     n = c.dim(p, q)
     if n == 0:
         return Subspace.zero(0)
-    if kind is TowerKind.RUNS:
+    if kind == TowerKind.RUNS:
         if r == 0:
             return Subspace.full(n)
         lower = ws.space(TowerKind.RUNS, r - 1, p + 1, q - 1)
         return preimage(c.d1_at(p, q), map_subspace(c.d2_at(p + 1, q - 1), lower))
-    if kind is TowerKind.REACHES_ZERO:
+    if kind == TowerKind.REACHES_ZERO:
         if r == 1:
             return kernel_basis(c.d2_at(p, q))
         lower = ws.space(TowerKind.REACHES_ZERO, r - 1, p - 1, q + 1)
         return preimage(c.d2_at(p, q), map_subspace(c.d1_at(p - 1, q + 1), lower))
-    if kind is TowerKind.PAGE_CLOSED:
+    if kind == TowerKind.PAGE_CLOSED:
         closed = ws.space(TowerKind.REACHES_ZERO, 1, p, q)  # ker d2
         if r == 1:
             return closed
         return subspace_intersection(closed, ws.space(TowerKind.RUNS, r - 1, p, q))
-    if kind is TowerKind.PAGE_EXACT:
+    if kind == TowerKind.PAGE_EXACT:
         im2 = image_basis(c.d2_at(p, q - 1))
         if r == 1 or c.dim(p - 1, q) == 0:
             return im2

@@ -30,9 +30,9 @@ from __future__ import annotations
 from functools import cache
 
 from bigraded.bca import bca_dims
-from bigraded.bicomplex import (DoubleComplex, _parse_rational, _rational_str, _unkey,
-                                change_of_basis)
-from bigraded.linalg import LinalgError, Matrix, Subspace
+from bigraded.bicomplex import (DoubleComplex, _int_pair, _parse_rational, _rational_str,
+                                _unkey, change_of_basis)
+from bigraded.linalg import LinalgError, Matrix, _span
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
                              shape_cells, shape_length)
 from bigraded.spectral import ConsistencyError, Workspace, memoised, page_dims
@@ -58,8 +58,15 @@ __all__ = [
 
 
 def enumerate_shapes(grid):
-    """All squares and zigzag shapes fitting the grid, deterministically ordered."""
-    pmax, qmax = grid
+    """All squares and zigzag shapes fitting the grid, deterministically ordered.
+
+    Each call returns a fresh list; the shapes are built once per grid.
+    """
+    return list(_grid_shapes(*grid))
+
+
+@cache
+def _grid_shapes(pmax, qmax):
     shapes = []
     for p in range(pmax):
         for q in range(qmax):
@@ -78,7 +85,7 @@ def enumerate_shapes(grid):
                         if bl and p0 + g > pmax:
                             continue
                         shapes.append(ZigzagShape(gens, bf, bl))
-    return sorted(shapes, key=_shape_key)
+    return tuple(sorted(shapes, key=_shape_key))
 
 
 def _shape_key(shape):
@@ -198,9 +205,10 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
     offsets = {}
     total = 0
     for cell in a.support():
-        if b.dim(*cell):
+        nb = b.dims.get(cell)
+        if nb:
             offsets[cell] = total
-            total += a.dim(*cell) * b.dim(*cell)
+            total += a.dims[cell] * nb
     if total == 0:
         return 0
     # f(cell) is vectorised row-major in (b-index, a-index) from offsets[cell];
@@ -208,10 +216,12 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
     rows = []
     for (p, q) in a.support():
         src_off = offsets.get((p, q))
-        na_s = a.dim(p, q)
+        na_s = a.dims[(p, q)]
         for da, db, tgt in ((a.d1_at(p, q), b.d1_at(p, q), (p + 1, q)),
                             (a.d2_at(p, q), b.d2_at(p, q), (p, q + 1))):
-            na_t = a.dim(*tgt)
+            if da.is_zero() and db.is_zero():
+                continue  # every equation of this block reads 0 = 0
+            na_t = a.dims.get(tgt, 0)
             tgt_off = offsets.get(tgt)
             # both blocks scaled by da.den * db.den, so the row is integral
             for i, db_row in enumerate(db.num):
@@ -223,8 +233,9 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
                     for l, da_row in enumerate(da.num):
                         if da_row[j]:
                             row[tgt_off + i * na_t + l] = -da_row[j] * db.den
-                    rows.append(row)
-    return total - Subspace.from_columns(rows, total).dim
+                    if any(row):
+                        rows.append(row)
+    return total - _span(rows, total).dim
 
 
 @cache
@@ -267,7 +278,7 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
     if r_max is None:
         r_max = max(c.pmax, c.qmax) + 1
     support = set(c.dims)
-    shapes = [s for s in enumerate_shapes((c.pmax, c.qmax))
+    shapes = [s for s in _grid_shapes(c.pmax, c.qmax)
               if all(cell in support for cell in shape_cells(s))]
     if not shapes:
         return MultiplicityResult("unique", {}, 0, r_max)
@@ -282,7 +293,7 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
         rows.append([_shape_hom(test, s) for s in shapes] + [hom_dim(_built(test), c)])
     n = len(shapes)
     # repeated rows (a table entry that stays the same for every r) add nothing
-    reduced = Subspace.from_columns(list(dict.fromkeys(map(tuple, rows))), n + 1)
+    reduced = _span(list(dict.fromkeys(map(tuple, rows))), n + 1)
     if reduced.pivot_rows and reduced.pivot_rows[-1] == n:
         raise ConsistencyError(
             f"no shape inventory matches the invariants of {c.name!r}; "
@@ -361,9 +372,12 @@ def _shape_to_dict(shape):
 
 def _shape_from_dict(obj):
     if obj["kind"] == "square":
-        return Square(*obj["at"])
-    return ZigzagShape(tuple(tuple(g) for g in obj["generators"]),
-                       bool(obj["d2_out_first"]), bool(obj["d1_out_last"]))
+        return Square(*_int_pair(obj["at"], "square position"))
+    flags = obj["d2_out_first"], obj["d1_out_last"]
+    if not all(type(flag) is bool for flag in flags):
+        raise LinalgError(f"zigzag arrow flags must be true or false, got {flags!r}")
+    return ZigzagShape(tuple(_int_pair(g, "zigzag generator") for g in obj["generators"]),
+                       *flags)
 
 
 def certificate_to_dict(cert: DecompositionCertificate):

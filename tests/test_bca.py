@@ -63,6 +63,19 @@ def test_ddbar_closed_full_on_dot():
         assert ddbar_closed_space(dot, r, 0, 0) == Subspace.full(1)
 
 
+def test_exact_pure_is_image_meet_component(random_suite):
+    # reference: (im D) ∩ A^{p,q}, intersected as subspaces of the total degree
+    for _, c, ws in random_suite[:8]:
+        t = ws.total
+        for (p, q) in c.support():
+            k, n = p + q, c.dim(p, q)
+            block = Subspace.from_columns(
+                [t.inject(p, q, row) for row in Matrix.identity(n).num], t.dim(k))
+            meet = subspace_intersection(ws.total_image(k), block)
+            want = Subspace.from_columns([t.project(k, p, q, v) for v in meet.basis_columns()], n)
+            assert exact_pure(ws, p, q) == want, (c.name, p, q)
+
+
 def test_ddbar_exact_one_way_inclusions(random_suite):
     # page-r ddbar-exact elements are page-exact, conjugate-page-exact,
     # d-closed and d-exact, unconditionally
@@ -71,7 +84,7 @@ def test_ddbar_exact_one_way_inclusions(random_suite):
             for r in (1, 2, 3):
                 d = ddbar_exact_space(c, r, p, q, ws)
                 assert ws.space(TowerKind.PAGE_EXACT, r, p, q).contains_subspace(d)
-                assert ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q).contains_subspace(d)
+                assert ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p).contains_subspace(d)
                 assert closed_pure(ws, p, q).contains_subspace(d)
                 assert exact_pure(ws, p, q).contains_subspace(d)
 
@@ -111,7 +124,7 @@ def test_exact_sum_identity(random_suite):
             target = im_both(ws, p, q)
             for r in (1, 2, 3):
                 s = subspace_sum(ws.space(TowerKind.PAGE_EXACT, r, p, q),
-                                 ws.space(TowerKind.CONJ_PAGE_EXACT, r, p, q))
+                                 ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p))
                 assert s == target
 
 

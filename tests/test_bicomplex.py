@@ -228,3 +228,19 @@ def test_misshapen_file_rejected(obj):
     from bigraded.linalg import LinalgError
     with pytest.raises(LinalgError):
         complex_from_dict(obj)
+
+
+@pytest.mark.parametrize("grid", [None, 5, [1], [1, 2, 3]], ids=["null", "int", "one", "three"])
+def test_malformed_grid_names_grid(grid):
+    from bigraded.linalg import LinalgError
+    with pytest.raises(LinalgError, match="grid"):
+        complex_from_dict({"grid": grid, "dims": {"0,0": 1}})
+
+
+def test_dimension_outside_grid_is_refused():
+    from bigraded.linalg import LinalgError
+    for cell in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(LinalgError, match="outside the grid"):
+            DoubleComplex("x", 1, 1, {(0, 0): 1, cell: 1}, {}, {})
+    c = DoubleComplex("x", 1, 1, {(0, 0): 1, (2, 0): 0}, {}, {})
+    assert c.dims == {(0, 0): 1} and c.dim(2, 0) == 0 and c.dim(-1, 0) == 0

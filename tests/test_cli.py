@@ -215,6 +215,13 @@ def test_dims_outside_grid_is_input_error(tmp_path, capsys):
     _assert_input_error(capsys, path)
 
 
+@pytest.mark.parametrize("grid", [None, 5, [1], [1, 2, 3]], ids=["null", "int", "one", "three"])
+def test_malformed_grid_is_input_error_naming_grid(tmp_path, capsys, grid):
+    code, doc = run_json(capsys, "validate", _write(tmp_path, {"grid": grid, "dims": {"0,0": 1}}))
+    assert code == 1 and doc["error"]["kind"] == "input"
+    assert "grid" in doc["error"]["message"]
+
+
 def test_unparsable_entry_is_input_error(tmp_path, capsys):
     path = _write(tmp_path, {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1},
                              "d1": {"0,0": [["abc"]]}})

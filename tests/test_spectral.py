@@ -268,12 +268,16 @@ def test_tower_requires_positive_page():
 
 
 def test_swapped_kinds_match_swap_complex(random_suite):
+    # the conjugate towers at (p,q) are those of the swapped complex at (q,p);
+    # at r = 1 they are ker d1 and im d1 of the original
     from bigraded.bicomplex import swap_complex
     for _, c, ws in random_suite[:4]:
         sw = swap_complex(c)
         wsw = Workspace(sw)
         for (p, q) in c.support():
+            assert ws.swapped.space(TowerKind.PAGE_CLOSED, 1, q, p) == kernel_basis(c.d1_at(p, q))
+            assert ws.swapped.space(TowerKind.PAGE_EXACT, 1, q, p) == image_basis(c.d1_at(p - 1, q))
             for r in (1, 2):
-                a = ws.space(TowerKind.CONJ_PAGE_CLOSED, r, p, q)
-                b = wsw.space(TowerKind.PAGE_CLOSED, r, q, p)
-                assert a == b
+                for kind in (TowerKind.PAGE_CLOSED, TowerKind.PAGE_EXACT,
+                             TowerKind.RUNS, TowerKind.REACHES_ZERO):
+                    assert ws.swapped.space(kind, r, q, p) == wsw.space(kind, r, q, p)

@@ -46,6 +46,28 @@ def test_enumerate_2x2_grid_hand_count():
     assert len(shapes) == 11
 
 
+def test_enumerate_shapes_order_fresh_lists_hashes_and_reprs():
+    import hashlib
+    shapes = enumerate_shapes((3, 3))
+    # the order, and every repr, as they were before the shapes were kept per grid
+    assert len(shapes) == 93
+    digest = hashlib.sha256("\n".join(map(repr, shapes)).encode()).hexdigest()
+    assert digest.startswith("09678f7da3f9b4a2")
+    assert repr(shapes[0]) == "Square(p=0, q=0)"
+    assert repr(dot_shape(1, 2)) == (
+        "ZigzagShape(generators=((1, 2),), d2_out_first=False, d1_out_last=False)")
+    shapes.reverse()
+    shapes.append(None)
+    again = enumerate_shapes((3, 3))
+    assert len(again) == 93 and again == shapes[-2::-1]
+    assert again is not enumerate_shapes((3, 3))
+    for s in again:
+        if isinstance(s, Square):
+            assert hash(s) == hash((s.p, s.q))
+        else:
+            assert hash(s) == hash((s.generators, s.d2_out_first, s.d1_out_last))
+
+
 def test_every_enumerated_shape_builds_valid():
     for shape in enumerate_shapes((2, 2)):
         c = build_shape(shape, (2, 2))
@@ -312,6 +334,22 @@ def test_malformed_certificate_is_linalg_error(breakage):
     obj = _certificate_dict()
     certificate_from_dict(obj)
     breakage(obj)
+    with pytest.raises(LinalgError):
+        certificate_from_dict(obj)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("at", ["0", "0"]), ("at", [0.0, 0]), ("at", [True, 0]), ("at", [0]), ("at", None),
+    ("generators", [["0", "0"]]), ("generators", [[0.0, 0]]), ("generators", [0]),
+    ("d2_out_first", "false"), ("d1_out_last", 0), ("d1_out_last", None),
+])
+def test_certificate_shape_fields_are_checked(field, value):
+    from bigraded.linalg import LinalgError
+    from bigraded.models import build_square
+    c = build_square(0, 0) if field == "at" else build_zigzag(dot_shape(0, 0))
+    obj = certificate_to_dict(decompose(c).certificate)
+    assert verify_certificate(c, certificate_from_dict(obj)).ok
+    obj["blocks"][0]["shape"][field] = value
     with pytest.raises(LinalgError):
         certificate_from_dict(obj)
 
