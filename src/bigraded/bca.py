@@ -352,18 +352,25 @@ class PageDdbarVerdict:
 
 
 @memoised
-def _bc_a_rank(ws, r, p, q):
-    """Rank of the identity-induced map BC_r -> A_r at (p,q), for criteria (B) and (D)."""
-    return _class_matrix(im_both(ws, p, q), a_reps(ws, r, p, q), bc_reps(ws, r, p, q)).rank()
+def _closed_in_im_both(ws, p, q):
+    """closed_pure ∩ im_both at (p,q); the same space for every page r."""
+    return subspace_intersection(closed_pure(ws, p, q), im_both(ws, p, q))
 
 
 def _criterion_bc_a_maps(ws, r, injective_only):
+    """BC_r -> A_r has kernel (K ∩ I)/D_r and cokernel Z_r/(K + I).
+
+    K is closed_pure, I im_both, D_r the ddbar-exact and Z_r the
+    ddbar-closed space, so the map is injective iff dim(K ∩ I) = dim D_r,
+    and then bijective iff dim A_r = dim BC_r.
+    """
     for (p, q) in ws.c.support():
-        bc = bc_reps(ws, r, p, q)
-        if _bc_a_rank(ws, r, p, q) != len(bc):
+        if _closed_in_im_both(ws, p, q).dim != ddbar_exact_space(ws.c, r, p, q, ws).dim:
             return False
-        if not injective_only and len(a_reps(ws, r, p, q)) != len(bc):
-            return False
+        if not injective_only:
+            bc, a = _bca_cell(ws, r, p, q)
+            if a != bc:
+                return False
     return True
 
 
@@ -413,33 +420,33 @@ def _criterion_exactness(ws, r, want_witness=False):
 
 
 def _criterion_subspace_identities(ws, r, want_witness=False):
-    c = ws.c
-    for (p, q) in c.support():
-        z = ws.space(TowerKind.PAGE_CLOSED, r, p, q)
-        lhs = im_dd(ws, p + 1, q)
-        rhs = map_subspace(c.d1_at(p, q), z)
-        if lhs != rhs:
-            witness = None
-            if want_witness:
-                vec = next(v for v in rhs.basis_columns() if not lhs.contains(v))
-                witness = {"cell": (p + 1, q),
-                           "vector": [str(x) for x in vec],
-                           "memberships": {
-                               "d1_of_page_closed": True,
-                               "ddbar_exact_image": False}}
-            return False, witness
-        cr_closed = subspace_intersection(
-            ws.space(TowerKind.PAGE_EXACT, r, p, q), closed_pure(ws, p, q))
-        xd = exact_pure(ws, p, q)
-        if cr_closed != xd:
-            witness = None
-            if want_witness:
-                vec = next(v for v in cr_closed.basis_columns() if not xd.contains(v))
-                witness = {"cell": (p, q),
-                           "vector": [str(x) for x in vec],
-                           "memberships": {
-                               "d_closed": True, "page_exact": True,
-                               "d_exact": False}}
+    """(F) in both orientations, the swapped one on `ws.swapped`.
+
+    As d2 d1 = -d1 d2, im(d1 d2), closed_pure and exact_pure are the same
+    subspaces in both, so the swapped pass reads them from `ws` at the
+    transposed cell; only the page spaces and d1 come from the swap.
+    """
+    for side, at in ((ws, lambda p, q: (p, q)), (ws.swapped, lambda p, q: (q, p))):
+        for (p, q) in side.c.support():
+            lhs = im_dd(ws, *at(p + 1, q))
+            rhs = map_subspace(side.c.d1_at(p, q), side.space(TowerKind.PAGE_CLOSED, r, p, q))
+            if lhs != rhs:
+                cell, big, small = (p + 1, q), rhs, lhs
+                memberships = {"d1_of_page_closed": True, "ddbar_exact_image": False}
+            else:
+                big = subspace_intersection(side.space(TowerKind.PAGE_EXACT, r, p, q),
+                                            closed_pure(ws, *at(p, q)))
+                small = exact_pure(ws, *at(p, q))
+                if big == small:
+                    continue
+                cell, memberships = (p, q), {"d_closed": True, "page_exact": True,
+                                             "d_exact": False}
+            if not want_witness:
+                return False, None
+            vec = next(v for v in big.basis_columns() if not small.contains(v))
+            witness = {"cell": cell, "vector": [str(x) for x in vec], "memberships": memberships}
+            if side is not ws:
+                witness["swapped_orientation"] = True
             return False, witness
     return True, None
 
@@ -461,16 +468,8 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
     criteria["D"] = _criterion_bc_a_maps(ws, r, injective_only=True)
     e_ok, witness = _criterion_exactness(ws, r, want_witness=explain)
     criteria["E"] = e_ok
-    # the two subspace identities must hold in both orientations; on
-    # manifolds conjugation supplies the mirror ones for free, abstractly
-    # they are checked on the swapped complex
-    f_ok, f_witness = _criterion_subspace_identities(ws, r, want_witness=explain)
-    if f_ok:
-        f_ok, f_witness = _criterion_subspace_identities(ws.swapped, r,
-                                                         want_witness=explain)
-        if f_witness is not None:
-            f_witness["swapped_orientation"] = True
-    criteria["F"] = f_ok
+    # on manifolds conjugation supplies the swapped identities for free
+    criteria["F"], f_witness = _criterion_subspace_identities(ws, r, want_witness=explain)
     if witness is None:
         witness = f_witness
     if use_structure:

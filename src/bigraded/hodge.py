@@ -7,14 +7,21 @@ are plain transposes and everything stays integral.
 The harmonic tower realises each page inside the complex itself:
 
     H_1 = ker(d2 d2* + d2* d2),
-    d_r = p_r d1 D_{r-1} p_r   with   D_{r-1} = (L_1^+ d2* d1)...(L_{r-1}^+ d2* d1),
+    d_r = p_r d1 D_r p_r,
     H_{r+1} = H_r ∩ ker d_r ∩ ker d_r*,
 
-where p_r projects orthogonally onto H_r and L_i^+ is the Green inverse of
-the i-th Laplacian (zero on its kernel, the true inverse on the image).
-Each H_r is isomorphic to the page-r space, so its dimension must equal the
-page dimension; the Laplacian route ker L_{r+1} is computed as well and
-compared, giving two independent constructions of the same space.
+where p_r projects orthogonally onto H_r and the transfer operator D_r
+carries (p,q) to (p+r-1, q-r+1) by the one-step recursion
+
+    D_1 = 1,   D_{r+1}(p,q) = D_r(p+1,q-1) L_r^+(p+1,q-1) d2* d1(p,q),
+
+one product per page and cell.  L_r^+ is the Green inverse of the r-th
+Laplacian (zero on its kernel, the true inverse on its image), itself one
+product G = B M^-2 S L: B is the unit-pivot basis of im L, S selects B's
+pivot rows and M = S L B.  Each H_r is isomorphic to the page-r space, so
+its dimension must equal the page dimension; the Laplacian route
+ker L_{r+1} is computed as well and compared, giving two independent
+constructions of the same space.
 
 Star towers (the adjoint-side lift conditions) are obtained for free by
 running the ordinary tower machinery on the flipped adjoint complex: take
@@ -24,7 +31,7 @@ valid double complex on the same underlying components.
 
 from __future__ import annotations
 
-from bigraded.bca import _bca_cell, ddbar_closed_space
+from bigraded.bca import _bca_cell, closed_pure, ddbar_closed_space
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis,
                              kernel_basis, subspace_intersection, subspace_sum)
@@ -91,35 +98,26 @@ def adjoint(m: Matrix, gram_src: Matrix, gram_dst: Matrix) -> Matrix:
     return gram_src.inverse() * m.transpose() * gram_dst
 
 
-def green_inverse(op: Matrix, gram: Matrix) -> Matrix:
-    """Inverse of a self-adjoint operator on the complement of its kernel.
+def green_inverse(op: Matrix) -> Matrix:
+    """Inverse of an operator on its image, zero on its kernel: G = B M^-2 S op.
 
-    Zero on ker(op); on im(op) (the orthogonal complement of the kernel for
-    a self-adjoint operator) the genuine inverse.  Exact throughout.
+    B is the unit-pivot basis of im(op) and S selects B's pivot rows, so
+    S B = 1, and M = S op B is op on im(op) in B's coordinates.  For any x,
+    S op x is the coordinate vector of op x; one factor M^-1 turns it into
+    that of x's component in im(op), the other inverts op there.  M is
+    singular exactly when ker(op) ∩ im(op) ≠ 0, which no self-adjoint
+    operator allows, so that raises ConsistencyError.  Exact throughout.
     """
     n = op.rows
     if op.cols != n:
         raise LinalgError("green_inverse: operator must be square")
-    ker = kernel_basis(op)
     im = image_basis(op)
-    if ker.dim + im.dim != n:
-        raise ConsistencyError("green_inverse: kernel and image do not split the space")
-    cols = ker.basis_columns() + im.basis_columns()
-    basis = Matrix.from_columns(cols, n) if cols else Matrix.identity(n)
-    coords = basis.inverse()
-    # op maps im(op) isomorphically to itself: invert it there
-    if im.dim:
-        op_on_im = [im.coordinates(op.apply(col)) for col in im.basis_columns()]
-        inv_on_im = Matrix.from_columns(op_on_im, im.dim).inverse()
-    out_cols = []
-    for j in range(n):
-        comp = coords.column(j)[ker.dim:]
-        if im.dim:
-            sol = inv_on_im.apply(comp)
-            out_cols.append(im.basis.apply(sol))
-        else:
-            out_cols.append((0,) * n)
-    return Matrix.from_columns(out_cols, n)
+    select = Matrix(im.dim, n, [[int(i == p) for i in range(n)] for p in im.pivot_rows])
+    try:
+        m_inv = (select * op * im.basis).inverse()
+    except LinalgError as exc:
+        raise ConsistencyError("green_inverse: kernel and image of the operator meet") from exc
+    return im.basis * (m_inv * m_inv * (select * op))
 
 
 def flipped_adjoint_workspace(c: DoubleComplex, ip: InnerProduct,
@@ -165,12 +163,6 @@ def star_tower_space(c: DoubleComplex, ip: InnerProduct, kind: TowerKind,
     return flip.space(kind, r, c.pmax - p, c.qmax - q)
 
 
-def _star_ddbar_closed(c, ip, r, p, q, ws):
-    """Adjoint-side two-tower closedness; the r = 1 case is ker (d1 d2)*."""
-    flip = flipped_adjoint_workspace(c, ip, ws)
-    return ddbar_closed_space(flip.c, r, c.pmax - p, c.qmax - q, flip)
-
-
 class HarmonicTower:
     """Harmonic spaces H_r with projections, transfer operators and Laplacians."""
 
@@ -184,7 +176,7 @@ class HarmonicTower:
         self.r_max = r_max
         self.spaces = {} if spaces is None else spaces                 # (r,p,q) -> Subspace H_r
         self.projections = {} if projections is None else projections  # (r,p,q) -> Matrix p_r
-        self.transfer = {} if transfer is None else transfer           # (r,p,q) -> Matrix D_{r-1}
+        self.transfer = {} if transfer is None else transfer           # (r,p,q) -> Matrix D_r
         self.page_maps = {} if page_maps is None else page_maps        # (r,p,q) -> Matrix d_r
         self.laplacians = {} if laplacians is None else laplacians     # (r,p,q) -> Matrix
 
@@ -219,115 +211,68 @@ def harmonic_tower(c: DoubleComplex, ip: InnerProduct | None = None, r_max=3,
     c = ws.c
     tower = HarmonicTower(c, ip, r_max)
     pages = page_dims(c, r_max, ws, conjugate=False)
-    cells = [cell for cell in c.support()]
-    grams = {cell: ip.gram(c, *cell) for cell in cells}
-    greens = {}
+    cells = c.support()
 
-    def gram_at(p, q):
-        g = grams.get((p, q))
-        if g is None:
-            g = Matrix.identity(c.dim(p, q))
-        return g
+    def adj(m, src, dst):
+        return adjoint(m, ip.gram(c, *src), ip.gram(c, *dst))
+
+    def settle(r, p, q, h):
+        if h.dim != pages.dim(r, p, q):
+            raise ConsistencyError(
+                f"harmonic space at {(p, q)} page {r} has dim {h.dim}, "
+                f"page table says {pages.dim(r, p, q)}")
+        tower.spaces[(r, p, q)] = h
+        tower.projections[(r, p, q)] = _orthogonal_projection(h, ip.gram(c, p, q))
 
     # first Laplacian: d2 d2* + d2* d2
     for (p, q) in cells:
-        lap = Matrix.zero(c.dim(p, q), c.dim(p, q))
-        below = c.d2_at(p, q - 1)
-        if below.cols:
-            lap = lap + below * adjoint(below, gram_at(p, q - 1), gram_at(p, q))
-        above = c.d2_at(p, q)
-        if above.rows:
-            lap = lap + adjoint(above, gram_at(p, q), gram_at(p, q + 1)) * above
+        below, above = c.d2_at(p, q - 1), c.d2_at(p, q)
+        lap = (below * adj(below, (p, q - 1), (p, q))
+               + adj(above, (p, q), (p, q + 1)) * above)
         tower.laplacians[(1, p, q)] = lap
-        h1 = kernel_basis(lap)
-        tower.spaces[(1, p, q)] = h1
-        tower.projections[(1, p, q)] = _orthogonal_projection(h1, gram_at(p, q))
         tower.transfer[(1, p, q)] = Matrix.identity(c.dim(p, q))
+        settle(1, p, q, kernel_basis(lap))
 
-    def green(i, p, q):
-        key = (i, p, q)
-        hit = greens.get(key)
-        if hit is None:
-            lap = tower.laplacians.get((i, p, q))
-            if lap is None:
-                lap = Matrix.zero(c.dim(p, q), c.dim(p, q))
-            hit = green_inverse(lap, gram_at(p, q))
-            greens[key] = hit
-        return hit
-
-    def dim_at(p, q):
-        return c.dim(p, q)
-
-    for r in range(1, r_max + 1):
+    for r in range(1, r_max):
+        lift = {}     # d1 D_r: (p,q) -> (p+r, q-r+1)
+        lifted = {}   # d1 D_r p_r, the incoming branch of the next Laplacian
         for (p, q) in cells:
-            if tower.spaces[(r, p, q)].dim != pages.dim(r, p, q):
-                raise ConsistencyError(
-                    f"harmonic space at {(p, q)} page {r} has dim "
-                    f"{tower.spaces[(r, p, q)].dim}, page table says "
-                    f"{pages.dim(r, p, q)}")
-        if r == r_max:
-            break
-        # transfer operator D_{r}: one alternating descent per page index
-        for (p, q) in cells:
-            m = Matrix.identity(dim_at(p, q))
-            cp, cq = p, q
-            for i in range(r, 0, -1):
-                step_d1 = c.d1_at(cp, cq)
-                tgt = (cp + 1, cq - 1)
-                if dim_at(*tgt) == 0 or step_d1.rows == 0:
-                    m = Matrix.zero(dim_at(*tgt), dim_at(p, q))
-                else:
-                    down = adjoint(c.d2_at(cp + 1, cq - 1), gram_at(cp + 1, cq - 1),
-                                   gram_at(cp + 1, cq))
-                    m = green(i, *tgt) * down * step_d1 * m
-                cp, cq = tgt
-            tower.transfer[(r + 1, p, q)] = m
+            # D_{r+1}(p,q) = D_r(p+1,q-1) L_r^+(p+1,q-1) d2* d1(p,q)
+            mid = (p + 1, q - 1)
+            if c.dim(*mid) and c.dim(p + 1, q):
+                step = (green_inverse(tower.laplacians[(r,) + mid])
+                        * adj(c.d2_at(*mid), mid, (p + 1, q)) * c.d1_at(p, q))
+                tower.transfer[(r + 1, p, q)] = tower.transfer[(r,) + mid] * step
+            else:
+                tower.transfer[(r + 1, p, q)] = Matrix.zero(c.dim(p + r, q - r), c.dim(p, q))
+            # page map d_r = p_r d1 D_r p_r
+            tgt = (p + r, q - r + 1)
+            lift[(p, q)] = c.d1_at(p + r - 1, q - r + 1) * tower.transfer[(r, p, q)]
+            lifted[(p, q)] = lift[(p, q)] * tower.projections[(r, p, q)]
+            tower.page_maps[(r, p, q)] = (tower.projections[(r,) + tgt] * lifted[(p, q)]
+                                          if c.dim(*tgt) else Matrix.zero(0, c.dim(p, q)))
 
-        # page map d_r = p_r d1 D_{r-1} p_r and the next Laplacian
+        # next Laplacian: + (d1 D p_r)(d1 D p_r)* from (p-r, q+r-1)
+        #                 + (p_r d1 D)*(p_r d1 D) to (p+r, q-r+1);
+        # next harmonic space: H_r ∩ ker d_r ∩ ker d_r*
         for (p, q) in cells:
-            tp, tq = p + r, q - r + 1
-            proj_src = tower.projections[(r, p, q)]
-            dmid = tower.transfer[(r, p, q)]
-            last = c.d1_at(p + r - 1, q - r + 1)
-            if dim_at(tp, tq) == 0:
-                tower.page_maps[(r, p, q)] = Matrix.zero(0, dim_at(p, q))
-                continue
-            proj_tgt = tower.projections[(r, tp, tq)]
-            tower.page_maps[(r, p, q)] = proj_tgt * last * dmid * proj_src
-
-        for (p, q) in cells:
-            n = dim_at(p, q)
+            src, tgt = (p - r, q + r - 1), (p + r, q - r + 1)
             lap = tower.laplacians[(r, p, q)]
-            # incoming branch: (d1 D p_r)(d1 D p_r)*
-            sp, sq = p - r, q + r - 1
-            if dim_at(sp, sq):
-                m_in = (c.d1_at(p - 1, q) * tower.transfer[(r, sp, sq)]
-                        * tower.projections[(r, sp, sq)])
-                lap = lap + m_in * adjoint(m_in, gram_at(sp, sq), gram_at(p, q))
-            # outgoing branch: (p_r d1 D)*(p_r d1 D)
-            tp, tq = p + r, q - r + 1
-            if dim_at(tp, tq):
-                m_out = (tower.projections[(r, tp, tq)]
-                         * c.d1_at(p + r - 1, q - r + 1) * tower.transfer[(r, p, q)])
-                lap = lap + adjoint(m_out, gram_at(p, q), gram_at(tp, tq)) * m_out
-            tower.laplacians[(r + 1, p, q)] = lap
-
-        for (p, q) in cells:
             h = tower.spaces[(r, p, q)]
-            out_map = tower.page_maps.get((r, p, q))
-            if out_map is not None and out_map.rows:
-                h = subspace_intersection(h, kernel_basis(out_map))
-            sp, sq = p - r, q + r - 1
-            in_map = tower.page_maps.get((r, sp, sq))
-            if in_map is not None and in_map.rows and dim_at(sp, sq):
-                adj_in = adjoint(in_map, gram_at(sp, sq), gram_at(p, q))
-                h = subspace_intersection(h, kernel_basis(adj_in))
-            tower.spaces[(r + 1, p, q)] = h
-            tower.projections[(r + 1, p, q)] = _orthogonal_projection(h, gram_at(p, q))
-            if kernel_basis(tower.laplacians[(r + 1, p, q)]) != h:
+            if c.dim(*src):
+                lap = lap + lifted[src] * adj(lifted[src], src, (p, q))
+                h = subspace_intersection(
+                    h, kernel_basis(adj(tower.page_maps[(r,) + src], src, (p, q))))
+            if c.dim(*tgt):
+                m_out = tower.projections[(r,) + tgt] * lift[(p, q)]
+                lap = lap + adj(m_out, (p, q), tgt) * m_out
+                h = subspace_intersection(h, kernel_basis(tower.page_maps[(r, p, q)]))
+            tower.laplacians[(r + 1, p, q)] = lap
+            if kernel_basis(lap) != h:
                 raise ConsistencyError(
                     f"Laplacian kernel and inductive harmonic space differ "
                     f"at {(p, q)}, page {r + 1}")
+            settle(r + 1, p, q, h)
     return tower
 
 
@@ -369,8 +314,7 @@ def three_space_decomposition(c: DoubleComplex, ip: InnerProduct | None, r, p, q
         tower = harmonic_tower(c, ip, r, ws)
     h = tower.space(r, p, q)
     exact = ws.space(TowerKind.PAGE_EXACT, r, p, q)
-    flip = flipped_adjoint_workspace(c, ip, ws)
-    coexact = flip.space(TowerKind.PAGE_EXACT, r, c.pmax - p, c.qmax - q)
+    coexact = star_tower_space(c, ip, TowerKind.PAGE_EXACT, r, p, q, ws)
     gram = ip.gram(c, p, q)
     orthogonal = (_is_orthogonal(h, exact, gram)
                   and _is_orthogonal(h, coexact, gram)
@@ -394,19 +338,11 @@ def bc_a_harmonic_spaces(c: DoubleComplex, ip: InnerProduct | None, r, p, q,
     ip = ip or InnerProduct()
     ws = ws or Workspace(c)
     c = ws.c
-    n = c.dim(p, q)
-    if n == 0:
-        pair = (Subspace.zero(0), Subspace.zero(0))
-        return pair
     flip = flipped_adjoint_workspace(c, ip, ws)
     fp, fq = c.pmax - p, c.qmax - q
-    ker_both = subspace_intersection(kernel_basis(c.d1_at(p, q)),
-                                     kernel_basis(c.d2_at(p, q)))
-    star_closed = _star_ddbar_closed(c, ip, r, p, q, ws)
-    h_bc = subspace_intersection(ker_both, star_closed)
-    ker_adj = subspace_intersection(kernel_basis(flip.c.d1_at(fp, fq)),
-                                    kernel_basis(flip.c.d2_at(fp, fq)))
-    h_a = subspace_intersection(ddbar_closed_space(c, r, p, q, ws), ker_adj)
+    h_bc = subspace_intersection(closed_pure(ws, p, q),
+                                 ddbar_closed_space(flip.c, r, fp, fq, flip))
+    h_a = subspace_intersection(ddbar_closed_space(c, r, p, q, ws), closed_pure(flip, fp, fq))
     dims = _bca_cell(ws, r, p, q)
     if (h_bc.dim, h_a.dim) != dims:
         raise ConsistencyError(

@@ -30,8 +30,8 @@ from __future__ import annotations
 from functools import cache
 
 from bigraded.bca import bca_dims
-from bigraded.bicomplex import (DoubleComplex, _int_pair, _parse_rational, _rational_str,
-                                _unkey, change_of_basis)
+from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _parse_rational,
+                                _rational_str, _require_int, change_of_basis)
 from bigraded.linalg import LinalgError, Matrix, _span
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
                              shape_cells, shape_length)
@@ -393,15 +393,22 @@ def certificate_to_dict(cert: DecompositionCertificate):
     return out
 
 
+def _indices(ix):
+    """A block's indices at one cell, as a tuple of non-negative ints."""
+    for i in ix:
+        _require_int(i, "block index", minimum=0)
+    return tuple(ix)
+
+
 def certificate_from_dict(obj) -> DecompositionCertificate:
     """Read back `certificate_to_dict`'s form; LinalgError for malformed input."""
     try:
         transforms = {}
-        for key, rows in obj.get("transforms", {}).items():
+        for cell, rows in _by_cell(obj.get("transforms", {}), "transforms").items():
             data = [[_parse_rational(x) for x in row] for row in rows]
-            transforms[_unkey(key)] = Matrix(len(data), len(data[0]) if data else 0, data)
+            transforms[cell] = Matrix(len(data), len(data[0]) if data else 0, data)
         blocks = [(_shape_from_dict(item["shape"]),
-                   {_unkey(key): tuple(ix) for key, ix in item["cells"].items()})
+                   {cell: _indices(ix) for cell, ix in _by_cell(item["cells"], "block").items()})
                   for item in obj.get("blocks", [])]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise LinalgError(f"malformed certificate: {exc}") from exc

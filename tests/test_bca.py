@@ -9,7 +9,7 @@ from bigraded.bca import (bca_dims, canonical_maps, closed_pure,
 from bigraded.bicomplex import direct_sum
 from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection, subspace_sum)
-from bigraded.models import (ZigzagShape, build_square, build_zigzag,
+from bigraded.models import (ZigzagShape, build_shape, build_square, build_zigzag,
                              dot_shape, example_calabi_eckmann)
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace, page_dims
 
@@ -105,7 +105,7 @@ def test_report_decides_each_verdict_once(monkeypatch):
 
 
 def test_bc_to_a_map_built_once_per_cell(monkeypatch):
-    """Criteria (B) and (D) share one class matrix and rank per page and cell."""
+    """Criteria (B) and (D) read subspace dimensions and build no class matrix at all."""
     built = []
     class_matrix = bca._class_matrix
     monkeypatch.setattr(bca, "_class_matrix", lambda *args: built.append(1) or class_matrix(*args))
@@ -114,7 +114,18 @@ def test_bc_to_a_map_built_once_per_cell(monkeypatch):
                    build_zigzag(dot_shape(2, 2), grid=(2, 2)))
     v = bca.page_ddbar_verdict(c, 1, Workspace(c), use_structure=False)
     assert v.criteria["B"] and v.criteria["D"]
-    assert len(built) == len(c.support())
+    assert built == []
+
+
+def test_bc_to_a_rank_from_subspaces(random_suite):
+    """The explicit BC_r -> A_r matrix has rank dim K - dim(K ∩ I), as (B) and (D) assume."""
+    for seed, c, ws in random_suite:
+        for r in (1, 2, 3):
+            maps = canonical_maps(c, r, ws)
+            for (p, q) in c.support():
+                k = closed_pure(ws, p, q)
+                meet = subspace_intersection(k, im_both(ws, p, q))
+                assert maps.bc_to_a[(p, q)].rank() == k.dim - meet.dim, (seed, r, p, q)
 
 
 def test_exact_sum_identity(random_suite):
@@ -240,6 +251,29 @@ def test_verdict_odd_zigzag_false_forever():
     ws = Workspace(z)
     for r in (1, 2, 3, 4):
         assert page_ddbar_verdict(z, r, ws).verdict is False
+
+
+def test_criterion_f_swapped_pass_matches_swapped_complex():
+    """(F)'s swapped pass reads im(d1 d2), closed and exact spaces at transposed cells.
+
+    Where only that pass fails, its witness must be the one (F) finds in the
+    forward pass of the swapped complex, which computes those spaces itself.
+    """
+    from bigraded.bicomplex import swap_complex
+    from bigraded.zigzag import enumerate_shapes
+    seen = 0
+    for shape in enumerate_shapes((3, 3)):
+        c = build_shape(shape, (3, 3))
+        ws = Workspace(c)
+        for r in (1, 2, 3, 4):
+            ok, witness = bca._criterion_subspace_identities(ws, r, want_witness=True)
+            if witness is None or not witness.get("swapped_orientation"):
+                continue
+            seen += 1
+            _, forward = bca._criterion_subspace_identities(Workspace(swap_complex(c)), r,
+                                                            want_witness=True)
+            assert not ok and witness == dict(forward, swapped_orientation=True), (shape, r)
+    assert seen
 
 
 def test_verdict_criteria_agree_random(random_suite):

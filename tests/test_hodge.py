@@ -13,7 +13,7 @@ from bigraded.hodge import (InnerProduct, adjoint, bc_a_harmonic_spaces,
 from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection)
 from bigraded.models import ZigzagShape, build_zigzag, dot_shape
-from bigraded.spectral import TowerKind, Workspace
+from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
 
 def random_spd(rng, n):
@@ -55,10 +55,9 @@ def test_inner_product_rejects_non_spd():
 def test_green_inverse_properties():
     rng = random.Random(8)
     for n in (2, 3, 4):
-        g = Matrix.identity(n)
         b = Matrix(n, n, [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)])
         lap = b * b.transpose()  # self-adjoint, usually singular
-        plus = green_inverse(lap, g)
+        plus = green_inverse(lap)
         ker = kernel_basis(lap)
         for col in ker.basis_columns():
             assert all(x == 0 for x in plus.apply(col))
@@ -66,6 +65,49 @@ def test_green_inverse_properties():
         for col in image_basis(lap).basis_columns():
             assert plus.apply(tuple(lap.apply(plus.apply(col)))) == plus.apply(col)
             assert lap.apply(plus.apply(col)) == col
+
+
+def test_green_inverse_with_gram():
+    # L = G^-1 S with S symmetric is self-adjoint for the Gram G, so its Green
+    # inverse is its group inverse: the two are mutual generalised inverses
+    # and commute
+    rng = random.Random(13)
+    for n in (2, 3, 4, 5):
+        g = random_spd(rng, n)
+        b = Matrix(n - 1, n, [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n - 1)])
+        lap = g.inverse() * b.transpose() * b
+        plus = green_inverse(lap)
+        assert lap * plus * lap == lap
+        assert plus * lap * plus == plus
+        assert lap * plus == plus * lap
+
+
+def test_green_inverse_rejects_meeting_kernel_and_image():
+    with pytest.raises(ConsistencyError):
+        green_inverse(Matrix.from_rows([[0, 1], [0, 0]]))
+
+
+def _transfer_chain(c, ip, tower, r, p, q):
+    """D_r(p,q) as the r-1 step product (L_1^+ d2* d1) ... (L_{r-1}^+ d2* d1)."""
+    m = Matrix.identity(c.dim(p, q))
+    cp, cq = p, q
+    for i in range(r - 1, 0, -1):
+        tgt = (cp + 1, cq - 1)
+        n = c.dim(*tgt)
+        lap = tower.laplacians.get((i,) + tgt, Matrix.zero(n, n))
+        down = adjoint(c.d2_at(*tgt), ip.gram(c, *tgt), ip.gram(c, cp + 1, cq))
+        m = green_inverse(lap) * down * c.d1_at(cp, cq) * m
+        cp, cq = tgt
+    return m
+
+
+def test_transfer_recursion_matches_step_chain(random_suite):
+    rng = random.Random(17)
+    for seed, c, ws in random_suite:
+        ip = InnerProduct({cell: random_spd(rng, n) for cell, n in sorted(c.dims.items())})
+        tower = harmonic_tower(c, ip, 4, ws)
+        for (r, p, q), m in tower.transfer.items():
+            assert m == _transfer_chain(c, ip, tower, r, p, q), (seed, r, p, q)
 
 
 def test_harmonic_dims_match_pages_identity_gram(random_suite):
@@ -147,13 +189,12 @@ def test_star_first_page_is_adjoint_kernel():
 def test_star_exact_orthogonal_to_ddbar_exact(random_suite):
     # the adjoint-side two-tower-closed space is orthogonal to the
     # ddbar-exact space of the same bidegree
-    from bigraded.bca import ddbar_exact_space
-    from bigraded.hodge import _star_ddbar_closed
-    ip = InnerProduct()
+    from bigraded.bca import ddbar_closed_space, ddbar_exact_space
     for seed, c, ws in random_suite[:4]:
+        flip = flipped_adjoint_workspace(c, InnerProduct(), ws)
         for r in (1, 2):
             for (p, q) in c.support():
-                star = _star_ddbar_closed(c, ip, r, p, q, ws)
+                star = ddbar_closed_space(flip.c, r, c.pmax - p, c.qmax - q, flip)
                 exact = ddbar_exact_space(c, r, p, q, ws)
                 if star.dim and exact.dim:
                     assert (star.basis.transpose() * exact.basis).is_zero(), (seed, r, p, q)

@@ -327,7 +327,31 @@ def _semicolon_key(obj):
     obj["transforms"][key.replace(",", ";")] = obj["transforms"].pop(key)
 
 
-@pytest.mark.parametrize("breakage", [_zero_denominator, _no_shape, _semicolon_key])
+def _transform_cell_twice(obj):
+    key = next(iter(obj["transforms"]))
+    obj["transforms"]["0" + key] = obj["transforms"][key]
+
+
+def _block_cell_twice(obj):
+    cells = obj["blocks"][0]["cells"]
+    key = next(iter(cells))
+    cells["0" + key] = cells[key]
+
+
+def _float_index(obj):
+    cells = obj["blocks"][0]["cells"]
+    key = next(iter(cells))
+    cells[key] = [float(i) for i in cells[key]]
+
+
+def _negative_index(obj):
+    cells = obj["blocks"][0]["cells"]
+    cells[next(iter(cells))] = [-1]
+
+
+@pytest.mark.parametrize("breakage", [_zero_denominator, _no_shape, _semicolon_key,
+                                      _transform_cell_twice, _block_cell_twice,
+                                      _float_index, _negative_index])
 def test_malformed_certificate_is_linalg_error(breakage):
     from bigraded.linalg import LinalgError
     from bigraded.zigzag import certificate_from_dict
