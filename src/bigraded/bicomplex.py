@@ -414,28 +414,22 @@ def _random_shape(rng, pmax, qmax):
 # JSON interchange
 
 
-def _parse_rational(s):
-    """A JSON number or string such as "3", "-1/2" or "0.25" as an exact rational.
+def _parse_rational(s, where):
+    """A JSON integer, or a string such as "3", "-1/2" or "0.25", as an exact rational.
 
-    Integers (a JSON integer, or a string of decimal digits with an optional
-    minus sign) stay `int`s, which `Matrix` takes without a `Fraction`; the
-    rest become `Fraction`s.  Booleans, unparsable text and zero
-    denominators raise LinalgError; this is the one reader of matrix entries
-    for complex, Gram, pairing and certificate files.
+    Integers stay `int`s, which `Matrix` takes without a `Fraction`; the rest
+    become `Fraction`s.  Anything else raises LinalgError naming `where`:
+    booleans, floats (the JSON parser has rounded them to binary), exponents
+    (`Fraction` would build 10**exponent), unparsable text, zero denominators.
     """
-    if isinstance(s, bool):
-        raise LinalgError(f"not a rational number: {s!r}")
-    try:
-        if isinstance(s, int):
-            return s
-        text = str(s)
-        return int(text) if text.lstrip("-").isdecimal() else Q(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise LinalgError(f"not a rational number: {s!r}") from exc
-
-
-def _rational_str(x: Fraction):
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    if type(s) is int:
+        return s
+    if isinstance(s, str) and "e" not in s.lower():
+        try:
+            return int(s) if s.lstrip("-").isdecimal() else Q(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise LinalgError(f"{where}: not a rational number: {s!r}")
 
 
 def _key(p, q):
@@ -483,21 +477,45 @@ def _by_cell(table, what):
     return out
 
 
+def _matrices_from_dict(table, what, shape=None):
+    """{cell: Matrix} for a JSON object mapping "p,q" to an array of rows of rationals.
+
+    The one reader of the matrix tables of complex, Gram, pairing and
+    certificate files.  With `shape`, the matrix at (p, q) must have the
+    shape ``shape(p, q)`` (rows, columns); without it, its rows need one
+    common length.  Anything else raises LinalgError naming `what` and the cell.
+    """
+    out = {}
+    for cell, rows in _by_cell(table, what).items():
+        where = f"{what} at {_key(*cell)}"
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise LinalgError(f"{where} must be an array of rows, each an array of entries")
+        data = [[_parse_rational(x, where) for x in row] for row in rows]
+        nr, nc = shape(*cell) if shape else (len(data), len(data[0]) if data else 0)
+        if len(data) != nr or any(len(row) != nc for row in data):
+            raise LinalgError(f"{where} has rows of lengths {[len(row) for row in data]}, "
+                              f"expected {nr}x{nc}")
+        out[cell] = Matrix(nr, nc, data)
+    return out
+
+
+def _matrices_to_dict(maps):
+    """The JSON form of {cell: Matrix}: "p,q" keys in cell order, entries "n" or "n/d"."""
+    return {_key(*cell): [[str(x) for x in row] for row in m.data]
+            for cell, m in sorted(maps.items())}
+
+
 def complex_to_dict(c: DoubleComplex):
     out = {
         "name": c.name,
         "convention": "anticommute",
         "grid": [c.pmax, c.qmax],
         "dims": {_key(p, q): n for (p, q), n in sorted(c.dims.items())},
-        "d1": {},
-        "d2": {},
+        "d1": _matrices_to_dict(c.d1),
+        "d2": _matrices_to_dict(c.d2),
     }
     if c.meta:
         out["meta"] = {k: v for k, v in sorted(c.meta.items())}
-    for (p, q), m in sorted(c.d1.items()):
-        out["d1"][_key(p, q)] = [[_rational_str(x) for x in row] for row in m.data]
-    for (p, q), m in sorted(c.d2.items()):
-        out["d2"][_key(p, q)] = [[_rational_str(x) for x in row] for row in m.data]
     return out
 
 
@@ -516,35 +534,22 @@ def complex_from_dict(obj) -> DoubleComplex:
         raise LinalgError(f"malformed complex file: {exc}") from exc
     if convention not in ("anticommute", "commute"):
         raise LinalgError(f"unknown convention {convention!r}")
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise LinalgError(f"meta must be an object, got {meta!r}")
     pmax, qmax = _int_pair(grid, "grid")
     dims = _by_cell(obj.get("dims", {}), "dims")
     for (p, q), n in dims.items():
         _require_int(n, f"dimension at {p},{q}", minimum=0)
 
-    def read_maps(which, rows_of, cols_of):
-        out = {}
-        for (p, q), rows in _by_cell(obj.get(which, {}), which).items():
-            try:
-                data = [[_parse_rational(x) for x in row] for row in rows]
-            except (TypeError, ValueError) as exc:
-                raise LinalgError(f"malformed map at {_key(p, q)}: {exc}") from exc
-            nr, nc = rows_of(p, q), cols_of(p, q)
-            if len(data) != nr or any(len(r) != nc for r in data):
-                raise LinalgError(
-                    f"map at {_key(p, q)} has shape {len(data)}x{len(data[0]) if data else 0}, "
-                    f"expected {nr}x{nc}")
-            out[(p, q)] = Matrix(nr, nc, data)
-        return out
-
     def dim(p, q):  # an entry outside the grid is refused by DoubleComplex
         return dims.get((p, q), 0)
 
-    d1 = read_maps("d1", lambda p, q: dim(p + 1, q), dim)
-    d2 = read_maps("d2", lambda p, q: dim(p, q + 1), dim)
+    d1 = _matrices_from_dict(obj.get("d1", {}), "d1", lambda p, q: (dim(p + 1, q), dim(p, q)))
+    d2 = _matrices_from_dict(obj.get("d2", {}), "d2", lambda p, q: (dim(p, q + 1), dim(p, q)))
     if convention == "commute":
         d2 = {(p, q): m.scale((-1) ** p) for (p, q), m in d2.items()}
-    return DoubleComplex(name, pmax, qmax, dims, d1, d2,
-                         meta=dict(obj.get("meta", {})))
+    return DoubleComplex(name, pmax, qmax, dims, d1, d2, meta=dict(meta))
 
 
 def dump_complex(c: DoubleComplex, path):

@@ -27,8 +27,8 @@ from urllib.parse import parse_qsl, urlparse
 
 from bigraded import bca as bca_mod
 from bigraded import bicomplex, hodge, models, spectral, zigzag
-from bigraded.bicomplex import _by_cell, _key, _parse_rational, _unkey
-from bigraded.linalg import LinalgError, Matrix
+from bigraded.bicomplex import _key, _matrices_from_dict, _unkey
+from bigraded.linalg import LinalgError
 from bigraded.spectral import ConsistencyError
 
 FORMAT_VERSION = 1
@@ -46,16 +46,21 @@ def load_input(spec, seed=None):
     """A complex from a file path or an example:// URI."""
     if spec.startswith("example://"):
         return _example_from_uri(spec, seed)
-    try:
-        with open(spec) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{spec}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if "generators" in obj:
+    obj = _read_json(spec)
+    if isinstance(obj, dict) and "generators" in obj:
         return models.cdga_from_dict(obj)
     return bicomplex.complex_from_dict(obj)
+
+
+def _read_json(path):
+    """The JSON document in the file `path`; an unreadable file or bad JSON is a usage error."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, too long, too deep
+        raise UsageError(f"cannot read {path!r}: {exc}") from exc
 
 
 def _example_from_uri(uri, seed=None):
@@ -101,29 +106,21 @@ def _example(kind, params, seed=None):
 
 def _load_gram(path, c):
     """The inner product of a Gram file, each matrix checked against its cell of `c`."""
+    def shape(p, q):
+        n = c.dim(p, q)
+        if n == 0:
+            raise LinalgError(f"Gram at {_key(p, q)} is not a nonzero component of the complex")
+        return n, n
+
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
-        grams = {}
-        for cell, rows in _by_cell(obj, "Gram file").items():
-            key = _key(*cell)
-            n = c.dim(*cell)
-            if n == 0:
-                raise LinalgError(f"{key} is not a nonzero component of the complex")
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise LinalgError(f"Gram at {key} is not {n}x{n}")
-            grams[cell] = Matrix(n, n, [[_parse_rational(x) for x in row] for row in rows])
-        return hodge.InnerProduct(grams)
-    except (OSError, TypeError, ValueError) as exc:  # JSON and Linalg errors are ValueErrors
+        return hodge.InnerProduct(_matrices_from_dict(_read_json(path), "Gram", shape))
+    except LinalgError as exc:
         raise UsageError(f"bad Gram file {path!r}: {exc}") from exc
 
 
 def _load_pairing(path):
-    from bigraded.pairing import load_pairing  # only commands with --pairing compile it
-    try:
-        return load_pairing(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"bad pairing file {path!r}: {exc}") from exc
+    from bigraded.pairing import pairing_from_dict  # only commands with --pairing compile it
+    return pairing_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -281,7 +281,7 @@ def _tokenize(src):
             if not rest:
                 break
             raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        if m.lastgroup == "name" or m.group("name"):
+        if m.group("name"):
             tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("num"):
             tokens.append(("num", int(m.group("num")), m.start("num")))
@@ -437,7 +437,7 @@ def parse_expression(src, spec: CdgaSpec):
         pos += 1
         return t
 
-    def parse_factor(term_factors):
+    def parse_factor():
         kind, value, at = advance()
         if kind == "num":
             coeff = Q(value)
@@ -473,7 +473,7 @@ def parse_expression(src, spec: CdgaSpec):
         coeff = Q(1)
         factors = []
         while True:
-            c, f = parse_factor(factors)
+            c, f = parse_factor()
             if c is not None:
                 coeff *= c
             elif f is not None:
@@ -584,7 +584,6 @@ def _check_truncation_stability(spec, rules, which):
     if spec.max_weight is None:
         return
     for name, poly in rules.items():
-        i = spec.names.index(name)
         wg = (spec.weights or {}).get(name, 0)
         for mono in poly:
             if spec.mono_weight(mono) < wg:

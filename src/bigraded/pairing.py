@@ -18,12 +18,11 @@ linear dual carries an evaluation pairing that is compatible and perfect.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
-from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _parse_rational,
-                                _rational_str, direct_sum)
+from bigraded.bicomplex import (DoubleComplex, _int_pair, _matrices_from_dict,
+                                _matrices_to_dict, direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
@@ -309,22 +308,10 @@ def pairing_from_dict(obj) -> DualityPairing:
         n, n2 = _int_pair(obj["n"], "pairing top degree n")
         if n != n2:
             raise LinalgError("top bidegree must be of the form (n, n)")
-        pairs = {}
-        for cell, rows in _by_cell(obj.get("pairs", {}), "pairing").items():
-            data = [[_parse_rational(x) for x in row] for row in rows]
-            pairs[cell] = Matrix(len(data), len(data[0]) if data else 0, data)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        return DualityPairing(n, _matrices_from_dict(obj.get("pairs", {}), "pairing"))
+    except (KeyError, TypeError, ValueError) as exc:
         raise LinalgError(f"malformed pairing file: {exc}") from exc
-    return DualityPairing(n, pairs)
 
 
 def pairing_to_dict(pairing: DualityPairing):
-    out = {"n": [pairing.n, pairing.n], "pairs": {}}
-    for (p, q), m in sorted(pairing.pairs.items()):
-        out["pairs"][f"{p},{q}"] = [[_rational_str(x) for x in row] for row in m.data]
-    return out
-
-
-def load_pairing(path) -> DualityPairing:
-    with open(path) as fh:
-        return pairing_from_dict(json.load(fh))
+    return {"n": [pairing.n, pairing.n], "pairs": _matrices_to_dict(pairing.pairs)}

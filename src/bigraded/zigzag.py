@@ -30,9 +30,9 @@ from __future__ import annotations
 from functools import cache
 
 from bigraded.bca import bca_dims
-from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _parse_rational,
-                                _rational_str, _require_int, change_of_basis)
-from bigraded.linalg import LinalgError, Matrix, _span
+from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _matrices_from_dict,
+                                _matrices_to_dict, _require_int, change_of_basis)
+from bigraded.linalg import LinalgError, _span
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
                              shape_cells, shape_length)
 from bigraded.spectral import ConsistencyError, Workspace, memoised, page_dims
@@ -382,15 +382,10 @@ def _shape_from_dict(obj):
 
 def certificate_to_dict(cert: DecompositionCertificate):
     """JSON form: transforms as rational-string matrices, blocks with cells."""
-    out = {"transforms": {}, "blocks": []}
-    for (p, q), m in sorted(cert.transforms.items()):
-        out["transforms"][f"{p},{q}"] = [[_rational_str(x) for x in row] for row in m.data]
-    for shape, cells in cert.blocks:
-        out["blocks"].append({
-            "shape": _shape_to_dict(shape),
-            "cells": {f"{p},{q}": list(ix) for (p, q), ix in sorted(cells.items())},
-        })
-    return out
+    return {"transforms": _matrices_to_dict(cert.transforms),
+            "blocks": [{"shape": _shape_to_dict(shape),
+                        "cells": {f"{p},{q}": list(ix) for (p, q), ix in sorted(cells.items())}}
+                       for shape, cells in cert.blocks]}
 
 
 def _indices(ix):
@@ -403,10 +398,7 @@ def _indices(ix):
 def certificate_from_dict(obj) -> DecompositionCertificate:
     """Read back `certificate_to_dict`'s form; LinalgError for malformed input."""
     try:
-        transforms = {}
-        for cell, rows in _by_cell(obj.get("transforms", {}), "transforms").items():
-            data = [[_parse_rational(x) for x in row] for row in rows]
-            transforms[cell] = Matrix(len(data), len(data[0]) if data else 0, data)
+        transforms = _matrices_from_dict(obj.get("transforms", {}), "transforms")
         blocks = [(_shape_from_dict(item["shape"]),
                    {cell: _indices(ix) for cell, ix in _by_cell(item["cells"], "block").items()})
                   for item in obj.get("blocks", [])]

@@ -177,6 +177,26 @@ def test_json_syntax_error_reports_position(tmp_path, capsys):
     assert "line" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("content", ["5", "null"])
+def test_json_that_is_not_an_object_is_input_error(tmp_path, capsys, content):
+    path = tmp_path / "c.json"
+    path.write_text(content)
+    _assert_input_error(capsys, str(path))
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 10_000 + b"]" * 10_000,
+                                     b'{"0,0": [[' + b"9" * 5_000 + b"]]}"],
+                         ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_json_that_python_cannot_load_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    for argv in (("validate", str(path)), ("hodge", "example://dot", "--gram", str(path)),
+                 ("duality", "example://dot", "--pairing", str(path))):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2 and doc["error"]["kind"] == "usage", argv
+        assert "cannot read" in doc["error"]["message"], argv
+
+
 def test_unknown_example_uri(capsys):
     code, doc = run_json(capsys, "validate", "example://banana")
     assert code == 2
@@ -253,8 +273,9 @@ _ONE_CELL = {"grid": [1, 1], "dims": {"0,0": 1, "1,0": 1}}
     {"dims": {"0,0": "2"}},
     {"dims": {"0,0": 1, "0,0 ": 2}},
     {"d1": {"0,0": [["1"]], " 0,0": [["0"]]}},
+    {"meta": 5},
 ], ids=["grid-string", "grid-float", "grid-bool", "grid-negative", "dim-float",
-        "dim-bool", "dim-string", "dims-cell-twice", "map-cell-twice"])
+        "dim-bool", "dim-string", "dims-cell-twice", "map-cell-twice", "meta-not-object"])
 def test_malformed_grid_dimension_or_repeated_cell_is_input_error(tmp_path, capsys, changes):
     _assert_input_error(capsys, _write(tmp_path, {**_ONE_CELL, **changes}))
 
