@@ -190,10 +190,10 @@ def de_rham_reps(ws: Workspace, k):
 class BcaTable:
     __slots__ = ("r_max", "bc", "a")
 
-    def __init__(self, r_max, bc=None, a=None):
+    def __init__(self, r_max):
         self.r_max = r_max
-        self.bc = {} if bc is None else bc  # (r, p, q) -> dim BC_r
-        self.a = {} if a is None else a     # (r, p, q) -> dim A_r
+        self.bc = {}  # (r, p, q) -> dim BC_r
+        self.a = {}   # (r, p, q) -> dim A_r
 
     def bc_dim(self, r, p, q):
         return self.bc.get((r, p, q), 0)

@@ -177,8 +177,12 @@ def change_of_basis(c: DoubleComplex, transforms) -> DoubleComplex:
 
     ``transforms[(p,q)]`` has the new basis vectors as columns, expressed in
     the current coordinates; cells not mentioned keep their basis.  All
-    downstream dimension tables are unchanged.
+    downstream dimension tables are unchanged.  A transform at a cell
+    outside the grid, of the wrong size or singular raises LinalgError.
     """
+    for (p, q) in transforms:
+        if not (0 <= p <= c.pmax and 0 <= q <= c.qmax):
+            raise LinalgError(f"transform at {(p, q)} lies outside the grid {c.pmax}x{c.qmax}")
     t = {}
     tinv = {}
     for (p, q) in c.cells():
@@ -189,7 +193,10 @@ def change_of_basis(c: DoubleComplex, transforms) -> DoubleComplex:
         if m.rows != n or m.cols != n:
             raise LinalgError(f"transform at {(p, q)} must be {n}x{n}")
         t[(p, q)] = m
-        tinv[(p, q)] = m.inverse()
+        try:
+            tinv[(p, q)] = m.inverse()
+        except LinalgError as exc:
+            raise LinalgError(f"transform at {(p, q)} is not invertible") from exc
     d1 = {}
     d2 = {}
     for (p, q) in c.cells():
@@ -537,6 +544,8 @@ def complex_from_dict(obj) -> DoubleComplex:
     meta = obj.get("meta", {})
     if not isinstance(meta, dict):
         raise LinalgError(f"meta must be an object, got {meta!r}")
+    if "certified_max_p" in meta:  # reports drop the rows p beyond it
+        _require_int(meta["certified_max_p"], "meta.certified_max_p", minimum=0)
     pmax, qmax = _int_pair(grid, "grid")
     dims = _by_cell(obj.get("dims", {}), "dims")
     for (p, q), n in dims.items():

@@ -389,8 +389,11 @@ def render_markdown(report):
 def emit(args, obj):
     text = render_json(obj) if args.format == "json" else render_markdown(obj)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -497,7 +500,10 @@ def cmd_example(args):
     c = _example("ce" if args.kind == "calabi-eckmann" else args.kind,
                  {k: str(v) for k, v in options.items() if v is not None}, args.seed)
     if args.out:
-        bicomplex.dump_complex(c, args.out)
+        try:
+            bicomplex.dump_complex(c, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out!r}: {exc}") from exc
         sys.stdout.write(f"wrote {args.out}\n")
     else:
         sys.stdout.write(render_json(bicomplex.complex_to_dict(c)))

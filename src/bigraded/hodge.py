@@ -139,19 +139,10 @@ def _flip(ws: Workspace, grams) -> Workspace:
     ip = InnerProduct(dict(grams))
     P, Qm = c.pmax, c.qmax
     dims = {(P - p, Qm - q): n for (p, q), n in c.dims.items()}
-    d1 = {}
-    d2 = {}
-    for p in range(P + 1):
-        for q in range(Qm + 1):
-            if dims.get((p, q), 0) == 0:
-                continue
-            op, oq = P - p, Qm - q
-            if dims.get((p + 1, q), 0):
-                src = c.d1_at(op - 1, oq)
-                d1[(p, q)] = adjoint(src, ip.gram(c, op - 1, oq), ip.gram(c, op, oq))
-            if dims.get((p, q + 1), 0):
-                src = c.d2_at(op, oq - 1)
-                d2[(p, q)] = adjoint(src, ip.gram(c, op, oq - 1), ip.gram(c, op, oq))
+    d1 = {(P - p - 1, Qm - q): adjoint(m, ip.gram(c, p, q), ip.gram(c, p + 1, q))
+          for (p, q), m in c.d1.items()}
+    d2 = {(P - p, Qm - q - 1): adjoint(m, ip.gram(c, p, q), ip.gram(c, p, q + 1))
+          for (p, q), m in c.d2.items()}
     return Workspace(DoubleComplex(c.name + ".adjoint-flip", P, Qm, dims, d1, d2))
 
 
@@ -169,16 +160,15 @@ class HarmonicTower:
     __slots__ = ("c", "ip", "r_max", "spaces", "projections", "transfer", "page_maps",
                  "laplacians")
 
-    def __init__(self, c: DoubleComplex, ip: InnerProduct, r_max, spaces=None,
-                 projections=None, transfer=None, page_maps=None, laplacians=None):
+    def __init__(self, c: DoubleComplex, ip: InnerProduct, r_max):
         self.c = c
         self.ip = ip
         self.r_max = r_max
-        self.spaces = {} if spaces is None else spaces                 # (r,p,q) -> Subspace H_r
-        self.projections = {} if projections is None else projections  # (r,p,q) -> Matrix p_r
-        self.transfer = {} if transfer is None else transfer           # (r,p,q) -> Matrix D_r
-        self.page_maps = {} if page_maps is None else page_maps        # (r,p,q) -> Matrix d_r
-        self.laplacians = {} if laplacians is None else laplacians     # (r,p,q) -> Matrix
+        self.spaces = {}       # (r,p,q) -> Subspace H_r
+        self.projections = {}  # (r,p,q) -> Matrix p_r
+        self.transfer = {}     # (r,p,q) -> Matrix D_r
+        self.page_maps = {}    # (r,p,q) -> Matrix d_r
+        self.laplacians = {}   # (r,p,q) -> Matrix
 
     def space(self, r, p, q) -> Subspace:
         hit = self.spaces.get((r, p, q))

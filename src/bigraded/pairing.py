@@ -18,15 +18,11 @@ linear dual carries an evaluation pairing that is compatible and perfect.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
 from bigraded.bicomplex import (DoubleComplex, _int_pair, _matrices_from_dict,
                                 _matrices_to_dict, direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
-
-Q = Fraction
 
 __all__ = [
     "DualityPairing",
@@ -57,12 +53,9 @@ class DualityPairing:
             return Matrix.zero(c.dim(p, q), c.dim(self.n - p, self.n - q))
         return m
 
-    def value(self, c, p, q, x, y):
-        return _bilinear(self.at(c, p, q), x, y)
-
 
 def _bilinear(form: Matrix, x, y):
-    acc = Q(0)
+    acc = 0
     for i, xi in enumerate(x):
         if xi:
             row = form.data[i]
@@ -75,10 +68,10 @@ def _bilinear(form: Matrix, x, y):
 class PairingValidation:
     __slots__ = ("ok", "perfect", "violations")
 
-    def __init__(self, ok, perfect, violations=None):
+    def __init__(self, ok, perfect, violations):
         self.ok = ok
         self.perfect = perfect
-        self.violations = [] if violations is None else violations
+        self.violations = violations
 
     def __bool__(self):
         return self.ok
@@ -99,8 +92,11 @@ def validate_pairing(c: DoubleComplex, pairing: DualityPairing) -> PairingValida
             violations.append(("shape", p, q, f"{m.rows}x{m.cols}"))
     if violations:
         return PairingValidation(False, False, violations)
+    perfect = True
     for p, q in c.cells():
-        if not c.dim(p, q):  # both sides of both rules have dim(p, q) rows
+        a, b = c.dim(p, q), c.dim(n - p, n - q)
+        perfect = perfect and a == b and (not a or pairing.at(c, p, q).rank() == a)
+        if not a:  # both sides of both rules have dim(p, q) rows
             continue
         # d1 rule: pair (p,q)+(1,0) against (n-p-1, n-q)
         lhs = c.d1_at(p, q).transpose() * pairing.at(c, p + 1, q)
@@ -112,18 +108,6 @@ def validate_pairing(c: DoubleComplex, pairing: DualityPairing) -> PairingValida
         rhs = pairing.at(c, p, q) * c.d2_at(n - p, n - q - 1)
         if not (lhs + rhs.scale(sign)).is_zero():
             violations.append(("d2-compatibility", p, q, None))
-    perfect = True
-    for p in range(c.pmax + 1):
-        for q in range(c.qmax + 1):
-            a, b = c.dim(p, q), c.dim(n - p, n - q)
-            if a == 0 and b == 0:
-                continue
-            if a != b:
-                perfect = False
-                continue
-            m = pairing.at(c, p, q)
-            if m.rank() != a:
-                perfect = False
     return PairingValidation(not violations, perfect, violations)
 
 
@@ -135,22 +119,11 @@ def dual_complex(c: DoubleComplex, n) -> DoubleComplex:
     """
     if n < c.pmax or n < c.qmax:
         raise LinalgError("top bidegree too small to hold the dual complex")
-    dims = {}
-    for (p, q), d in c.dims.items():
-        dims[(n - p, n - q)] = d
-    d1 = {}
-    d2 = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if dims.get((a, b), 0) == 0:
-                continue
-            sign = (-1) ** (a + b)
-            src = c.d1_at(n - a - 1, n - b)
-            if src.rows and src.cols and dims.get((a + 1, b), 0):
-                d1[(a, b)] = src.transpose().scale(sign)
-            src = c.d2_at(n - a, n - b - 1)
-            if src.rows and src.cols and dims.get((a, b + 1), 0):
-                d2[(a, b)] = src.transpose().scale(sign)
+    dims = {(n - p, n - q): d for (p, q), d in c.dims.items()}
+    d1 = {(n - p - 1, n - q): m.transpose().scale((-1) ** (p + q + 1))
+          for (p, q), m in c.d1.items()}
+    d2 = {(n - p, n - q - 1): m.transpose().scale((-1) ** (p + q + 1))
+          for (p, q), m in c.d2.items()}
     return DoubleComplex(c.name + ".dual", n, n, dims, d1, d2)
 
 
@@ -158,25 +131,14 @@ def sum_with_dual(c: DoubleComplex, n=None):
     """The complex plus its dual, with the canonical perfect evaluation pairing."""
     if n is None:
         n = max(c.pmax, c.qmax)
-    dual = dual_complex(c, n)
-    padded = DoubleComplex(c.name, n, n, dict(c.dims), dict(c.d1), dict(c.d2))
-    total = direct_sum(padded, dual, name=f"{c.name}+dual")
+    total = direct_sum(c, dual_complex(c, n), name=f"{c.name}+dual")
     pairs = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            rows = total.dim(p, q)
-            cols = total.dim(n - p, n - q)
-            if rows == 0 or cols == 0:
-                continue
-            a = padded.dim(p, q)          # c-part on the left
-            b = padded.dim(n - p, n - q)  # c-part on the right
-            sign = Q((-1) ** (p + q))
-            data = [[Q(0)] * cols for _ in range(rows)]
-            for i in range(a):            # evaluation of the right dual part
-                data[i][b + i] = Q(1)
-            for i in range(b):            # evaluation of the left dual part
-                data[a + i][i] = sign
-            pairs[(p, q)] = Matrix(rows, cols, data)
+    for p, q in total.cells():
+        a = c.dim(p, q)          # c-part on the left
+        b = c.dim(n - p, n - q)  # c-part on the right
+        if a or b:  # evaluation of the right dual part, then of the left one
+            pairs[(p, q)] = Matrix.from_blocks(a + b, a + b, [
+                (0, b, Matrix.identity(a)), (a, 0, Matrix.identity(b).scale((-1) ** (p + q)))])
     return total, DualityPairing(n, pairs)
 
 
@@ -192,20 +154,22 @@ class InducedPairing:
         self.nondegenerate = nondegenerate
 
 
-def _gram_of_reps(pairing, c, p, q, left_reps, right_reps):
-    form = pairing.at(c, p, q)
-    return Matrix(len(left_reps), len(right_reps),
-                  [[_bilinear(form, x, y) for y in right_reps] for x in left_reps])
+def _induced(pairing, c, r, p, q, left, right, left_null: Subspace,
+             right_null: Subspace) -> InducedPairing:
+    """The form at (p,q) on classes with representatives `left` x `right`.
 
-
-def _kills(pairing, c, p, q, left_space: Subspace, right_reps) -> bool:
-    """True iff every vector of `left_space` pairs to zero with all representatives."""
-    form = pairing.at(c, p, q)
-    for x in left_space.basis_columns():
-        for y in right_reps:
-            if _bilinear(form, x, y) != 0:
-                return False
-    return True
+    The classes are taken modulo `left_null` at (p,q) and `right_null` at
+    (n-p,n-q).  Well defined means each null space pairs to zero with the
+    other side's representatives, each under the form at its own cell: a
+    pairing file may give forms at the two cells that are not transposes.
+    """
+    form, back = pairing.at(c, p, q), pairing.at(c, pairing.n - p, pairing.n - q)
+    gram = Matrix(len(left), len(right), [[_bilinear(form, x, y) for y in right] for x in left])
+    well = (not any(_bilinear(form, x, y) for x in left_null.basis_columns() for y in right)
+            and not any(_bilinear(back, x, y) for x in right_null.basis_columns() for y in left))
+    dims_match = len(left) == len(right)
+    nondeg = dims_match and gram.rank() == len(left)
+    return InducedPairing(r, (p, q), gram, well, dims_match, nondeg)
 
 
 def induced_pairing_er(c: DoubleComplex, pairing: DualityPairing, r, p, q,
@@ -216,33 +180,19 @@ def induced_pairing_er(c: DoubleComplex, pairing: DualityPairing, r, p, q,
     to zero against the representatives of the other side.
     """
     ws = ws or Workspace(c)
-    c = ws.c
     n = pairing.n
-    left = ws.page_reps(r, p, q)
-    right = ws.page_reps(r, n - p, n - q)
-    gram = _gram_of_reps(pairing, c, p, q, left, right)
-    well = (_kills(pairing, c, p, q, ws.space(TowerKind.PAGE_EXACT, r, p, q), right)
-            and _kills(pairing, c, n - p, n - q,
-                       ws.space(TowerKind.PAGE_EXACT, r, n - p, n - q), left))
-    dims_match = len(left) == len(right)
-    nondeg = dims_match and gram.rank() == len(left)
-    return InducedPairing(r, (p, q), gram, well, dims_match, nondeg)
+    return _induced(pairing, ws.c, r, p, q, ws.page_reps(r, p, q),
+                    ws.page_reps(r, n - p, n - q), ws.space(TowerKind.PAGE_EXACT, r, p, q),
+                    ws.space(TowerKind.PAGE_EXACT, r, n - p, n - q))
 
 
 def induced_pairing_bc_a(c: DoubleComplex, pairing: DualityPairing, r, p, q,
                          ws: Workspace | None = None) -> InducedPairing:
     """Bott-Chern (p,q) against Aeppli (n-p,n-q) on page r."""
     ws = ws or Workspace(c)
-    c = ws.c
     n = pairing.n
-    left = bc_reps(ws, r, p, q)
-    right = a_reps(ws, r, n - p, n - q)
-    gram = _gram_of_reps(pairing, c, p, q, left, right)
-    well = (_kills(pairing, c, p, q, ddbar_exact_space(c, r, p, q, ws), right)
-            and _kills(pairing, c, n - p, n - q, im_both(ws, n - p, n - q), left))
-    dims_match = len(left) == len(right)
-    nondeg = dims_match and gram.rank() == len(left)
-    return InducedPairing(r, (p, q), gram, well, dims_match, nondeg)
+    return _induced(pairing, ws.c, r, p, q, bc_reps(ws, r, p, q), a_reps(ws, r, n - p, n - q),
+                    ddbar_exact_space(ws.c, r, p, q, ws), im_both(ws, n - p, n - q))
 
 
 class BcBcReport:
@@ -271,21 +221,13 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
     c = ws.c
     n = pairing.n
     per_cell = {}
-    nondeg = True
     for (p, q) in sorted(set(c.support()) | {(n - p, n - q) for (p, q) in c.support()}):
         if p < 0 or q < 0:
             continue
-        left = bc_reps(ws, r, p, q)
-        right = bc_reps(ws, r, n - p, n - q)
-        gram = _gram_of_reps(pairing, c, p, q, left, right)
-        well = (_kills(pairing, c, p, q, ddbar_exact_space(c, r, p, q, ws), right)
-                and _kills(pairing, c, n - p, n - q,
-                           ddbar_exact_space(c, r, n - p, n - q, ws), left))
-        dims_match = len(left) == len(right)
-        cell_nondeg = dims_match and gram.rank() == len(left)
-        per_cell[(p, q)] = InducedPairing(r, (p, q), gram, well, dims_match, cell_nondeg)
-        if not cell_nondeg:
-            nondeg = False
+        per_cell[(p, q)] = _induced(
+            pairing, c, r, p, q, bc_reps(ws, r, p, q), bc_reps(ws, r, n - p, n - q),
+            ddbar_exact_space(c, r, p, q, ws), ddbar_exact_space(c, r, n - p, n - q, ws))
+    nondeg = all(cell.nondegenerate for cell in per_cell.values())
     verdict = None
     agrees = None
     if compare_verdict:

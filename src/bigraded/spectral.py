@@ -200,10 +200,10 @@ class PageTable:
 
     __slots__ = ("r_max", "e", "ebar")
 
-    def __init__(self, r_max, e=None, ebar=None):
+    def __init__(self, r_max):
         self.r_max = r_max
-        self.e = {} if e is None else e            # (r, p, q) -> dim of page r at (p,q)
-        self.ebar = {} if ebar is None else ebar   # same, row filtration
+        self.e = {}     # (r, p, q) -> dim of page r at (p,q)
+        self.ebar = {}  # same, row filtration
 
     def dim(self, r, p, q):
         return self.e.get((r, p, q), 0)

@@ -99,14 +99,14 @@ class ShapePrediction:
 
     __slots__ = ("shape", "dims", "e", "ebar", "bc", "a", "b")
 
-    def __init__(self, shape, dims=None, e=None, ebar=None, bc=None, a=None, b=None):
+    def __init__(self, shape):
         self.shape = shape
-        self.dims = {} if dims is None else dims  # (p,q) -> component dimension
-        self.e = {} if e is None else e           # (r,p,q) -> page dimension
-        self.ebar = {} if ebar is None else ebar  # conjugate pages
-        self.bc = {} if bc is None else bc        # Bott-Chern
-        self.a = {} if a is None else a           # Aeppli
-        self.b = {} if b is None else b           # k -> Betti number
+        self.dims = {}  # (p,q) -> component dimension
+        self.e = {}     # (r,p,q) -> page dimension
+        self.ebar = {}  # conjugate pages
+        self.bc = {}    # Bott-Chern
+        self.a = {}     # Aeppli
+        self.b = {}     # k -> Betti number
 
 
 _TAGS = ("dims", "e", "ebar", "bc", "a", "b")
@@ -428,7 +428,7 @@ def verify_certificate(c: DoubleComplex, cert: DecompositionCertificate) -> Cert
     try:
         transformed = change_of_basis(c, cert.transforms)
     except LinalgError as exc:
-        return CertificateReport(False, f"transform not invertible: {exc}", None)
+        return CertificateReport(False, f"bad transform: {exc}", None)
 
     for (p, q) in c.support():
         for which, m, tgt in (("d1", transformed.d1_at(p, q), (p + 1, q)),

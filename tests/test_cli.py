@@ -280,6 +280,27 @@ def test_malformed_grid_dimension_or_repeated_cell_is_input_error(tmp_path, caps
     _assert_input_error(capsys, _write(tmp_path, {**_ONE_CELL, **changes}))
 
 
+@pytest.mark.parametrize("bound", ["x", 1.5, True, -1, None],
+                         ids=["string", "float", "bool", "negative", "null"])
+def test_certified_max_p_must_be_a_nonnegative_integer(tmp_path, capsys, bound):
+    path = _write(tmp_path, {"grid": [1, 1], "dims": {"0,0": 1},
+                             "meta": {"certified_max_p": bound}})
+    for command in ("validate", "report", "pages", "bca"):
+        code, doc = run_json(capsys, command, path)
+        assert code == 1 and doc["error"]["kind"] == "input", command
+        assert "meta.certified_max_p" in doc["error"]["message"], command
+
+
+@pytest.mark.parametrize("argv", [("example", "dot"), ("validate", "example://dot"),
+                                  ("report", "example://dot")],
+                         ids=["example", "validate", "report"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, doc = run_json(capsys, *argv, "-o", str(target))
+        assert code == 2 and doc["error"]["kind"] == "usage", target
+        assert doc["error"]["message"].startswith(f"cannot write {str(target)!r}: "), target
+
+
 def test_negative_maxdim_is_usage_error(capsys):
     for argv in (("validate", "example://random?grid=2,2&maxdim=-1"),
                  ("example", "random", "--grid", "2,2", "--max-dim", "-1")):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraded.bicomplex import random_complex
 from bigraded.hodge import (InnerProduct, adjoint, bc_a_harmonic_spaces,
@@ -253,3 +254,17 @@ def test_flip_cache_follows_gram_contents():
         flip = flipped_adjoint_workspace(c, ip, ws).c
         assert (flip.d1, flip.d2) == fresh[i % 2], i
         del ip, flip
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]), seed=st.integers(0, 10**6))
+def test_flipping_the_flip_gives_back_the_complex(grid, seed):
+    rng = random.Random(seed)
+    c = random_complex(grid, 2, seed)
+    grams = {cell: random_spd(rng, n) for cell, n in c.dims.items()}
+    flip = flipped_adjoint_workspace(c, InnerProduct(grams))
+    # the flip's cell (pmax-p, qmax-q) is c's cell (p,q), with the same basis
+    carried = InnerProduct({(c.pmax - p, c.qmax - q): g for (p, q), g in grams.items()})
+    back = flipped_adjoint_workspace(flip.c, carried, flip).c
+    assert (back.pmax, back.qmax) == (c.pmax, c.qmax)
+    assert back.dims == c.dims and back.d1 == c.d1 and back.d2 == c.d2

@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings, strategies as st
 
 from bigraded.bicomplex import direct_sum, random_complex, validate
+from bigraded.linalg import Matrix
 from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
                              dot_shape)
 from bigraded.pairing import (DualityPairing, dual_complex,
@@ -243,3 +244,80 @@ def test_perfect_pairing_restores_injectivity_criteria():
             assert v.criteria["D"] == v.verdict, (seed, r)
             assert v.criteria["E"] == v.verdict, (seed, r)
             induced_pairing_bc_bc(tot, pairing, r, ws)
+
+
+def _value(form, x, y):
+    """The form on x and y as a plain `Fraction` sum over all entries."""
+    return sum((Q(a) * form.data[i][j] * b for i, a in enumerate(x) for j, b in enumerate(y)),
+               Q(0))
+
+
+def _assert_matches_oracle(got, pairing, c, p, q, left, right, left_null, right_null):
+    n = pairing.n
+    form, back = pairing.at(c, p, q), pairing.at(c, n - p, n - q)
+    assert [list(row) for row in got.gram.data] == [[_value(form, x, y) for y in right]
+                                                    for x in left], (p, q)
+    assert got.well_defined == (
+        all(_value(form, x, y) == 0 for x in left_null.basis_columns() for y in right)
+        and all(_value(back, x, y) == 0 for x in right_null.basis_columns() for y in left)), (p, q)
+
+
+def _induced_against_oracle(tot, pairing, ws, rmax):
+    """Every induced pairing of `tot` checked against the oracle; the well_defined flags seen."""
+    from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
+    n = pairing.n
+    seen = []
+    for r in range(1, rmax + 1):
+        for (p, q) in tot.support():
+            er = induced_pairing_er(tot, pairing, r, p, q, ws)
+            _assert_matches_oracle(er, pairing, tot, p, q, ws.page_reps(r, p, q),
+                                   ws.page_reps(r, n - p, n - q),
+                                   ws.space(TowerKind.PAGE_EXACT, r, p, q),
+                                   ws.space(TowerKind.PAGE_EXACT, r, n - p, n - q))
+            ba = induced_pairing_bc_a(tot, pairing, r, p, q, ws)
+            _assert_matches_oracle(ba, pairing, tot, p, q, bc_reps(ws, r, p, q),
+                                   a_reps(ws, r, n - p, n - q),
+                                   ddbar_exact_space(tot, r, p, q, ws), im_both(ws, n - p, n - q))
+            seen += [er.well_defined, ba.well_defined]
+        bb = induced_pairing_bc_bc(tot, pairing, r, ws, compare_verdict=False)
+        for (p, q), cell in bb.per_cell.items():
+            _assert_matches_oracle(cell, pairing, tot, p, q, bc_reps(ws, r, p, q),
+                                   bc_reps(ws, r, n - p, n - q),
+                                   ddbar_exact_space(tot, r, p, q, ws),
+                                   ddbar_exact_space(tot, r, n - p, n - q, ws))
+            seen.append(cell.well_defined)
+        assert bb.nondegenerate == all(cell.nondegenerate for cell in bb.per_cell.values())
+    return seen
+
+
+def test_induced_pairings_match_a_fraction_oracle():
+    for seed in (1, 5, 9):
+        tot, pairing = sum_with_dual(random_complex((3, 3), 3, seed))
+        assert all(_induced_against_oracle(tot, pairing, Workspace(tot), 3)), seed
+
+
+def test_induced_pairings_match_the_oracle_on_a_broken_cell():
+    # the largest form plus the all-ones matrix is no longer compatible, so
+    # some induced pairings are not well defined; the oracle must agree on which
+    tot, pairing = sum_with_dual(random_complex((2, 2), 2, 1))
+    broken = dict(pairing.pairs)
+    cell = max(broken, key=lambda k: (broken[k].rows, k))
+    m = broken[cell]
+    broken[cell] = m + Matrix(m.rows, m.cols, [[1] * m.cols for _ in range(m.rows)])
+    broken = DualityPairing(pairing.n, broken)
+    assert not validate_pairing(tot, broken).ok
+    seen = _induced_against_oracle(tot, broken, Workspace(tot), 3)
+    assert not all(seen) and any(seen)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3)]), seed=st.integers(0, 10**6),
+       extra=st.integers(0, 2))
+def test_dual_of_the_dual_negates_both_differentials(grid, seed, extra):
+    c = random_complex(grid, 2, seed)
+    n = max(grid) + extra
+    back = dual_complex(dual_complex(c, n), n)
+    assert validate(back).ok
+    assert back.dims == c.dims
+    assert back.d1 == {cell: -m for cell, m in c.d1.items()}
+    assert back.d2 == {cell: -m for cell, m in c.d2.items()}

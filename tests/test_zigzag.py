@@ -485,3 +485,16 @@ def test_wrong_invariant_tables_raise(monkeypatch):
                         lambda shape, r_max: zigzag.ShapePrediction(shape))
     with pytest.raises(ConsistencyError):
         decompose(random_complex((3, 3), 3, 8))
+
+
+def test_certificate_transform_outside_the_grid_rejected():
+    from bigraded.linalg import LinalgError
+    from bigraded.models import build_square
+    c = build_square(0, 0)
+    obj = certificate_to_dict(decompose(c).certificate)
+    obj["transforms"]["9,9"] = [["1"]]
+    cert = certificate_from_dict(obj)
+    with pytest.raises(LinalgError, match=r"transform at \(9, 9\) lies outside the grid 1x1"):
+        change_of_basis(c, cert.transforms)
+    report = verify_certificate(c, cert)
+    assert not report.ok and "(9, 9)" in report.reason
