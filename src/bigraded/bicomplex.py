@@ -116,11 +116,18 @@ class ValidationReport:
         return self.ok
 
     def describe(self):
+        """One line per violation: its identity, its cell and at most three nonzero entries."""
         if self.ok:
             return "valid double complex"
         lines = []
         for kind, p, q, prod in self.violations:
-            lines.append(f"{kind} fails at ({p},{q}): product = {prod!r}")
+            nonzero = [(i, j, x) for i, row in enumerate(prod.num)
+                       for j, x in enumerate(row) if x]
+            shown = ", ".join(f"[{i},{j}] = {Q(x, prod.den)}" for i, j, x in nonzero[:3])
+            more = ", ..." if len(nonzero) > 3 else ""
+            entries = "entry" if len(nonzero) == 1 else "entries"
+            lines.append(f"{kind} fails at ({p},{q}): the {prod.rows}x{prod.cols} product "
+                         f"has {len(nonzero)} nonzero {entries}: {shown}{more}")
         return "\n".join(lines)
 
 

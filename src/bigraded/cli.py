@@ -14,8 +14,8 @@ report          run everything and emit one document
 
 Inputs are JSON complex files or ``example://`` URIs (dot, square, zigzag,
 ce, random).  Output is deterministic: identical inputs and seeds give
-byte-identical documents.  Exit codes: 0 success, 1 validation or
-consistency failure, 2 usage error.
+byte-identical documents.  Exit codes: 0 success, 1 an invalid input or
+an implementation fault, 2 usage error.
 """
 
 from __future__ import annotations
@@ -76,18 +76,20 @@ def _example(kind, params, seed=None):
     so a bad value is a usage error either way.
     """
     try:
+        shape = None
         if kind == "dot":
-            return models.build_zigzag(models.dot_shape(*_unkey(params.get("at", "0,0"))))
-        if kind == "square":
-            return models.build_square(*_unkey(params.get("at", "0,0")))
-        if kind == "zigzag":
+            shape = models.dot_shape(*_unkey(params.get("at", "0,0")))
+        elif kind == "square":
+            shape = models.Square(*_unkey(params.get("at", "0,0")))
+        elif kind == "zigzag":
             p, q = _unkey(params.get("start", "0,1"))
             gens = int(params.get("gens", "1"))
             left = params.get("left", "0") == "1"
             right = params.get("right", "0") == "1"
             shape = models.ZigzagShape(
                 tuple((p + i, q - i) for i in range(gens)), left, right)
-            return models.build_zigzag(shape)
+        if shape is not None:
+            return models.build_shape(shape)
         if kind == "ce":
             u = int(params.get("u", "1"))
             v = int(params.get("v", "1"))
@@ -404,9 +406,7 @@ def emit(args, obj):
 
 def _prepared(args):
     c = load_input(args.input, getattr(args, "seed", None))
-    report = bicomplex.validate(c)
-    if not report.ok:
-        raise ConsistencyError("invalid double complex:\n" + report.describe())
+    bicomplex.require_valid(c)
     return c, spectral.Workspace(c, checked=True)
 
 
@@ -602,6 +602,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("rmax", "r"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise UsageError(f"--{flag} must be at least 1, got {value}")
         return args.func(args)
     except UsageError as exc:
         sys.stdout.write(render_json({"error": {"kind": "usage", "message": str(exc)}}))

@@ -10,6 +10,12 @@ not be present, which gives the four classical types (even in two
 orientations, odd with both outer arrows or with neither).  A dot is the
 length-one zigzag.
 
+A shape is described once, by its arrows (`shape_arrows`), and everything
+else is read off that list: its cells are the arrows' endpoints (a dot's
+single generator when it has none), its length is their number, and
+`build_shape` gives the complex, one basis vector per cell and one nonzero
+entry per arrow.
+
 CDGA models
 -----------
 `build_cdga` turns a finite list of graded generators with polynomial
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 
 from bigraded.bicomplex import DoubleComplex, _require_int, require_valid
 from bigraded.linalg import LinalgError, Matrix
@@ -42,8 +49,6 @@ __all__ = [
     "shape_cells",
     "shape_length",
     "shape_arrows",
-    "build_square",
-    "build_zigzag",
     "build_shape",
     "CdgaSpec",
     "ParseError",
@@ -86,6 +91,8 @@ class Square(_Shape):
     __slots__ = ("p", "q")
 
     def __init__(self, p, q):
+        if p < 0 or q < 0:
+            raise LinalgError("square outside the first quadrant")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "_hash", hash(self._key()))
@@ -142,35 +149,19 @@ def dot_shape(p, q):
     return ZigzagShape(((p, q),), False, False)
 
 
-def shape_length(shape):
-    if isinstance(shape, Square):
-        return 4
-    return 2 * shape.gen_count - 1 + int(shape.d2_out_first) + int(shape.d1_out_last)
-
-
-def shape_cells(shape):
-    """Bidegrees occupied by the shape, each of dimension one."""
-    if isinstance(shape, Square):
-        p, q = shape.p, shape.q
-        return [(p, q), (p + 1, q), (p, q + 1), (p + 1, q + 1)]
-    cells = list(shape.generators)
-    for (p, q) in shape.generators[:-1]:
-        cells.append((p + 1, q))
-    if shape.d2_out_first:
-        p, q = shape.generators[0]
-        cells.append((p, q + 1))
-    if shape.d1_out_last:
-        p, q = shape.generators[-1]
-        cells.append((p + 1, q))
-    return sorted(cells)
-
-
 def shape_arrows(shape):
-    """Rank-one arrows of the shape as (source cell, 'd1'|'d2', target cell)."""
+    """Rank-one arrows of the shape as (source cell, 'd1'|'d2', target cell).
+
+    This list is the one description of a shape; its cells, its length and
+    its complex are all read off it.  An arrow out of a cell that is not a
+    generator comes after an arrow into that cell, and a square's d2 out of
+    (p+1, q) comes before its d1 out of (p, q+1), so that `build_shape`
+    labels the top cell ``d2(d1(a))``.
+    """
     if isinstance(shape, Square):
         p, q = shape.p, shape.q
         return [((p, q), "d1", (p + 1, q)), ((p, q), "d2", (p, q + 1)),
-                ((p, q + 1), "d1", (p + 1, q + 1)), ((p + 1, q), "d2", (p + 1, q + 1))]
+                ((p + 1, q), "d2", (p + 1, q + 1)), ((p, q + 1), "d1", (p + 1, q + 1))]
     arrows = []
     gens = shape.generators
     for (p, q) in gens[:-1]:
@@ -186,76 +177,55 @@ def shape_arrows(shape):
     return arrows
 
 
-def _grid_for(cells, grid):
-    pmax = max(p for p, _ in cells)
-    qmax = max(q for _, q in cells)
-    if grid is not None:
-        gp, gq = grid
-        if gp < pmax or gq < qmax:
-            raise LinalgError(f"shape does not fit grid {grid}")
-        pmax, qmax = gp, gq
-    return pmax, qmax
+@cache
+def shape_cells(shape):
+    """Bidegrees occupied by the shape, sorted, each of dimension one.
 
-
-def build_square(p, q, grid=None) -> DoubleComplex:
-    """Four one-dimensional components with all four arrows nonzero.
-
-    Signs are chosen so the two differentials anticommute: the second
-    vertical arrow carries -1.
+    They are the endpoints of its arrows, or a dot's single generator.  The
+    tuple is kept per shape: the invariant engines ask for it often.
     """
-    if p < 0 or q < 0:
-        raise LinalgError("square outside the first quadrant")
-    cells = shape_cells(Square(p, q))
-    pmax, qmax = _grid_for(cells, grid)
-    dims = {c: 1 for c in cells}
-    one = Matrix.from_rows([[1]])
-    d1 = {(p, q): one, (p, q + 1): one}
-    d2 = {(p, q): one, (p + 1, q): -one}
-    c = DoubleComplex(f"square@{p},{q}", pmax, qmax, dims, d1, d2)
-    c.labels.update({(p, q): ["a"], (p + 1, q): ["d1(a)"],
-                     (p, q + 1): ["d2(a)"], (p + 1, q + 1): ["d2(d1(a))"]})
-    return c
+    arrows = shape_arrows(shape)
+    if not arrows:
+        return shape.generators
+    return tuple(sorted({cell for src, _, dst in arrows for cell in (src, dst)}))
 
 
-def build_zigzag(shape: ZigzagShape, grid=None) -> DoubleComplex:
-    """One basis vector per generator and per nonzero arrow image.
-
-    All composites through a zigzag vanish for degree reasons, so every
-    arrow can carry coefficient one.
-    """
-    cells = shape_cells(shape)
-    if len(set(cells)) != len(cells):
-        raise LinalgError("zigzag cells collide; malformed staircase")
-    pmax, qmax = _grid_for(cells, grid)
-    dims = {c: 1 for c in cells}
-    one = Matrix.from_rows([[1]])
-    d1 = {}
-    d2 = {}
-    gens = shape.generators
-    labels = {g: [f"a{i + 1}"] for i, g in enumerate(gens)}
-    for i, (p, q) in enumerate(gens[:-1]):
-        d1[(p, q)] = one                    # d1 a_i
-        d2[(p + 1, q - 1)] = one            # d2 a_{i+1}, same target cell
-        labels[(p + 1, q)] = [f"d1(a{i + 1})"]
-    if shape.d2_out_first:
-        p, q = gens[0]
-        d2[(p, q)] = one
-        labels[(p, q + 1)] = ["d2(a1)"]
-    if shape.d1_out_last:
-        p, q = gens[-1]
-        d1[(p, q)] = one
-        labels[(p + 1, q)] = [f"d1(a{len(gens)})"]
-    kind = ("dot" if shape.is_dot() else
-            f"zigzag-len{shape_length(shape)}")
-    c = DoubleComplex(f"{kind}@{gens[0][0]},{gens[0][1]}", pmax, qmax, dims, d1, d2)
-    c.labels.update(labels)
-    return c
+def shape_length(shape):
+    return len(shape_cells(shape))
 
 
 def build_shape(shape, grid=None) -> DoubleComplex:
+    """The shape as a double complex: one basis vector per cell, one entry per arrow.
+
+    Every arrow carries 1, except a d2 out of a d1 image (the square's
+    d2 out of (p+1, q)), which carries -1 so that the two differentials
+    anticommute; all other composites through a shape vanish for degree
+    reasons.  The generators (cells without an incoming arrow) are
+    labelled ``a`` in a square and ``a1``, ..., ``ag`` in a zigzag, every
+    other cell by its first incoming arrow.  `grid` defaults to the
+    shape's own extent.
+    """
+    arrows = shape_arrows(shape)
+    cells = shape_cells(shape)
+    targets = {dst for _, _, dst in arrows}
+    gens = [cell for cell in cells if cell not in targets]
     if isinstance(shape, Square):
-        return build_square(shape.p, shape.q, grid)
-    return build_zigzag(shape, grid)
+        kind, labels = "square", {gens[0]: ["a"]}
+    else:
+        kind = "dot" if len(cells) == 1 else f"zigzag-len{len(cells)}"
+        labels = {g: [f"a{i + 1}"] for i, g in enumerate(gens)}
+    d1_images = {dst for _, which, dst in arrows if which == "d1"}
+    one = Matrix.from_rows([[1]])
+    d = {"d1": {}, "d2": {}}
+    for src, which, dst in arrows:
+        d[which][src] = -one if which == "d2" and src in d1_images else one
+        labels.setdefault(dst, [f"{which}({labels[src][0]})"])
+    pmax, qmax = grid or (max(p for p, _ in cells), max(q for _, q in cells))
+    p, q = gens[0]
+    c = DoubleComplex(f"{kind}@{p},{q}", pmax, qmax, dict.fromkeys(cells, 1),
+                      d["d1"], d["d2"])
+    c.labels.update(labels)
+    return c
 
 
 # ---------------------------------------------------------------------------

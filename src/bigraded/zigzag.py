@@ -418,6 +418,10 @@ def verify_certificate(c: DoubleComplex, cert: DecompositionCertificate) -> Cert
             if len(indices) != 1:
                 return CertificateReport(False, f"block {bi} must own exactly one index per cell", bi)
             for i in indices:
+                if not 0 <= i < c.dim(*cell):
+                    return CertificateReport(
+                        False, f"block {bi} index {i} at {cell} lies outside the complex "
+                        f"(dimension {c.dim(*cell)} there)", bi)
                 if (cell, i) in owner:
                     return CertificateReport(False, f"index {i} at {cell} assigned twice", bi)
                 owner[(cell, i)] = bi

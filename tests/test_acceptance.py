@@ -14,8 +14,8 @@ import pytest
 from bigraded.bca import bca_dims, inequality_check, page_ddbar_verdict
 from bigraded.bicomplex import random_complex
 from bigraded.hodge import harmonic_tower, three_space_decomposition
-from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
-                             dot_shape, example_calabi_eckmann)
+from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
+                             example_calabi_eckmann)
 from bigraded.pairing import (induced_pairing_bc_a, induced_pairing_bc_bc,
                               induced_pairing_er, sum_with_dual,
                               validate_pairing)
@@ -132,7 +132,7 @@ def test_criterion_5_inequality(batch):
             ok = ok and rep.chain_ok
             if rep.verdict:
                 ok = ok and rep.equality_ok
-    z3 = build_zigzag(ZigzagShape(((0, 1),), True, True))
+    z3 = build_shape(ZigzagShape(((0, 1),), True, True))
     rep = inequality_check(z3, 2, Workspace(z3))
     ok = ok and (rep.bca_total, rep.page_total, rep.betti_doubled) == (2, 2, 2)
     ok = ok and rep.verdict is False
@@ -180,7 +180,7 @@ def test_criterion_8_duality():
             for (p, q) in tot.support():
                 ok = ok and induced_pairing_er(tot, pairing, r, p, q, ws).nondegenerate
                 ok = ok and induced_pairing_bc_a(tot, pairing, r, p, q, ws).nondegenerate
-    z4 = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True))
+    z4 = build_shape(ZigzagShape(((0, 1), (1, 0)), False, True))
     tot, pairing = sum_with_dual(z4)
     ws = Workspace(tot)
     r2 = induced_pairing_bc_bc(tot, pairing, 2, ws)

@@ -9,8 +9,8 @@ from bigraded.bca import (bca_dims, canonical_maps, closed_pure,
 from bigraded.bicomplex import direct_sum
 from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection, subspace_sum)
-from bigraded.models import (ZigzagShape, build_shape, build_square, build_zigzag,
-                             dot_shape, example_calabi_eckmann)
+from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
+                             example_calabi_eckmann)
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace, page_dims
 
 
@@ -41,7 +41,7 @@ def test_first_page_equals_classical_oracle(random_suite):
 
 
 def test_ddbar_spaces_first_page():
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     assert ddbar_closed_space(sq, 1, 0, 0) == Subspace.zero(1)  # d1 d2 a != 0
     assert ddbar_exact_space(sq, 1, 1, 1).dim == 1              # the corner
 
@@ -58,7 +58,7 @@ def test_ddbar_closed_monotone(random_suite):
 
 
 def test_ddbar_closed_full_on_dot():
-    dot = build_zigzag(dot_shape(0, 0))
+    dot = build_shape(dot_shape(0, 0))
     for r in (1, 2, 3):
         assert ddbar_closed_space(dot, r, 0, 0) == Subspace.full(1)
 
@@ -96,8 +96,8 @@ def test_report_decides_each_verdict_once(monkeypatch):
     verdict = bca.page_ddbar_verdict
     monkeypatch.setattr(bca, "page_ddbar_verdict",
                         lambda c, r, *args, **kwargs: calls.append(r) or verdict(c, r, *args, **kwargs))
-    c = direct_sum(build_square(0, 0, grid=(2, 2)),
-                   build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, False), grid=(2, 2)))
+    c = direct_sum(build_shape(Square(0, 0), grid=(2, 2)),
+                   build_shape(ZigzagShape(((0, 1), (1, 0)), False, False), grid=(2, 2)))
     verdicts = cli.build_report(c, 3)["verdicts"]
     assert calls == [1, 2, 3]
     for v in verdicts.values():
@@ -109,9 +109,9 @@ def test_bc_to_a_map_built_once_per_cell(monkeypatch):
     built = []
     class_matrix = bca._class_matrix
     monkeypatch.setattr(bca, "_class_matrix", lambda *args: built.append(1) or class_matrix(*args))
-    c = direct_sum(direct_sum(build_zigzag(dot_shape(0, 1), grid=(2, 2)),
-                              build_square(0, 0, grid=(2, 2))),
-                   build_zigzag(dot_shape(2, 2), grid=(2, 2)))
+    c = direct_sum(direct_sum(build_shape(dot_shape(0, 1), grid=(2, 2)),
+                              build_shape(Square(0, 0), grid=(2, 2))),
+                   build_shape(dot_shape(2, 2), grid=(2, 2)))
     v = bca.page_ddbar_verdict(c, 1, Workspace(c), use_structure=False)
     assert v.criteria["B"] and v.criteria["D"]
     assert built == []
@@ -166,14 +166,14 @@ def test_bca_monotone(random_suite):
     (3, False, True, 2, 2, 2), (3, False, True, 3, 1, 1),
 ])
 def test_zigzag_totals(gens, bf, bl, r, bc, a):
-    z = build_zigzag(ZigzagShape(tuple((i, 3 - i) for i in range(gens)), bf, bl))
+    z = build_shape(ZigzagShape(tuple((i, 3 - i) for i in range(gens)), bf, bl))
     table = bca_dims(z, r, Workspace(z))
     assert table.bc_total(r) == bc
     assert table.a_total(r) == a
 
 
 def test_square_zero_for_all_pages():
-    sq = build_square(1, 1)
+    sq = build_shape(Square(1, 1))
     table = bca_dims(sq, 4, Workspace(sq))
     for r in (1, 2, 3, 4):
         assert table.bc_total(r) == 0 and table.a_total(r) == 0
@@ -184,7 +184,7 @@ def test_square_zero_for_all_pages():
 
 
 def test_canonical_maps_dot():
-    dot = build_zigzag(dot_shape(1, 1))
+    dot = build_shape(dot_shape(1, 1))
     maps = canonical_maps(dot, 2)
     one = Matrix.identity(1)
     for table in (maps.bc_to_page, maps.bc_to_a, maps.page_to_a,
@@ -194,9 +194,9 @@ def test_canonical_maps_dot():
 
 
 def test_canonical_maps_all_iso_on_dots_and_squares():
-    c = direct_sum(direct_sum(build_zigzag(dot_shape(0, 1), grid=(2, 2)),
-                              build_square(0, 0, grid=(2, 2))),
-                   build_zigzag(dot_shape(2, 2), grid=(2, 2)))
+    c = direct_sum(direct_sum(build_shape(dot_shape(0, 1), grid=(2, 2)),
+                              build_shape(Square(0, 0), grid=(2, 2))),
+                   build_shape(dot_shape(2, 2), grid=(2, 2)))
     ws = Workspace(c)
     for r in (1, 2, 3):
         maps = canonical_maps(c, r, ws)
@@ -209,7 +209,7 @@ def test_canonical_maps_all_iso_on_dots_and_squares():
 def test_canonical_maps_zero_between_unequal_dims():
     # length-3 zigzag with both outer arrows at page 2: Bott-Chern has
     # dimension 2, Aeppli dimension 0, so the comparison map is forced zero
-    z = build_zigzag(ZigzagShape(((0, 1),), True, True))
+    z = build_shape(ZigzagShape(((0, 1),), True, True))
     ws = Workspace(z)
     maps = canonical_maps(z, 2, ws)
     total_bc = sum(m.cols for m in maps.bc_to_a.values())
@@ -232,22 +232,22 @@ def test_canonical_maps_properties_random(random_suite):
 
 
 def test_verdict_dots_and_squares_true():
-    c = direct_sum(build_zigzag(dot_shape(0, 0), grid=(2, 2)),
-                   build_square(1, 1, grid=(2, 2)))
+    c = direct_sum(build_shape(dot_shape(0, 0), grid=(2, 2)),
+                   build_shape(Square(1, 1), grid=(2, 2)))
     ws = Workspace(c)
     for r in (1, 2, 3):
         assert page_ddbar_verdict(c, r, ws).verdict is True
 
 
 def test_verdict_length_four_zigzag():
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, True))
     ws = Workspace(z)
     assert page_ddbar_verdict(z, 2, ws).verdict is False
     assert page_ddbar_verdict(z, 3, ws).verdict is True
 
 
 def test_verdict_odd_zigzag_false_forever():
-    z = build_zigzag(ZigzagShape(((0, 1),), True, True))
+    z = build_shape(ZigzagShape(((0, 1),), True, True))
     ws = Workspace(z)
     for r in (1, 2, 3, 4):
         assert page_ddbar_verdict(z, r, ws).verdict is False
@@ -300,7 +300,7 @@ def test_duality_gap_on_inward_odd_zigzag():
     # exactness equivalence (E) hold from r = 2 on although the property
     # fails; this is exactly the gap that Serre-type duality closes on
     # manifolds
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, False))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, False))
     ws = Workspace(z)
     v = page_ddbar_verdict(z, 2, ws)
     assert v.verdict is False
@@ -314,8 +314,8 @@ def test_duality_gap_on_antidiagonal_cancellation():
     # every bidegree has equal Bott-Chern and Aeppli dimensions, yet the
     # comparison map vanishes, so (C) holds while the property fails
     from bigraded.bicomplex import direct_sum
-    L5 = build_zigzag(ZigzagShape(((2, 3), (3, 2)), True, True), grid=(4, 4))
-    M5 = build_zigzag(ZigzagShape(((2, 4), (3, 3), (4, 2)), False, False), grid=(4, 4))
+    L5 = build_shape(ZigzagShape(((2, 3), (3, 2)), True, True), grid=(4, 4))
+    M5 = build_shape(ZigzagShape(((2, 4), (3, 3), (4, 2)), False, False), grid=(4, 4))
     s = direct_sum(L5, M5)
     ws = Workspace(s)
     v = page_ddbar_verdict(s, 2, ws)
@@ -328,7 +328,7 @@ def test_duality_gap_on_antidiagonal_cancellation():
 
 
 def test_verdict_explain_witness():
-    z = build_zigzag(ZigzagShape(((0, 0),), False, True))  # length-2, fails at r=1
+    z = build_shape(ZigzagShape(((0, 0),), False, True))  # length-2, fails at r=1
     v = page_ddbar_verdict(z, 1, Workspace(z), use_structure=False, explain=True)
     assert v.verdict is False
     assert v.witness is not None
@@ -352,7 +352,7 @@ def test_calabi_eckmann_never_page_ddbar():
 
 
 def test_inequality_length_three_zigzag_equality_without_property():
-    z = build_zigzag(ZigzagShape(((0, 1),), True, True))
+    z = build_shape(ZigzagShape(((0, 1),), True, True))
     ws = Workspace(z)
     rep = inequality_check(z, 2, ws)
     assert (rep.bca_total, rep.page_total, rep.betti_doubled) == (2, 2, 2)
@@ -361,7 +361,7 @@ def test_inequality_length_three_zigzag_equality_without_property():
 
 
 def test_inequality_square():
-    rep = inequality_check(build_square(0, 0), 2)
+    rep = inequality_check(build_shape(Square(0, 0)), 2)
     assert (rep.bca_total, rep.page_total, rep.betti_doubled) == (0, 0, 0)
 
 
@@ -409,7 +409,7 @@ def test_broken_ddbar_exact_worker_raises(monkeypatch):
     # square's generator, so the Bott-Chern quotient is of a non-nested pair
     monkeypatch.setattr(bca, "_ddbar_exact",
                         lambda ws, r, p, q: Subspace.full(ws.c.dim(p, q)))
-    c = build_square(0, 0)
+    c = build_shape(Square(0, 0))
     with pytest.raises(ConsistencyError):
         bca_dims(c, 2, Workspace(c))
 

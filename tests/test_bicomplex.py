@@ -11,18 +11,18 @@ from bigraded.bicomplex import (DoubleComplex, change_of_basis,
                                 random_complex, random_invertible,
                                 swap_complex, total_complex, validate)
 from bigraded.linalg import Matrix
-from bigraded.models import (ZigzagShape, build_square, build_zigzag,
-                             dot_shape, example_calabi_eckmann)
+from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
+                             example_calabi_eckmann)
 from bigraded.spectral import Workspace, page_dims
 from bigraded.bca import bca_dims
 
 
 def test_square_is_valid():
-    assert validate(build_square(0, 0)).ok
+    assert validate(build_shape(Square(0, 0))).ok
 
 
 def test_negated_map_breaks_anticommutation():
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     d2 = dict(sq.d2)
     d2[(0, 0)] = -d2[(0, 0)]
     bad = DoubleComplex("bad", sq.pmax, sq.qmax, dict(sq.dims), dict(sq.d1), d2)
@@ -40,14 +40,15 @@ def test_validate_describes_violations_next_to_empty_cells():
     d2 = {(0, 0): M([[1]]), (0, 1): M([[1]]), (2, 0): M([[1]])}
     report = validate(DoubleComplex("broken", 2, 2, dims, d1, d2))
     assert report.describe() == (
-        "d1∘d1 fails at (0,0): product = Matrix(1x1: 3)\n"
-        "d2∘d2 fails at (0,0): product = Matrix(1x1: 1)\n"
-        "anticommutation fails at (0,1): product = Matrix(1x1: 3)\n"
-        "anticommutation fails at (1,0): product = Matrix(1x2: 1 1)")
+        "d1∘d1 fails at (0,0): the 1x1 product has 1 nonzero entry: [0,0] = 3\n"
+        "d2∘d2 fails at (0,0): the 1x1 product has 1 nonzero entry: [0,0] = 1\n"
+        "anticommutation fails at (0,1): the 1x1 product has 1 nonzero entry: [0,0] = 3\n"
+        "anticommutation fails at (1,0): the 1x2 product has 2 nonzero entries: "
+        "[0,0] = 1, [0,1] = 1")
 
 
 def test_entry_edit_is_rejected():
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     d2 = dict(sq.d2)
     d2[(1, 0)] = Matrix.from_rows([[1]])  # sign flip relative to the valid build
     tampered = DoubleComplex("bad", sq.pmax, sq.qmax, dict(sq.dims), dict(sq.d1), d2)
@@ -68,7 +69,7 @@ def test_random_complex_max_dim_zero():
 
 
 def test_direct_sum_zero_neutral():
-    a = build_square(0, 0)
+    a = build_shape(Square(0, 0))
     zero = DoubleComplex("zero", 1, 1, {}, {}, {})
     s = direct_sum(a, zero)
     ws_a, ws_s = Workspace(a), Workspace(s)
@@ -77,7 +78,7 @@ def test_direct_sum_zero_neutral():
 
 
 def test_direct_sum_dots_additive():
-    dot = build_zigzag(dot_shape(1, 1))
+    dot = build_shape(dot_shape(1, 1))
     two = direct_sum(dot, dot)
     table = page_dims(two, 3, Workspace(two))
     assert table.dim(1, 1, 1) == 2 and table.dim(3, 1, 1) == 2
@@ -86,8 +87,8 @@ def test_direct_sum_dots_additive():
 
 
 def test_direct_sum_general_additivity():
-    a = build_square(0, 0, grid=(3, 3))
-    b = build_zigzag(ZigzagShape(((0, 1),), True, True), grid=(3, 3))
+    a = build_shape(Square(0, 0), grid=(3, 3))
+    b = build_shape(ZigzagShape(((0, 1),), True, True), grid=(3, 3))
     s = direct_sum(a, b)
     wa, wb, ws = Workspace(a), Workspace(b), Workspace(s)
     ta, tb, ts = (page_dims(x, 4, w) for x, w in ((a, wa), (b, wb), (s, ws)))
@@ -99,15 +100,15 @@ def test_direct_sum_general_additivity():
 
 
 def test_change_of_basis_identity():
-    c = build_square(1, 1)
+    c = build_shape(Square(1, 1))
     same = change_of_basis(c, {})
     assert complex_to_dict(same)["d1"] == complex_to_dict(c)["d1"]
 
 
 def test_change_of_basis_preserves_invariants():
     rng = random.Random(23)
-    dot = build_zigzag(dot_shape(0, 1), grid=(2, 2))
-    sq = build_square(0, 0, grid=(2, 2))
+    dot = build_shape(dot_shape(0, 1), grid=(2, 2))
+    sq = build_shape(Square(0, 0), grid=(2, 2))
     c = direct_sum(dot, sq)
     transforms = {cell: random_invertible(c.dim(*cell), rng)
                   for cell in c.support()}
@@ -120,14 +121,14 @@ def test_change_of_basis_preserves_invariants():
 
 
 def test_change_of_basis_scaling_one_vector():
-    c = build_square(0, 0)
+    c = build_shape(Square(0, 0))
     t = {(0, 0): Matrix.from_rows([[5]])}
     moved = change_of_basis(c, t)
     assert page_dims(c, 2, Workspace(c)).e == page_dims(moved, 2, Workspace(moved)).e
 
 
 def test_total_complex_dot():
-    dot = build_zigzag(dot_shape(1, 1))
+    dot = build_shape(dot_shape(1, 1))
     t = total_complex(dot)
     assert t.dim(2) == 1
     assert t.differential(2).is_zero()
@@ -135,7 +136,7 @@ def test_total_complex_dot():
 
 
 def test_total_complex_square_dims():
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     t = total_complex(sq)
     assert [t.dim(k) for k in (0, 1, 2)] == [1, 2, 1]
     assert all(v == 0 for v in de_rham_dims(t).values())

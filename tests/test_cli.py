@@ -118,9 +118,9 @@ def test_hodge_command(capsys):
 
 def test_duality_command(tmp_path, capsys):
     from bigraded.bicomplex import dump_complex
-    from bigraded.models import ZigzagShape, build_zigzag
+    from bigraded.models import ZigzagShape, build_shape
     from bigraded.pairing import pairing_to_dict, sum_with_dual
-    tot, pairing = sum_with_dual(build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True)))
+    tot, pairing = sum_with_dual(build_shape(ZigzagShape(((0, 1), (1, 0)), False, True)))
     cpath = tmp_path / "c.json"
     ppath = tmp_path / "p.json"
     dump_complex(tot, cpath)
@@ -150,17 +150,37 @@ def test_markdown_output(capsys):
 
 def test_invalid_complex_exits_one(tmp_path, capsys):
     from bigraded.bicomplex import complex_to_dict
-    from bigraded.models import build_square
-    obj = complex_to_dict(build_square(0, 0))
+    from bigraded.models import Square, build_shape
+    obj = complex_to_dict(build_shape(Square(0, 0)))
     obj["d2"]["1,0"] = [["1"]]  # break anticommutation
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(obj))
     code, doc = run_json(capsys, "validate", str(path))
     assert code == 1
     assert doc["ok"] is False and doc["violations"]
-    code, doc = run_json(capsys, "pages", str(path))
+    for command in ("pages", "report"):
+        code, doc = run_json(capsys, command, str(path))
+        assert code == 1, command
+        assert doc["error"]["kind"] == "input", command
+        assert doc["error"]["message"].startswith("invalid double complex:\n"), command
+
+
+def test_invalid_complex_error_is_bounded(tmp_path, capsys):
+    # d1 d1 at (0,0) is the 60x60 product of two all-ones matrices: 3,600 nonzero entries
+    ones = [["1"] * 60 for _ in range(60)]
+    obj = {"grid": [2, 0], "dims": {"0,0": 60, "1,0": 60, "2,0": 60},
+           "d1": {"0,0": ones, "1,0": ones}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, "report", str(path))
     assert code == 1
-    assert doc["error"]["kind"] == "consistency"
+    assert len(out.encode()) < 1024
+    doc = json.loads(out)
+    assert doc["error"]["kind"] == "input"
+    assert doc["error"]["message"] == (
+        "invalid double complex:\n"
+        "d1∘d1 fails at (0,0): the 60x60 product has 3600 nonzero entries: "
+        "[0,0] = 60, [0,1] = 60, [0,2] = 60, ...")
 
 
 def test_missing_file_exits_two(capsys):
@@ -332,6 +352,23 @@ def test_rmax_only_where_read(capsys):
     for command in ("pages", "bca", "hodge", "report"):
         code, _ = run_json(capsys, command, "example://dot", "--rmax", "2")
         assert code == 0, command
+
+
+@pytest.mark.parametrize("argv", [
+    ("pages", "--rmax", "0"), ("bca", "--rmax", "0"), ("hodge", "--rmax", "0"),
+    ("duality", "--rmax", "0"), ("report", "--rmax", "0"), ("report", "--rmax", "-1"),
+    ("check-pageddbar", "--r", "0"), ("check-pageddbar", "--r", "-1"),
+], ids=lambda arg: arg if isinstance(arg, str) else " ".join(arg))
+def test_page_index_below_one_is_usage_error(tmp_path, capsys, argv):
+    command, flag, value = argv
+    extra = []
+    if command == "duality":
+        pairing = tmp_path / "pairing.json"
+        pairing.write_text('{"n": [0, 0], "pairs": {"0,0": [["1"]]}}')
+        extra = ["--pairing", str(pairing)]
+    code, doc = run_json(capsys, command, "example://dot", flag, value, *extra)
+    assert code == 2
+    assert doc["error"] == {"kind": "usage", "message": f"{flag} must be at least 1, got {value}"}
 
 
 def test_zero_denominator_in_gram_or_pairing_is_error_object(tmp_path, capsys):

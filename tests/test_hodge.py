@@ -13,7 +13,7 @@ from bigraded.hodge import (InnerProduct, adjoint, bc_a_harmonic_spaces,
                             three_space_decomposition)
 from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection)
-from bigraded.models import ZigzagShape, build_zigzag, dot_shape
+from bigraded.models import Square, ZigzagShape, build_shape, dot_shape
 from bigraded.spectral import ConsistencyError, TowerKind, Workspace
 
 
@@ -131,14 +131,14 @@ def test_harmonic_dims_match_pages_random_gram():
 
 
 def test_dot_harmonic_full():
-    dot = build_zigzag(dot_shape(1, 1))
+    dot = build_shape(dot_shape(1, 1))
     tower = harmonic_tower(dot, None, 4)
     for r in (1, 2, 3, 4):
         assert tower.space(r, 1, 1) == Subspace.full(1)
 
 
 def test_length_two_zigzag_tower():
-    z = build_zigzag(ZigzagShape(((0, 0),), False, True))
+    z = build_shape(ZigzagShape(((0, 0),), False, True))
     tower = harmonic_tower(z, None, 2)
     assert tower.space(1, 0, 0).dim == 1
     assert tower.space(1, 1, 0).dim == 1
@@ -156,8 +156,7 @@ def test_three_space_decomposition_random(random_suite):
 
 
 def test_three_space_square_at_generator():
-    from bigraded.models import build_square
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     dec = three_space_decomposition(sq, None, 1, 0, 0)
     assert dec.harmonic.dim == 0
     assert dec.exact.dim == 0
@@ -176,7 +175,7 @@ def test_harmonic_equals_closed_meet_star_closed(random_suite):
 
 
 def test_star_first_page_is_adjoint_kernel():
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), True, True))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), True, True))
     ws = Workspace(z)
     ip = InnerProduct()
     for (p, q) in z.support():
@@ -211,7 +210,7 @@ def test_bc_a_harmonic_dims(random_suite):
 def test_bc_a_harmonic_explicit_zigzag():
     # length-3 with both outer arrows at r=2: one-dimensional harmonic
     # Bott-Chern space on the upper antidiagonal, zero Aeppli space
-    z = build_zigzag(ZigzagShape(((0, 1),), True, True))
+    z = build_shape(ZigzagShape(((0, 1),), True, True))
     ws = Workspace(z)
     h_bc, h_a = bc_a_harmonic_spaces(z, None, 2, 0, 2, ws)
     assert h_bc.dim == 1 and h_a.dim == 0

@@ -1,14 +1,18 @@
 """Shape builders, the expression parser and CDGA models."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from bigraded.bicomplex import validate
+from bigraded.bicomplex import complex_to_dict, validate
 from bigraded.linalg import LinalgError
-from bigraded.models import (CdgaSpec, ParseError, ZigzagShape, build_cdga,
-                             build_square, build_zigzag, cdga_from_dict,
+from bigraded.models import (CdgaSpec, ParseError, Square, ZigzagShape, build_cdga,
+                             build_shape, cdga_from_dict,
                              example_calabi_eckmann, expression_to_str,
                              parse_expression, shape_cells, shape_length)
 from bigraded.spectral import Workspace, degeneration_page, page_dims
+from bigraded.zigzag import _shape_to_dict, enumerate_shapes, split, verify_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -16,7 +20,7 @@ from bigraded.spectral import Workspace, degeneration_page, page_dims
 
 
 def test_square_total_dimension():
-    sq = build_square(2, 1)
+    sq = build_shape(Square(2, 1))
     assert validate(sq).ok
     assert sq.total_dim() == 4
 
@@ -26,7 +30,7 @@ def test_zigzag_length_matches_dimension():
         for bf in (False, True):
             for bl in (False, True):
                 shape = ZigzagShape(tuple((i, 3 - i) for i in range(gens)), bf, bl)
-                z = build_zigzag(shape)
+                z = build_shape(shape)
                 assert validate(z).ok
                 assert z.total_dim() == shape_length(shape)
                 assert z.total_dim() == len(shape_cells(shape))
@@ -39,9 +43,36 @@ def test_malformed_staircase_rejected():
         ZigzagShape((), False, False)
 
 
+def test_square_outside_the_first_quadrant_rejected():
+    with pytest.raises(LinalgError, match="square outside the first quadrant"):
+        Square(-1, 0)
+
+
+def test_built_shapes_match_the_golden_file():
+    # complexes, names and labels of every shape fitting a 4x4 grid, as the
+    # separate square and zigzag builders wrote them
+    golden = json.loads((Path(__file__).parent / "data" / "shapes_4x4.json").read_text())
+    shapes = enumerate_shapes((4, 4))
+    assert [entry["shape"] for entry in golden] == [_shape_to_dict(s) for s in shapes]
+    for entry, shape in zip(golden, shapes):
+        c = build_shape(shape)
+        assert complex_to_dict(c) == entry["complex"]
+        assert {f"{p},{q}": v for (p, q), v in c.labels.items()} == entry["labels"]
+
+
+def test_every_built_shape_is_its_own_one_summand():
+    for shape in enumerate_shapes((4, 4)):
+        c = build_shape(shape)
+        assert validate(c).ok
+        assert c.total_dim() == shape_length(shape)
+        dec = split(c)
+        assert dec.inventory == {shape: 1}
+        assert verify_certificate(c, dec.certificate).ok
+
+
 def test_shape_does_not_fit_grid():
     with pytest.raises(LinalgError):
-        build_square(1, 1, grid=(1, 1))
+        build_shape(Square(1, 1), grid=(1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from bigraded.bicomplex import direct_sum, random_complex, validate
 from bigraded.linalg import Matrix
-from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
-                             dot_shape)
+from bigraded.models import Square, ZigzagShape, build_shape, dot_shape
 from bigraded.pairing import (DualityPairing, dual_complex,
                               induced_pairing_bc_a, induced_pairing_bc_bc,
                               induced_pairing_er, pairing_from_dict,
@@ -26,7 +25,7 @@ def test_dual_complex_valid():
 
 
 def test_sum_with_dual_pairing_valid_and_perfect():
-    z = build_zigzag(ZigzagShape(((0, 2), (1, 1)), False, True))
+    z = build_shape(ZigzagShape(((0, 2), (1, 1)), False, True))
     tot, pairing = sum_with_dual(z)
     assert validate(tot).ok
     report = validate_pairing(tot, pairing)
@@ -34,7 +33,7 @@ def test_sum_with_dual_pairing_valid_and_perfect():
 
 
 def test_broken_pairing_violations_in_cell_order():
-    z = build_zigzag(ZigzagShape(((0, 2), (1, 1)), False, True))
+    z = build_shape(ZigzagShape(((0, 2), (1, 1)), False, True))
     tot, pairing = sum_with_dual(z)
     pairs = dict(pairing.pairs)
     for cell in ((0, 1), (0, 2), (1, 0)):
@@ -48,7 +47,7 @@ def test_broken_pairing_violations_in_cell_order():
 
 
 def test_dot_with_dual_dot():
-    dot = build_zigzag(dot_shape(1, 0))
+    dot = build_shape(dot_shape(1, 0))
     tot, pairing = sum_with_dual(dot, 2)
     report = validate_pairing(tot, pairing)
     assert report.ok and report.perfect
@@ -59,10 +58,10 @@ def test_dot_with_dual_dot():
 
 
 def test_sign_flip_rejected():
-    dot = build_zigzag(dot_shape(0, 1))
+    dot = build_shape(dot_shape(0, 1))
     tot, pairing = sum_with_dual(dot, 1)
     bad_pairs = dict(pairing.pairs)
-    z = build_zigzag(ZigzagShape(((0, 1),), True, False))  # vertical pair
+    z = build_shape(ZigzagShape(((0, 1),), True, False))  # vertical pair
     tot2, pairing2 = sum_with_dual(z, 2)
     bad = dict(pairing2.pairs)
     key = (0, 1)
@@ -107,7 +106,7 @@ def test_bc_a_pairing_nondegenerate_on_duals():
 
 def test_er_pairing_perturbation_invariance():
     rng = random.Random(12)
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, True))
     tot, pairing = sum_with_dual(z)
     ws = Workspace(tot)
     n = pairing.n
@@ -136,7 +135,7 @@ def test_er_pairing_perturbation_invariance():
 
 
 def test_zero_pairing_on_exact_closed_pairs():
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, True))
     tot, pairing = sum_with_dual(z)
     ws = Workspace(tot)
     n = pairing.n
@@ -153,7 +152,7 @@ def test_zero_pairing_on_exact_closed_pairs():
 
 
 def test_bc_bc_matches_verdict_on_length_four_zigzag():
-    z4 = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True))
+    z4 = build_shape(ZigzagShape(((0, 1), (1, 0)), False, True))
     tot, pairing = sum_with_dual(z4)
     ws = Workspace(tot)
     r2 = induced_pairing_bc_bc(tot, pairing, 2, ws)
@@ -163,7 +162,7 @@ def test_bc_bc_matches_verdict_on_length_four_zigzag():
 
 
 def test_bc_bc_nondegenerate_on_good_sum():
-    c = direct_sum(build_zigzag(dot_shape(0, 1), grid=(1, 1)),
+    c = direct_sum(build_shape(dot_shape(0, 1), grid=(1, 1)),
                    build_shape(Square(0, 0), (1, 1)))
     tot, pairing = sum_with_dual(c)
     ws = Workspace(tot)
@@ -178,7 +177,7 @@ def test_duality_closes_the_criterion_gap():
     # injectivity criterion fails as well, and the BC x BC pairing is
     # degenerate in agreement with the verdict
     from bigraded.bca import page_ddbar_verdict
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, False))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, False))
     tot, pairing = sum_with_dual(z, 2)
     ws = Workspace(tot)
     v = page_ddbar_verdict(tot, 2, ws)
@@ -195,7 +194,7 @@ def test_bc_bc_stays_consistent_under_cell_collisions():
     # BC x BC pairing still detects the failure (dual classes pair to zero
     # among themselves)
     from bigraded.bca import page_ddbar_verdict
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, False))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, False))
     tot, pairing = sum_with_dual(z, 1)
     ws = Workspace(tot)
     v = page_ddbar_verdict(tot, 2, ws)
@@ -205,7 +204,7 @@ def test_bc_bc_stays_consistent_under_cell_collisions():
 
 
 def test_pairing_json_roundtrip():
-    z = build_zigzag(ZigzagShape(((0, 1),), True, True))
+    z = build_shape(ZigzagShape(((0, 1),), True, True))
     tot, pairing = sum_with_dual(z)
     obj = pairing_to_dict(pairing)
     back = pairing_from_dict(obj)

@@ -8,7 +8,7 @@ import pytest
 
 from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_sum)
-from bigraded.models import ZigzagShape, build_square, build_zigzag, dot_shape
+from bigraded.models import Square, ZigzagShape, build_shape, dot_shape
 from bigraded.spectral import (TowerKind, Workspace, degeneration_page,
                                dr_matrix, einfty_check,
                                iterated_pages_oracle, page_dims, tower_space)
@@ -36,19 +36,19 @@ def test_tower_nesting(random_suite):
 
 
 def test_square_generator_cell_not_closed():
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     # brute force on the 1-dimensional component: d2 a != 0
     assert tower_space(sq, TowerKind.PAGE_CLOSED, 1, 0, 0) == Subspace.zero(1)
 
 
 def test_page_dims_dot():
-    dot = build_zigzag(dot_shape(2, 1))
+    dot = build_shape(dot_shape(2, 1))
     table = page_dims(dot, 5, Workspace(dot))
     assert all(table.dim(r, 2, 1) == 1 for r in range(1, 6))
 
 
 def test_page_dims_length_two_zigzag():
-    z = build_zigzag(ZigzagShape(((0, 0),), False, True))
+    z = build_shape(ZigzagShape(((0, 0),), False, True))
     ws = Workspace(z)
     table = page_dims(z, 2, ws)
     assert table.dim(1, 0, 0) == 1 and table.dim(1, 1, 0) == 1
@@ -238,13 +238,13 @@ def test_filtration_formula_oracle(random_suite):
 
 
 def test_degeneration_dot_and_square():
-    assert degeneration_page(build_zigzag(dot_shape(0, 0))) == 1
-    assert degeneration_page(build_square(0, 0)) == 1
+    assert degeneration_page(build_shape(dot_shape(0, 0))) == 1
+    assert degeneration_page(build_shape(Square(0, 0))) == 1
 
 
 def test_degeneration_even_zigzags():
     for g in (1, 2, 3):
-        z = build_zigzag(ZigzagShape(tuple((i, 3 - i) for i in range(g)), False, True))
+        z = build_shape(ZigzagShape(tuple((i, 3 - i) for i in range(g)), False, True))
         assert degeneration_page(z) == g + 1
 
 
@@ -255,14 +255,14 @@ def test_einfty_always_matches_betti(random_suite):
 
 
 def test_einfty_square_both_sides_zero():
-    sq = build_square(0, 0)
+    sq = build_shape(Square(0, 0))
     report = einfty_check(sq)
     assert report.ok
     assert all(stable == 0 and b == 0 for stable, b in report.per_degree.values())
 
 
 def test_tower_requires_positive_page():
-    dot = build_zigzag(dot_shape(0, 0))
+    dot = build_shape(dot_shape(0, 0))
     with pytest.raises(ValueError):
         tower_space(dot, TowerKind.PAGE_CLOSED, 0, 0, 0)
 

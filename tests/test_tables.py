@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from bigraded.bicomplex import complex_from_dict
 from bigraded.cli import UsageError, _load_gram, main
 from bigraded.linalg import LinalgError
-from bigraded.models import build_zigzag, dot_shape
+from bigraded.models import build_shape, dot_shape
 from bigraded.pairing import pairing_from_dict
 from bigraded.zigzag import certificate_from_dict
 
@@ -143,7 +143,7 @@ def test_complex_map_reader_returns_matrices_or_raises_linalg_error(value, dims)
 @_FUZZ
 @given(value=_cell_values, n=st.integers(1, 2))
 def test_gram_reader_returns_matrices_or_raises_usage_error(value, n):
-    c = build_zigzag(dot_shape(0, 0)) if n == 1 else complex_from_dict(
+    c = build_shape(dot_shape(0, 0)) if n == 1 else complex_from_dict(
         {"grid": [0, 0], "dims": {"0,0": 2}})
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "gram.json")

@@ -12,8 +12,8 @@ from bigraded.bicomplex import (change_of_basis, de_rham_dims, direct_sum,
                                 random_complex, random_invertible,
                                 swap_complex, validate)
 from bigraded.linalg import Matrix, kernel_basis
-from bigraded.models import (Square, ZigzagShape, build_shape, build_zigzag,
-                             dot_shape, shape_cells, shape_length)
+from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
+                             shape_cells, shape_length)
 from bigraded.spectral import ConsistencyError, Workspace, page_dims
 from bigraded.zigzag import (DecompositionCertificate, certificate_from_dict,
                              certificate_to_dict, decompose, enumerate_shapes,
@@ -111,8 +111,8 @@ def test_hom_dim_end_of_indecomposable_is_one():
 
 
 def test_hom_dim_additive():
-    z = build_zigzag(ZigzagShape(((0, 1), (1, 0)), False, True), grid=(2, 2))
-    d = build_zigzag(dot_shape(0, 1), grid=(2, 2))
+    z = build_shape(ZigzagShape(((0, 1), (1, 0)), False, True), grid=(2, 2))
+    d = build_shape(dot_shape(0, 1), grid=(2, 2))
     s = direct_sum(z, d)
     assert hom_dim(z, s) == hom_dim(z, z) + hom_dim(z, d)
 
@@ -125,7 +125,7 @@ def test_multiplicity_square_alone():
 
 
 def test_multiplicity_double_dot():
-    dot = build_zigzag(dot_shape(1, 1))
+    dot = build_shape(dot_shape(1, 1))
     c = direct_sum(dot, dot)
     res = multiplicity_solve(c)
     assert res.inventory == {dot_shape(1, 1): 2}
@@ -142,11 +142,11 @@ def _overlapping_odd_zigzags():
     # dimension-type invariants alone cannot tell these two sums apart; the
     # Hom features must
     a1 = direct_sum(
-        build_zigzag(ZigzagShape(((0, 3), (1, 2), (2, 1)), True, True), (4, 4)),
-        build_zigzag(ZigzagShape(((1, 2), (2, 1), (3, 0)), True, True), (4, 4)))
+        build_shape(ZigzagShape(((0, 3), (1, 2), (2, 1)), True, True), (4, 4)),
+        build_shape(ZigzagShape(((1, 2), (2, 1), (3, 0)), True, True), (4, 4)))
     a2 = direct_sum(
-        build_zigzag(ZigzagShape(((0, 3), (1, 2), (2, 1), (3, 0)), True, True), (4, 4)),
-        build_zigzag(ZigzagShape(((1, 2), (2, 1)), True, True), (4, 4)))
+        build_shape(ZigzagShape(((0, 3), (1, 2), (2, 1), (3, 0)), True, True), (4, 4)),
+        build_shape(ZigzagShape(((1, 2), (2, 1)), True, True), (4, 4)))
     return a1, a2
 
 
@@ -178,7 +178,7 @@ def test_multiplicity_kernel_is_ambiguous_with_kernel_basis_dim(monkeypatch):
     monkeypatch.setattr(zigzag, "hom_dim", lambda a, b: 0)
     monkeypatch.setattr(zigzag, "_shape_hom", lambda test, target: 0)
     a1, _ = _overlapping_odd_zigzags()
-    shifted = direct_sum(*(build_zigzag(ZigzagShape(gens, True, True), (5, 5))
+    shifted = direct_sum(*(build_shape(ZigzagShape(gens, True, True), (5, 5))
                            for gens in (((1, 3), (2, 2), (3, 1)), ((2, 2), (3, 1), (4, 0)))))
     c = direct_sum(a1, shifted)
     res = multiplicity_solve(c)
@@ -209,7 +209,7 @@ def test_multiplicity_non_integral_or_negative_solution_raises(monkeypatch, scal
     monkeypatch.setattr(zigzag, "predicted_invariants", predicted)
     monkeypatch.setattr(zigzag, "_shape_hom", lambda test, target: scale * real_hom(test, target))
     with pytest.raises(ConsistencyError, match="nonnegative integer"):
-        multiplicity_solve(build_zigzag(dot_shape(0, 0)))
+        multiplicity_solve(build_shape(dot_shape(0, 0)))
 
 
 @settings(max_examples=10, deadline=None)
@@ -244,7 +244,7 @@ def test_structure_verdict_agrees_with_criteria(random_suite):
 
 
 def test_certificate_identity_transform_accepted():
-    dot = build_zigzag(dot_shape(0, 1), grid=(2, 2))
+    dot = build_shape(dot_shape(0, 1), grid=(2, 2))
     sq = Square(0, 0)
     c = direct_sum(dot, build_shape(sq, (2, 2)))
     cert = DecompositionCertificate(
@@ -255,7 +255,7 @@ def test_certificate_identity_transform_accepted():
 
 
 def test_certificate_wrong_label_rejected():
-    dot = build_zigzag(dot_shape(0, 1), grid=(2, 2))
+    dot = build_shape(dot_shape(0, 1), grid=(2, 2))
     sq = Square(0, 0)
     c = direct_sum(dot, build_shape(sq, (2, 2)))
     # swap the two indices at (0,1): the square block then claims the dot's
@@ -279,7 +279,7 @@ def test_certificate_roundtrip_scrambled(structured_suite):
 
 
 def test_certificate_singular_transform_rejected():
-    dot = build_zigzag(dot_shape(0, 0))
+    dot = build_shape(dot_shape(0, 0))
     cert = DecompositionCertificate(
         transforms={(0, 0): Matrix.from_rows([[0]])},
         blocks=[(dot_shape(0, 0), {(0, 0): (0,)})])
@@ -288,7 +288,7 @@ def test_certificate_singular_transform_rejected():
 
 
 def test_certificate_unassigned_index_rejected():
-    dot = build_zigzag(dot_shape(0, 0))
+    dot = build_shape(dot_shape(0, 0))
     two = direct_sum(dot, dot)
     cert = DecompositionCertificate(
         transforms={}, blocks=[(dot_shape(0, 0), {(0, 0): (0,)})])
@@ -369,8 +369,7 @@ def test_malformed_certificate_is_linalg_error(breakage):
 ])
 def test_certificate_shape_fields_are_checked(field, value):
     from bigraded.linalg import LinalgError
-    from bigraded.models import build_square
-    c = build_square(0, 0) if field == "at" else build_zigzag(dot_shape(0, 0))
+    c = build_shape(Square(0, 0)) if field == "at" else build_shape(dot_shape(0, 0))
     obj = certificate_to_dict(decompose(c).certificate)
     assert verify_certificate(c, certificate_from_dict(obj)).ok
     obj["blocks"][0]["shape"][field] = value
@@ -489,8 +488,7 @@ def test_wrong_invariant_tables_raise(monkeypatch):
 
 def test_certificate_transform_outside_the_grid_rejected():
     from bigraded.linalg import LinalgError
-    from bigraded.models import build_square
-    c = build_square(0, 0)
+    c = build_shape(Square(0, 0))
     obj = certificate_to_dict(decompose(c).certificate)
     obj["transforms"]["9,9"] = [["1"]]
     cert = certificate_from_dict(obj)
@@ -498,3 +496,19 @@ def test_certificate_transform_outside_the_grid_rejected():
         change_of_basis(c, cert.transforms)
     report = verify_certificate(c, cert)
     assert not report.ok and "(9, 9)" in report.reason
+
+
+@pytest.mark.parametrize("block, reason", [
+    ((dot_shape(9, 9), {(9, 9): (0,)}),
+     "block 1 index 0 at (9, 9) lies outside the complex (dimension 0 there)"),
+    ((dot_shape(0, 0), {(0, 0): (5,)}),
+     "block 1 index 5 at (0, 0) lies outside the complex (dimension 1 there)"),
+], ids=["cell-outside-the-grid", "index-outside-the-cell"])
+def test_certificate_block_outside_the_complex_rejected(block, reason):
+    c = build_shape(Square(0, 0))
+    cert = decompose(c).certificate
+    assert verify_certificate(c, cert).ok
+    report = verify_certificate(c, DecompositionCertificate(cert.transforms,
+                                                            cert.blocks + [block]))
+    assert not report.ok
+    assert (report.reason, report.failing_block) == (reason, 1)
