@@ -47,13 +47,12 @@ from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (Matrix, Subspace, _span, class_coordinates, extend_basis,
                              image_basis, kernel_basis, map_subspace,
                              subspace_intersection, subspace_sum)
-from bigraded.spectral import (ConsistencyError, TowerKind, Workspace, memoised,
-                               page_dims)
+from bigraded.spectral import (ConsistencyError, Invariants, TowerKind, Workspace,
+                               memoised, page_dims)
 
 __all__ = [
     "ddbar_closed_space",
     "ddbar_exact_space",
-    "BcaTable",
     "bca_dims",
     "CanonicalMaps",
     "canonical_maps",
@@ -187,33 +186,6 @@ def de_rham_reps(ws: Workspace, k):
 # dimensions
 
 
-class BcaTable:
-    __slots__ = ("r_max", "bc", "a")
-
-    def __init__(self, r_max):
-        self.r_max = r_max
-        self.bc = {}  # (r, p, q) -> dim BC_r
-        self.a = {}   # (r, p, q) -> dim A_r
-
-    def bc_dim(self, r, p, q):
-        return self.bc.get((r, p, q), 0)
-
-    def a_dim(self, r, p, q):
-        return self.a.get((r, p, q), 0)
-
-    def bc_antidiagonal(self, r, k):
-        return sum(v for (rr, p, q), v in self.bc.items() if rr == r and p + q == k)
-
-    def a_antidiagonal(self, r, k):
-        return sum(v for (rr, p, q), v in self.a.items() if rr == r and p + q == k)
-
-    def bc_total(self, r):
-        return sum(v for (rr, _, _), v in self.bc.items() if rr == r)
-
-    def a_total(self, r):
-        return sum(v for (rr, _, _), v in self.a.items() if rr == r)
-
-
 @memoised
 def _bca_cell(ws: Workspace, r, p, q):
     """(dim BC_r, dim A_r) at (p,q).
@@ -232,10 +204,10 @@ def _bca_cell(ws: Workspace, r, p, q):
     return k.dim - d.dim, z.dim - i.dim
 
 
-def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> BcaTable:
-    """Bott-Chern and Aeppli dimensions for r = 1..r_max over the support."""
+def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
+    """Tables `bc` and `a` of the Bott-Chern and Aeppli dimensions for r = 1..r_max."""
     ws = ws or Workspace(c)
-    table = BcaTable(r_max)
+    table = Invariants(r_max)
     for (p, q) in ws.c.support():
         for r in range(1, r_max + 1):
             bc, a = _bca_cell(ws, r, p, q)
@@ -377,7 +349,7 @@ def _criterion_bc_a_maps(ws, r, injective_only):
 def _criterion_dims(ws, r):
     table = bca_dims(ws.c, r, ws)
     kmax = ws.c.pmax + ws.c.qmax
-    return all(table.bc_antidiagonal(r, k) == table.a_antidiagonal(r, k)
+    return all(table.antidiagonal("bc", r, k) == table.antidiagonal("a", r, k)
                for k in range(kmax + 1))
 
 
@@ -526,10 +498,9 @@ def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
     (which squeezes the middle one as well).
     """
     ws = ws or Workspace(c)
-    bca = bca_dims(ws.c, r, ws)
-    pages = page_dims(ws.c, r, ws)
-    bca_total = bca.bc_total(r) + bca.a_total(r)
-    page_total = pages.total(r) + pages.total_bar(r)
+    table = page_dims(ws.c, r, ws).add(bca_dims(ws.c, r, ws))
+    bca_total = table.total("bc", r) + table.total("a", r)
+    page_total = table.total("e", r) + table.total("ebar", r)
     betti2 = 2 * sum(ws.betti.values())
     chain_ok = bca_total >= page_total >= betti2
     if verdict is None:

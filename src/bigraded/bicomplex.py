@@ -116,11 +116,15 @@ class ValidationReport:
         return self.ok
 
     def describe(self):
-        """One line per violation: its identity, its cell and at most three nonzero entries."""
+        """One line for each of the first five violations, then a count of the rest.
+
+        A line names the identity, the cell and at most three nonzero entries
+        of the failing product.
+        """
         if self.ok:
             return "valid double complex"
         lines = []
-        for kind, p, q, prod in self.violations:
+        for kind, p, q, prod in self.violations[:5]:
             nonzero = [(i, j, x) for i, row in enumerate(prod.num)
                        for j, x in enumerate(row) if x]
             shown = ", ".join(f"[{i},{j}] = {Q(x, prod.den)}" for i, j, x in nonzero[:3])
@@ -128,6 +132,8 @@ class ValidationReport:
             entries = "entry" if len(nonzero) == 1 else "entries"
             lines.append(f"{kind} fails at ({p},{q}): the {prod.rows}x{prod.cols} product "
                          f"has {len(nonzero)} nonzero {entries}: {shown}{more}")
+        if len(self.violations) > 5:
+            lines.append(f"… and {len(self.violations) - 5} more")
         return "\n".join(lines)
 
 

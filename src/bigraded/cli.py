@@ -38,6 +38,13 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors raise `UsageError`, so `main` prints them as the error object."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 # ---------------------------------------------------------------------------
 # input handling
 
@@ -129,59 +136,30 @@ def _load_pairing(path):
 # table assembly
 
 
-def _certified_max_p(c):
-    return c.meta.get("certified_max_p")
+# JSON keys of the invariant tables the commands print, by `Invariants` tag
+_PAGE_KEYS = {"e": "pages", "ebar": "pages_conjugate"}
+_BCA_KEYS = {"bc": "bott_chern", "a": "aeppli"}
 
 
-def _suppress(c, table):
-    """Remove rows beyond the certified range of a truncated model, if any."""
-    bound = _certified_max_p(c)
-    if bound is None:
-        return table, []
-    kept = {}
+def _tables_section(c, table, keys):
+    """The grids `{"r": {"p,q": dim}}` of `table`, r = 1..r_max, under the JSON keys of `keys`.
+
+    A truncated model drops its rows beyond the certified range from every
+    grid, and `suppressed_cells` lists each cell dropped from any of them.
+    """
+    bound = c.meta.get("certified_max_p")
+    section = {key: {str(r): {} for r in range(1, table.r_max + 1)} for key in keys.values()}
     dropped = set()
-    for (r, p, q), v in table.items():
-        if p <= bound:
-            kept[(r, p, q)] = v
-        else:
-            dropped.add((p, q))
-    return kept, sorted(dropped)
-
-
-def _grid_table(entries, r):
-    out = {}
-    for (rr, p, q), v in entries.items():
-        if rr == r and v:
-            out[f"{p},{q}"] = v
-    return out
-
-
-def _pages_section(c, ws, rmax):
-    table = spectral.page_dims(c, rmax, ws)
-    e, dropped = _suppress(c, table.e)
-    ebar, dropped_bar = _suppress(c, table.ebar)
-    section = {
-        "pages": {str(r): _grid_table(e, r) for r in range(1, rmax + 1)},
-        "pages_conjugate": {str(r): _grid_table(ebar, r) for r in range(1, rmax + 1)},
-    }
-    dropped = sorted(set(dropped) | set(dropped_bar))
+    for tag, key in keys.items():
+        for (r, p, q), v in getattr(table, tag).items():
+            if bound is not None and p > bound:
+                dropped.add((p, q))
+            else:
+                section[key][str(r)][f"{p},{q}"] = v
     if dropped:
-        section["suppressed_cells"] = [f"{p},{q}" for p, q in dropped]
+        section["suppressed_cells"] = [f"{p},{q}" for p, q in sorted(dropped)]
         section["note"] = ("entries beyond the certified truncation range "
-                           f"p <= {_certified_max_p(c)} are suppressed")
-    return section
-
-
-def _bca_section(c, ws, rmax):
-    table = bca_mod.bca_dims(c, rmax, ws)
-    bc, dropped = _suppress(c, table.bc)
-    a, _ = _suppress(c, table.a)
-    section = {
-        "bott_chern": {str(r): _grid_table(bc, r) for r in range(1, rmax + 1)},
-        "aeppli": {str(r): _grid_table(a, r) for r in range(1, rmax + 1)},
-    }
-    if dropped:
-        section["suppressed_cells"] = [f"{p},{q}" for p, q in dropped]
+                           f"p <= {bound} are suppressed")
     return section
 
 
@@ -292,8 +270,8 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
     report["betti"] = {str(k): v for k, v in ws.betti.items() if v}
     report["degeneration_page"] = spectral.degeneration_page(c, ws)
     report["einfty_ok"] = bool(spectral.einfty_check(c, ws))
-    report.update(_pages_section(c, ws, rmax))
-    report.update(_bca_section(c, ws, rmax))
+    table = spectral.page_dims(c, rmax, ws).add(bca_mod.bca_dims(c, rmax, ws))
+    report.update(_tables_section(c, table, _PAGE_KEYS | _BCA_KEYS))
     report["verdicts"] = {str(r): _verdict_section(c, ws, r, explain)
                           for r in range(1, rmax + 1)}
     for r in range(1, rmax + 1):
@@ -430,7 +408,7 @@ def cmd_pages(args):
     c, ws = _prepared(args)
     rmax = _default_rmax(c, args)
     out = {"name": c.name, "grid": [c.pmax, c.qmax]}
-    out.update(_pages_section(c, ws, rmax))
+    out.update(_tables_section(c, spectral.page_dims(c, rmax, ws), _PAGE_KEYS))
     out["degeneration_page"] = spectral.degeneration_page(c, ws)
     if args.show_reps:
         reps = {}
@@ -452,7 +430,7 @@ def cmd_bca(args):
     c, ws = _prepared(args)
     rmax = _default_rmax(c, args)
     out = {"name": c.name, "grid": [c.pmax, c.qmax]}
-    out.update(_bca_section(c, ws, rmax))
+    out.update(_tables_section(c, bca_mod.bca_dims(c, rmax, ws), _BCA_KEYS))
     emit(args, out)
     return 0
 
@@ -525,7 +503,7 @@ def cmd_report(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bigraded",
         description="Exact cohomology engine for bounded double complexes over Q.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -599,9 +577,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for flag in ("rmax", "r"):
             value = getattr(args, flag, None)
             if value is not None and value < 1:

@@ -45,7 +45,7 @@ __all__ = [
     "Workspace",
     "memoised",
     "tower_space",
-    "PageTable",
+    "Invariants",
     "page_dims",
     "dr_matrix",
     "iterated_pages_oracle",
@@ -195,27 +195,47 @@ def tower_space(c: DoubleComplex, kind: TowerKind, r, p, q, ws: Workspace | None
     return ws.space(kind, r, p, q)
 
 
-class PageTable:
-    """Per-page dimensions (and conjugate-page dimensions) over the grid."""
+class Invariants:
+    """The invariant tables of one complex or one shape, each without zero entries.
 
-    __slots__ = ("r_max", "e", "ebar")
+    ``dims`` maps (p,q) to the component dimension, ``e`` and ``ebar``
+    (r,p,q) to the page and conjugate page dimensions, ``bc`` and ``a``
+    (r,p,q) to the Bott-Chern and Aeppli dimensions, and ``b`` the degree k
+    to the Betti number.  Tables of direct summands `add` up to the tables
+    of the sum.
+    """
+
+    TAGS = ("dims", "e", "ebar", "bc", "a", "b")
+    __slots__ = ("r_max",) + TAGS
 
     def __init__(self, r_max):
         self.r_max = r_max
-        self.e = {}     # (r, p, q) -> dim of page r at (p,q)
-        self.ebar = {}  # same, row filtration
+        for tag in self.TAGS:
+            setattr(self, tag, {})
 
     def dim(self, r, p, q):
+        """Dimension of page r at (p,q)."""
         return self.e.get((r, p, q), 0)
 
-    def total(self, r):
-        return sum(v for (rr, _, _), v in self.e.items() if rr == r)
+    def total(self, tag, r):
+        """Sum of the (r,p,q)-keyed table `tag` over the grid at page r."""
+        return sum(v for (rr, _, _), v in getattr(self, tag).items() if rr == r)
 
-    def total_bar(self, r):
-        return sum(v for (rr, _, _), v in self.ebar.items() if rr == r)
+    def antidiagonal(self, tag, r, k):
+        """Sum of the (r,p,q)-keyed table `tag` over p + q = k at page r."""
+        return sum(v for (rr, p, q), v in getattr(self, tag).items() if rr == r and p + q == k)
 
-    def antidiagonal(self, r, k):
-        return sum(v for (rr, p, q), v in self.e.items() if rr == r and p + q == k)
+    def add(self, other, times=1):
+        """Add `times` copies of every table of `other` into this one; returns self."""
+        for tag in self.TAGS:
+            acc = getattr(self, tag)
+            for key, v in getattr(other, tag).items():
+                n = acc.get(key, 0) + times * v
+                if n:
+                    acc[key] = n
+                else:
+                    del acc[key]
+        return self
 
 
 @memoised
@@ -225,10 +245,10 @@ def _page_dim(ws: Workspace, r, p, q):
                         ws.space(TowerKind.PAGE_EXACT, r, p, q))
 
 
-def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=True) -> PageTable:
-    """Dimensions e_r^{p,q} = dim Z_r - dim C_r for r = 1..r_max, plus conjugates."""
+def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=True) -> Invariants:
+    """Tables `e` of e_r^{p,q} = dim Z_r - dim C_r for r = 1..r_max, and `ebar` of conjugates."""
     ws = ws or Workspace(c)
-    table = PageTable(r_max)
+    table = Invariants(r_max)
     for (p, q) in ws.c.support():
         for r in range(1, r_max + 1):
             d = _page_dim(ws, r, p, q)
@@ -270,15 +290,15 @@ def effective_page_bound(c: DoubleComplex):
     return max(1, min(c.pmax, c.qmax + 1))
 
 
-def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) -> PageTable:
+def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
     """Second engine: first page from d2 cohomology, then rank-nullity of d_r.
 
     e_{r+1} = e_r - rank(d_r out) - rank(d_r in), starting from
-    e_1 = dim ker d2 - rank d2.  Returns dimensions only.
+    e_1 = dim ker d2 - rank d2.  Fills the `e` table only.
     """
     ws = ws or Workspace(c)
     c = ws.c
-    table = PageTable(r_max)
+    table = Invariants(r_max)
     current = {}
     for (p, q) in c.support():
         e1 = (c.dim(p, q) - c.d2_at(p, q).rank()) - c.d2_at(p, q - 1).rank()
@@ -314,7 +334,7 @@ def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     table = page_dims(ws.c, bound + 1, ws, conjugate=False)
     last_drop = 0
     for r in range(1, bound + 1):
-        if table.total(r) != table.total(r + 1):
+        if table.total("e", r) != table.total("e", r + 1):
             last_drop = r
     return last_drop + 1
 
@@ -344,7 +364,7 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
     per_degree = {}
     ok = True
     for k in range(ws.c.pmax + ws.c.qmax + 1):
-        stable = table.antidiagonal(bound + 1, k)
+        stable = table.antidiagonal("e", bound + 1, k)
         b = betti.get(k, 0)
         per_degree[k] = (stable, b)
         if stable != b:

@@ -35,11 +35,10 @@ from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _matrices_fr
 from bigraded.linalg import LinalgError, _span
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
                              shape_cells, shape_length)
-from bigraded.spectral import ConsistencyError, Workspace, memoised, page_dims
+from bigraded.spectral import ConsistencyError, Invariants, Workspace, memoised, page_dims
 
 __all__ = [
     "enumerate_shapes",
-    "ShapePrediction",
     "predicted_invariants",
     "measured_invariants",
     "hom_dim",
@@ -94,25 +93,7 @@ def _shape_key(shape):
     return (1, shape.generators, int(shape.d2_out_first), int(shape.d1_out_last))
 
 
-class ShapePrediction:
-    """Closed-form invariant tables of one shape, keyed like the measured ones."""
-
-    __slots__ = ("shape", "dims", "e", "ebar", "bc", "a", "b")
-
-    def __init__(self, shape):
-        self.shape = shape
-        self.dims = {}  # (p,q) -> component dimension
-        self.e = {}     # (r,p,q) -> page dimension
-        self.ebar = {}  # conjugate pages
-        self.bc = {}    # Bott-Chern
-        self.a = {}     # Aeppli
-        self.b = {}     # k -> Betti number
-
-
-_TAGS = ("dims", "e", "ebar", "bc", "a", "b")
-
-
-def predicted_invariants(shape, r_max) -> ShapePrediction:
+def predicted_invariants(shape, r_max) -> Invariants:
     """Invariant tables of a shape without building it.
 
     Squares contribute dimensions only.  For zigzags the page contributions
@@ -120,7 +101,7 @@ def predicted_invariants(shape, r_max) -> ShapePrediction:
     and Aeppli classes on the lower one, with r-1 classes trimmed from each
     end that carries an outgoing arrow.
     """
-    pred = ShapePrediction(shape)
+    pred = Invariants(r_max)
     for cell in shape_cells(shape):
         pred.dims[cell] = pred.dims.get(cell, 0) + 1
     if isinstance(shape, Square):
@@ -178,17 +159,11 @@ def predicted_invariants(shape, r_max) -> ShapePrediction:
     return pred
 
 
-def measured_invariants(c: DoubleComplex, r_max, ws: Workspace | None = None) -> ShapePrediction:
+def measured_invariants(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
     """The same invariant tables, computed from the complex itself."""
     ws = ws or Workspace(c)
-    out = ShapePrediction(None)
+    out = page_dims(ws.c, r_max, ws).add(bca_dims(ws.c, r_max, ws))
     out.dims = dict(ws.c.dims)
-    pages = page_dims(ws.c, r_max, ws)
-    out.e = dict(pages.e)
-    out.ebar = dict(pages.ebar)
-    table = bca_dims(ws.c, r_max, ws)
-    out.bc = dict(table.bc)
-    out.a = dict(table.a)
     out.b = {k: v for k, v in ws.betti.items() if v}
     return out
 
@@ -285,7 +260,7 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
     tables = [predicted_invariants(s, r_max) for s in shapes]
     tables.append(measured_invariants(c, r_max, ws))
     rows = []
-    for tag in _TAGS:
+    for tag in Invariants.TAGS:
         columns = [getattr(t, tag) for t in tables]
         for key in dict.fromkeys(key for col in columns for key in col):
             rows.append([col.get(key, 0) for col in columns])
@@ -495,15 +470,11 @@ def _checked_split(ws: Workspace) -> Decomposition:
             f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
             "the implementation is at fault")
     r_max = max(c.pmax, c.qmax) + 1
-    predicted = ShapePrediction(None)
+    predicted = Invariants(r_max)
     for shape, mult in dec.inventory.items():
-        pred = predicted_invariants(shape, r_max)
-        for tag in _TAGS:
-            acc = getattr(predicted, tag)
-            for key, v in getattr(pred, tag).items():
-                acc[key] = acc.get(key, 0) + mult * v
+        predicted.add(predicted_invariants(shape, r_max), mult)
     measured = measured_invariants(c, r_max, ws)
-    for tag in _TAGS:
+    for tag in Invariants.TAGS:
         if getattr(predicted, tag) != getattr(measured, tag):
             raise ConsistencyError(
                 f"the split inventory of {c.name!r} predicts other {tag!r} tables "

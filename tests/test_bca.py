@@ -36,8 +36,8 @@ def test_first_page_equals_classical_oracle(random_suite):
         table = bca_dims(c, 1, ws)
         for (p, q) in c.support():
             bc, a = classical_bc_a_dims(c, p, q)
-            assert table.bc_dim(1, p, q) == bc, (seed, p, q)
-            assert table.a_dim(1, p, q) == a, (seed, p, q)
+            assert table.bc.get((1, p, q), 0) == bc, (seed, p, q)
+            assert table.a.get((1, p, q), 0) == a, (seed, p, q)
 
 
 def test_ddbar_spaces_first_page():
@@ -144,8 +144,8 @@ def test_bca_monotone(random_suite):
         table = bca_dims(c, 4, ws)
         for (p, q) in c.support():
             for r in (1, 2, 3):
-                assert table.bc_dim(r + 1, p, q) <= table.bc_dim(r, p, q)
-                assert table.a_dim(r + 1, p, q) <= table.a_dim(r, p, q)
+                assert table.bc.get((r + 1, p, q), 0) <= table.bc.get((r, p, q), 0)
+                assert table.a.get((r + 1, p, q), 0) <= table.a.get((r, p, q), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +168,15 @@ def test_bca_monotone(random_suite):
 def test_zigzag_totals(gens, bf, bl, r, bc, a):
     z = build_shape(ZigzagShape(tuple((i, 3 - i) for i in range(gens)), bf, bl))
     table = bca_dims(z, r, Workspace(z))
-    assert table.bc_total(r) == bc
-    assert table.a_total(r) == a
+    assert table.total("bc", r) == bc
+    assert table.total("a", r) == a
 
 
 def test_square_zero_for_all_pages():
     sq = build_shape(Square(1, 1))
     table = bca_dims(sq, 4, Workspace(sq))
     for r in (1, 2, 3, 4):
-        assert table.bc_total(r) == 0 and table.a_total(r) == 0
+        assert table.total("bc", r) == 0 and table.total("a", r) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def test_duality_gap_on_antidiagonal_cancellation():
     assert v.duality_gap
     table = bca_dims(s, 2, ws)
     for (p, q) in s.support():
-        assert table.bc_dim(2, p, q) == table.a_dim(2, p, q)
+        assert table.bc.get((2, p, q), 0) == table.a.get((2, p, q), 0)
 
 
 def test_verdict_explain_witness():

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigraded.bicomplex import (DoubleComplex, change_of_basis,
                                 complex_from_dict, complex_to_dict,
@@ -13,8 +14,9 @@ from bigraded.bicomplex import (DoubleComplex, change_of_basis,
 from bigraded.linalg import Matrix
 from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
                              example_calabi_eckmann)
-from bigraded.spectral import Workspace, page_dims
+from bigraded.spectral import Invariants, Workspace, page_dims
 from bigraded.bca import bca_dims
+from bigraded.zigzag import measured_invariants
 
 
 def test_square_is_valid():
@@ -83,7 +85,7 @@ def test_direct_sum_dots_additive():
     table = page_dims(two, 3, Workspace(two))
     assert table.dim(1, 1, 1) == 2 and table.dim(3, 1, 1) == 2
     bca = bca_dims(two, 2, Workspace(two))
-    assert bca.bc_dim(2, 1, 1) == 2 and bca.a_dim(2, 1, 1) == 2
+    assert bca.bc.get((2, 1, 1), 0) == 2 and bca.a.get((2, 1, 1), 0) == 2
 
 
 def test_direct_sum_general_additivity():
@@ -118,6 +120,31 @@ def test_change_of_basis_preserves_invariants():
     bc0 = bca_dims(c, 3, Workspace(c))
     bc1 = bca_dims(moved, 3, Workspace(moved))
     assert bc0.bc == bc1.bc and bc0.a == bc1.a
+
+
+GRIDS = st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+
+
+def _all_zero(table):
+    return not any(getattr(table, tag) for tag in Invariants.TAGS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=GRIDS, seed=st.integers(0, 10**6), scramble=st.integers(0, 10**6))
+def test_every_invariant_table_is_unchanged_by_change_of_basis(grid, seed, scramble):
+    # pages, conjugate pages, BC_r, A_r, Betti numbers and dimensions
+    c = random_complex(grid, 3, seed)
+    rng = random.Random(scramble)
+    moved = change_of_basis(c, {cell: random_invertible(n, rng) for cell, n in c.dims.items()})
+    assert _all_zero(measured_invariants(c, 4).add(measured_invariants(moved, 4), -1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(grids=st.tuples(GRIDS, GRIDS), seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+def test_every_invariant_table_is_additive_under_direct_sum(grids, seeds):
+    a, b = (random_complex(grid, 2, seed) for grid, seed in zip(grids, seeds))
+    whole = measured_invariants(direct_sum(a, b), 4)
+    assert _all_zero(whole.add(measured_invariants(a, 4), -1).add(measured_invariants(b, 4), -1))
 
 
 def test_change_of_basis_scaling_one_vector():

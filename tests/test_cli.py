@@ -66,6 +66,18 @@ def test_pages_calabi_eckmann(tmp_path, capsys):
     assert "suppressed_cells" in doc  # truncation artifacts beyond p = 5
 
 
+@pytest.mark.parametrize("command", ["pages", "bca", "report"])
+def test_suppressed_cells_are_the_union_over_the_printed_tables(capsys, command):
+    # (8,8) and (10,9) carry page and Aeppli entries only, (8,9) and (10,10) Bott-Chern too
+    code, doc = run_json(capsys, command, "example://ce?u=1&v=1")
+    assert code == 0
+    assert doc["suppressed_cells"] == ["8,8", "8,9", "10,9", "10,10"]
+    assert doc["note"] == "entries beyond the certified truncation range p <= 5 are suppressed"
+    grids = [doc[key][r] for key in ("pages", "pages_conjugate", "bott_chern", "aeppli")
+             if key in doc for r in doc[key]]
+    assert not any(int(cell.split(",")[0]) > 5 for grid in grids for cell in grid)
+
+
 def test_cdga_file_ingestion(tmp_path, capsys):
     spec = {
         "name": "hopf-like",
@@ -181,6 +193,36 @@ def test_invalid_complex_error_is_bounded(tmp_path, capsys):
         "invalid double complex:\n"
         "d1∘d1 fails at (0,0): the 60x60 product has 3600 nonzero entries: "
         "[0,0] = 60, [0,1] = 60, [0,2] = 60, ...")
+
+
+def test_invalid_complex_error_is_bounded_in_total(tmp_path, capsys):
+    # a chain of 200 one-dimensional cells with every d1 = 1: d1 d1 fails at 198 cells
+    obj = {"grid": [199, 0], "dims": {f"{p},0": 1 for p in range(200)},
+           "d1": {f"{p},0": [["1"]] for p in range(199)}}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(obj))
+    code, out = run(capsys, "report", str(path))
+    assert code == 1
+    assert len(out.encode()) < 1024
+    lines = json.loads(out)["error"]["message"].split("\n")
+    assert lines[0] == "invalid double complex:" and len(lines) == 7
+    assert lines[5] == ("d1∘d1 fails at (4,0): the 1x1 product has 1 nonzero entry: "
+                        "[0,0] = 1")
+    assert lines[6] == "… and 193 more"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("report", "example://dot", "--rmax", "x"),
+     "bigraded report: argument --rmax: invalid int value: 'x'"),
+    # argparse reads -1,0 as an option, so --at is left without its value
+    (("example", "square", "--at", "-1,0"),
+     "bigraded example: argument --at: expected one argument"),
+    (("pages",), "bigraded pages: the following arguments are required: input"),
+], ids=["rmax-not-an-int", "negative-looking-value", "missing-input"])
+def test_argparse_errors_print_the_error_object(capsys, argv, message):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc == {"error": {"kind": "usage", "message": message}}
 
 
 def test_missing_file_exits_two(capsys):
@@ -345,10 +387,10 @@ def test_rmax_only_where_read(capsys):
         argv = [command, "example://dot", "--rmax", "2"]
         if command == "check-pageddbar":
             argv += ["--r", "1"]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, command
-    capsys.readouterr()
+        code, doc = run_json(capsys, *argv)
+        assert code == 2, command
+        assert doc["error"] == {"kind": "usage", "message":
+                                "bigraded: unrecognized arguments: --rmax 2"}, command
     for command in ("pages", "bca", "hodge", "report"):
         code, _ = run_json(capsys, command, "example://dot", "--rmax", "2")
         assert code == 0, command

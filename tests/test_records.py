@@ -10,16 +10,17 @@ import pytest
 import bigraded
 from bigraded.linalg import LinalgError
 from bigraded.models import Square, ZigzagShape, dot_shape
-from bigraded.spectral import PageTable
-from bigraded.zigzag import ShapePrediction
+from bigraded.spectral import Invariants
 
 SRC = Path(bigraded.__file__).resolve().parents[1]
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_pairing():
-    # every `bigraded report` pays for what this import loads, in a fresh interpreter
+    # every `bigraded report` pays for what this import loads, in a fresh interpreter,
+    # and compiling the package is about a third of a report process
     code = ("import sys, bigraded.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'bigraded.pairing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'bigraded.pairing', 'bigraded.splitter'}"
+            " & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -65,11 +66,21 @@ def test_malformed_staircase_raises(gens):
 
 
 def test_record_defaults_are_fresh_per_instance():
-    a, b = PageTable(3), PageTable(3)
-    a.e[(1, 0, 0)] = 1
-    a.ebar[(1, 0, 0)] = 1
-    assert b.e == {} and b.ebar == {}
-    s, t = ShapePrediction(None), ShapePrediction(None)
-    for tag in ("dims", "e", "ebar", "bc", "a", "b"):
+    s, t = Invariants(3), Invariants(3)
+    for tag in Invariants.TAGS:
         getattr(s, tag)[0] = 1
         assert getattr(t, tag) == {}, tag
+
+
+def test_invariants_add_sums_tables_and_drops_zeros():
+    s, t = Invariants(2), Invariants(2)
+    s.e[(1, 0, 0)] = s.bc[(2, 1, 0)] = s.b[0] = 1
+    t.e[(1, 0, 0)] = t.a[(1, 0, 1)] = 2
+    assert s.add(t, 3) is s
+    assert (s.e, s.bc, s.a, s.b) == ({(1, 0, 0): 7}, {(2, 1, 0): 1}, {(1, 0, 1): 6}, {0: 1})
+    assert s.total("e", 1) == 7 and s.total("e", 2) == 0 and s.dim(1, 0, 0) == 7
+    assert s.antidiagonal("a", 1, 1) == 6 and s.antidiagonal("a", 1, 0) == 0
+    s.add(t, -3).add(t, -1)
+    assert s.e == {(1, 0, 0): -1} and s.a == {(1, 0, 1): -2}
+    s.add(t, 1)
+    assert s.e == {(1, 0, 0): 1} and s.a == {} and s.bc == {(2, 1, 0): 1}

@@ -14,7 +14,7 @@ from bigraded.bicomplex import (change_of_basis, de_rham_dims, direct_sum,
 from bigraded.linalg import Matrix, kernel_basis
 from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
                              shape_cells, shape_length)
-from bigraded.spectral import ConsistencyError, Workspace, page_dims
+from bigraded.spectral import ConsistencyError, Invariants, Workspace, page_dims
 from bigraded.zigzag import (DecompositionCertificate, certificate_from_dict,
                              certificate_to_dict, decompose, enumerate_shapes,
                              hom_dim, multiplicity_solve, predicted_invariants,
@@ -186,8 +186,8 @@ def test_multiplicity_kernel_is_ambiguous_with_kernel_basis_dim(monkeypatch):
     shapes = [s for s in enumerate_shapes((c.pmax, c.qmax))
               if set(shape_cells(s)) <= set(c.dims)]
     preds = [predicted_invariants(s, res.r_max) for s in shapes]
-    keys = sorted({(tag, key) for p in preds for tag in zigzag._TAGS for key in getattr(p, tag)},
-                  key=repr)
+    keys = sorted({(tag, key) for p in preds for tag in Invariants.TAGS
+                   for key in getattr(p, tag)}, key=repr)
     system = Matrix(len(keys), len(shapes),
                     [[getattr(p, tag).get(key, 0) for p in preds] for tag, key in keys])
     assert res.status == "ambiguous" and res.inventory is None
@@ -201,7 +201,7 @@ def test_multiplicity_non_integral_or_negative_solution_raises(monkeypatch, scal
 
     def predicted(shape, r_max):
         pred = real_pred(shape, r_max)
-        for tag in zigzag._TAGS:
+        for tag in Invariants.TAGS:
             table = getattr(pred, tag)
             for key in table:
                 table[key] *= scale
@@ -481,7 +481,7 @@ def test_broken_splitter_raises(monkeypatch, breakage):
 
 def test_wrong_invariant_tables_raise(monkeypatch):
     monkeypatch.setattr(zigzag, "predicted_invariants",
-                        lambda shape, r_max: zigzag.ShapePrediction(shape))
+                        lambda shape, r_max: Invariants(r_max))
     with pytest.raises(ConsistencyError):
         decompose(random_complex((3, 3), 3, 8))
 
