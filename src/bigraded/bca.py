@@ -329,21 +329,22 @@ def _closed_in_im_both(ws, p, q):
     return subspace_intersection(closed_pure(ws, p, q), im_both(ws, p, q))
 
 
-def _criterion_bc_a_maps(ws, r, injective_only):
-    """BC_r -> A_r has kernel (K ∩ I)/D_r and cokernel Z_r/(K + I).
+def _criterion_bc_a_maps(ws, r):
+    """(injective, bijective) for BC_r -> A_r, from one pass over the cells.
 
-    K is closed_pure, I im_both, D_r the ddbar-exact and Z_r the
-    ddbar-closed space, so the map is injective iff dim(K ∩ I) = dim D_r,
-    and then bijective iff dim A_r = dim BC_r.
+    The map has kernel (K ∩ I)/D_r and cokernel Z_r/(K + I): K is
+    closed_pure, I im_both, D_r the ddbar-exact and Z_r the ddbar-closed
+    space.  So it is injective iff dim(K ∩ I) = dim D_r at every cell, and
+    then bijective iff dim A_r = dim BC_r at every cell.
     """
+    bijective = True
     for (p, q) in ws.c.support():
         if _closed_in_im_both(ws, p, q).dim != ddbar_exact_space(ws.c, r, p, q, ws).dim:
-            return False
-        if not injective_only:
+            return False, False
+        if bijective:
             bc, a = _bca_cell(ws, r, p, q)
-            if a != bc:
-                return False
-    return True
+            bijective = a == bc
+    return True, bijective
 
 
 def _criterion_dims(ws, r):
@@ -435,9 +436,9 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
     """
     ws = ws or Workspace(c)
     criteria = {}
-    criteria["B"] = _criterion_bc_a_maps(ws, r, injective_only=False)
+    injective, criteria["B"] = _criterion_bc_a_maps(ws, r)
     criteria["C"] = _criterion_dims(ws, r)
-    criteria["D"] = _criterion_bc_a_maps(ws, r, injective_only=True)
+    criteria["D"] = injective
     e_ok, witness = _criterion_exactness(ws, r, want_witness=explain)
     criteria["E"] = e_ok
     # on manifolds conjugation supplies the swapped identities for free

@@ -9,11 +9,11 @@ check-pageddbar page-(r-1) del-delbar verdict by all criteria
 hodge           harmonic realisation dimensions and decomposition checks
 decompose       inventory of indecomposable summands
 duality         induced pairings against a supplied pairing file
-example         write a built-in example complex to a file
+example         write a complex, such as a built-in example, to a file
 report          run everything and emit one document
 
 Inputs are JSON complex files or ``example://`` URIs (dot, square, zigzag,
-ce, random).  Output is deterministic: identical inputs and seeds give
+ce, random).  Output is deterministic: identical inputs give
 byte-identical documents.  Exit codes: 0 success, 1 an invalid input or
 an implementation fault, 2 usage error.
 """
@@ -31,7 +31,7 @@ from bigraded.bicomplex import _key, _matrices_from_dict, _unkey
 from bigraded.linalg import LinalgError
 from bigraded.spectral import ConsistencyError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class UsageError(Exception):
@@ -49,10 +49,10 @@ class _Parser(argparse.ArgumentParser):
 # input handling
 
 
-def load_input(spec, seed=None):
+def load_input(spec):
     """A complex from a file path or an example:// URI."""
     if spec.startswith("example://"):
-        return _example_from_uri(spec, seed)
+        return _example(spec)
     obj = _read_json(spec)
     if isinstance(obj, dict) and "generators" in obj:
         return models.cdga_from_dict(obj)
@@ -70,47 +70,51 @@ def _read_json(path):
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _example_from_uri(uri, seed=None):
-    parsed = urlparse(uri)
-    return _example(parsed.netloc or parsed.path.lstrip("/"),
-                    dict(parse_qsl(parsed.query)), seed)
+# the query keys each example:// kind accepts
+_EXAMPLE_KEYS = {"dot": ("at",), "square": ("at",), "zigzag": ("start", "gens", "left", "right"),
+                 "ce": ("u", "v", "w"), "random": ("grid", "seed", "maxdim")}
 
 
-def _example(kind, params, seed=None):
-    """A built-in example from its kind and string-valued parameters.
+def _example(uri):
+    """The built-in example of an `example://KIND?key=value&...` URI.
 
-    Both `example://` URIs and the `example` subcommand come through here,
-    so a bad value is a usage error either way.
+    An unknown kind or key, or a bad value, is a usage error; a key left
+    blank takes its default.
     """
+    parsed = urlparse(uri)
+    kind = parsed.netloc or parsed.path.lstrip("/")
+    if kind not in _EXAMPLE_KEYS:
+        raise UsageError(f"unknown example {kind!r} "
+                         "(expected dot, square, zigzag, ce or random)")
+    pairs = parse_qsl(parsed.query, keep_blank_values=True)
+    for key, _ in pairs:
+        if key not in _EXAMPLE_KEYS[kind]:
+            raise UsageError(f"unknown key {key!r} in example://{kind} "
+                             f"(accepted: {', '.join(_EXAMPLE_KEYS[kind])})")
+    params = {key: value for key, value in pairs if value}
     try:
-        shape = None
         if kind == "dot":
-            shape = models.dot_shape(*_unkey(params.get("at", "0,0")))
-        elif kind == "square":
-            shape = models.Square(*_unkey(params.get("at", "0,0")))
-        elif kind == "zigzag":
+            return models.build_shape(models.dot_shape(*_unkey(params.get("at", "0,0"))))
+        if kind == "square":
+            return models.build_shape(models.Square(*_unkey(params.get("at", "0,0"))))
+        if kind == "zigzag":
             p, q = _unkey(params.get("start", "0,1"))
             gens = int(params.get("gens", "1"))
             left = params.get("left", "0") == "1"
             right = params.get("right", "0") == "1"
-            shape = models.ZigzagShape(
-                tuple((p + i, q - i) for i in range(gens)), left, right)
-        if shape is not None:
-            return models.build_shape(shape)
+            return models.build_shape(models.ZigzagShape(
+                tuple((p + i, q - i) for i in range(gens)), left, right))
         if kind == "ce":
             u = int(params.get("u", "1"))
             v = int(params.get("v", "1"))
             w = params.get("w")
             return models.example_calabi_eckmann(u, v, int(w) if w else None)
-        if kind == "random":
-            grid = _unkey(params.get("grid", "4,4"))
-            s = int(params.get("seed", seed if seed is not None else 0))
-            max_dim = int(params.get("maxdim", "4"))
-            return bicomplex.random_complex(grid, max_dim, s)
+        grid = _unkey(params.get("grid", "4,4"))
+        seed = int(params.get("seed", "0"))
+        max_dim = int(params.get("maxdim", "4"))
+        return bicomplex.random_complex(grid, max_dim, seed)
     except (ValueError, LinalgError) as exc:
         raise UsageError(f"bad {kind} example: {exc}") from exc
-    raise UsageError(f"unknown example {kind!r} "
-                     "(expected dot, square, zigzag, ce or random)")
 
 
 def _load_gram(path, c):
@@ -251,8 +255,7 @@ def _hodge_section(c, ws, ip, rmax):
         dec = hodge.three_space_decomposition(c, ip, min(2, rmax), p, q, ws, tower)
         if not dec.ok():
             ok = False
-    return {"harmonic_dims": dims, "pages_match": True,
-            "three_space_checks": ok}
+    return {"harmonic_dims": dims, "three_space_checks": ok}
 
 
 def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False):
@@ -263,7 +266,6 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
         "grid": [c.pmax, c.qmax],
         "dims": {f"{p},{q}": n for (p, q), n in sorted(c.dims.items())},
         "total_dim": c.total_dim(),
-        "validation": {"ok": True},
     }
     if c.meta:
         report["meta"] = {k: v for k, v in sorted(c.meta.items())}
@@ -367,7 +369,7 @@ def render_markdown(report):
 
 
 def emit(args, obj):
-    text = render_json(obj) if args.format == "json" else render_markdown(obj)
+    text = render_markdown(obj) if getattr(args, "format", None) == "md" else render_json(obj)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -383,7 +385,7 @@ def emit(args, obj):
 
 
 def _prepared(args):
-    c = load_input(args.input, getattr(args, "seed", None))
+    c = load_input(args.input)
     bicomplex.require_valid(c)
     return c, spectral.Workspace(c, checked=True)
 
@@ -395,7 +397,7 @@ def _default_rmax(c, args):
 
 
 def cmd_validate(args):
-    c = load_input(args.input, getattr(args, "seed", None))
+    c = load_input(args.input)
     report = bicomplex.validate(c)
     out = {"name": c.name, "ok": report.ok,
            "violations": [{"identity": kind, "cell": [p, q]}
@@ -405,6 +407,8 @@ def cmd_validate(args):
 
 
 def cmd_pages(args):
+    if args.show_reps and args.format == "md":
+        raise UsageError("--show-reps has no Markdown form; use --format json")
     c, ws = _prepared(args)
     rmax = _default_rmax(c, args)
     out = {"name": c.name, "grid": [c.pmax, c.qmax]}
@@ -454,6 +458,8 @@ def cmd_hodge(args):
 
 
 def cmd_decompose(args):
+    if args.constructive and args.format == "md":
+        raise UsageError("--constructive has no Markdown form; use --format json")
     c, ws = _prepared(args)
     out = {"name": c.name,
            "decomposition": _decompose_section(c, ws, certificate=args.constructive)}
@@ -472,11 +478,7 @@ def cmd_duality(args):
 
 
 def cmd_example(args):
-    options = {"at": args.at, "start": args.start, "gens": args.gens,
-               "left": args.left, "right": args.right, "u": args.u, "v": args.v,
-               "w": args.w, "grid": args.grid, "maxdim": args.max_dim}
-    c = _example("ce" if args.kind == "calabi-eckmann" else args.kind,
-                 {k: str(v) for k, v in options.items() if v is not None}, args.seed)
+    c = load_input(args.input)
     if args.out:
         try:
             bicomplex.dump_complex(c, args.out)
@@ -508,25 +510,25 @@ def build_parser():
         description="Exact cohomology engine for bounded double complexes over Q.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rmax=False):
+    def common(p, rmax=False, markdown=False):
         p.add_argument("input", help="complex file or example:// URI")
         if rmax:
             p.add_argument("--rmax", type=int, default=None)
-        p.add_argument("--format", choices=("json", "md"), default="json")
+        if markdown:
+            p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument("--out", "-o", default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("validate", help="check the double complex identities")
     common(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("pages", help="spectral sequence page dimensions")
-    common(p, rmax=True)
+    common(p, rmax=True, markdown=True)
     p.add_argument("--show-reps", action="store_true")
     p.set_defaults(func=cmd_pages)
 
     p = sub.add_parser("bca", help="Bott-Chern and Aeppli dimensions")
-    common(p, rmax=True)
+    common(p, rmax=True, markdown=True)
     p.set_defaults(func=cmd_bca)
 
     p = sub.add_parser("check-pageddbar", help="page-(r-1) del-delbar verdict")
@@ -541,7 +543,7 @@ def build_parser():
     p.set_defaults(func=cmd_hodge)
 
     p = sub.add_parser("decompose", help="inventory of indecomposable summands")
-    common(p)
+    common(p, markdown=True)
     p.add_argument("--constructive", action="store_true",
                    help="also print the certificate of the decomposition")
     p.set_defaults(func=cmd_decompose)
@@ -551,24 +553,12 @@ def build_parser():
     p.add_argument("--pairing", required=True, help="pairing file")
     p.set_defaults(func=cmd_duality)
 
-    p = sub.add_parser("example", help="write a built-in example complex")
-    p.add_argument("kind", choices=("calabi-eckmann", "square", "dot", "zigzag", "random"))
-    p.add_argument("--u", type=int, default=1)
-    p.add_argument("--v", type=int, default=1)
-    p.add_argument("--w", type=int, default=None)
-    p.add_argument("--at", default="0,0")
-    p.add_argument("--start", default="0,1")
-    p.add_argument("--gens", type=int, default=1)
-    p.add_argument("--left", type=int, choices=(0, 1), default=0)
-    p.add_argument("--right", type=int, choices=(0, 1), default=0)
-    p.add_argument("--grid", default="4,4")
-    p.add_argument("--max-dim", type=int, default=4)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", "-o", default=None)
+    p = sub.add_parser("example", help="write a complex, such as a built-in example")
+    common(p)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("report", help="full report: everything at once")
-    common(p, rmax=True)
+    common(p, rmax=True, markdown=True)
     p.add_argument("--gram", default=None)
     p.add_argument("--pairing", default=None)
     p.add_argument("--explain", action="store_true")

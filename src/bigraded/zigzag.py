@@ -291,11 +291,8 @@ def structure_verdict(inventory, r) -> bool:
     """Page-(r-1) del-delbar property read off a shape inventory.
 
     Holds iff there is no odd zigzag other than dots and no even zigzag
-    longer than 2(r-1).  Accepts an inventory dict or a complex (which is
-    then decomposed first).
+    longer than 2(r-1).
     """
-    if isinstance(inventory, DoubleComplex):
-        inventory = decompose(inventory).inventory
     for shape, mult in inventory.items():
         if not mult or isinstance(shape, Square):
             continue

@@ -147,6 +147,14 @@ def test_every_invariant_table_is_additive_under_direct_sum(grids, seeds):
     assert _all_zero(whole.add(measured_invariants(a, 4), -1).add(measured_invariants(b, 4), -1))
 
 
+@settings(max_examples=25, deadline=None)
+@given(grid=GRIDS, seed=st.integers(0, 10**6))
+def test_pages_of_the_swapped_complex_are_the_conjugate_pages(grid, seed):
+    c = random_complex(grid, 3, seed)
+    swapped = page_dims(swap_complex(c), 4).e
+    assert swapped == {(r, q, p): v for (r, p, q), v in page_dims(c, 4).ebar.items()}
+
+
 def test_change_of_basis_scaling_one_vector():
     c = build_shape(Square(0, 0))
     t = {(0, 0): Matrix.from_rows([[5]])}

@@ -21,6 +21,8 @@ def run_json(capsys, *argv):
 def test_report_dot(capsys):
     code, doc = run_json(capsys, "report", "example://dot", "--rmax", "3")
     assert code == 0
+    assert doc["format_version"] == 2
+    assert "validation" not in doc and "pages_match" not in doc  # they could never be false
     assert doc["degeneration_page"] == 1
     assert doc["einfty_ok"] is True
     for r in ("1", "2", "3"):
@@ -42,8 +44,8 @@ def test_report_byte_identical(tmp_path, capsys):
 
 def test_example_roundtrip_through_file(tmp_path, capsys):
     path = tmp_path / "z.json"
-    code, _ = run(capsys, "example", "zigzag", "--start", "0,1", "--gens", "2",
-                  "--right", "1", "-o", str(path))
+    code, _ = run(capsys, "example", "example://zigzag?start=0,1&gens=2&right=1",
+                  "-o", str(path))
     assert code == 0
     code, doc = run_json(capsys, "validate", str(path))
     assert code == 0 and doc["ok"] is True
@@ -55,8 +57,7 @@ def test_example_roundtrip_through_file(tmp_path, capsys):
 
 def test_pages_calabi_eckmann(tmp_path, capsys):
     path = tmp_path / "ce.json"
-    code, _ = run(capsys, "example", "calabi-eckmann", "--u", "1", "--v", "1",
-                  "-o", str(path))
+    code, _ = run(capsys, "example", "example://ce?u=1&v=1", "-o", str(path))
     assert code == 0
     code, doc = run_json(capsys, "pages", str(path), "--rmax", "3")
     assert code == 0
@@ -214,9 +215,9 @@ def test_invalid_complex_error_is_bounded_in_total(tmp_path, capsys):
 @pytest.mark.parametrize("argv,message", [
     (("report", "example://dot", "--rmax", "x"),
      "bigraded report: argument --rmax: invalid int value: 'x'"),
-    # argparse reads -1,0 as an option, so --at is left without its value
-    (("example", "square", "--at", "-1,0"),
-     "bigraded example: argument --at: expected one argument"),
+    # argparse reads -1,0 as an option, so --r is left without its value
+    (("check-pageddbar", "example://dot", "--r", "-1,0"),
+     "bigraded check-pageddbar: argument --r: expected one argument"),
     (("pages",), "bigraded pages: the following arguments are required: input"),
 ], ids=["rmax-not-an-int", "negative-looking-value", "missing-input"])
 def test_argparse_errors_print_the_error_object(capsys, argv, message):
@@ -353,7 +354,7 @@ def test_certified_max_p_must_be_a_nonnegative_integer(tmp_path, capsys, bound):
         assert "meta.certified_max_p" in doc["error"]["message"], command
 
 
-@pytest.mark.parametrize("argv", [("example", "dot"), ("validate", "example://dot"),
+@pytest.mark.parametrize("argv", [("example", "example://dot"), ("validate", "example://dot"),
                                   ("report", "example://dot")],
                          ids=["example", "validate", "report"])
 def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
@@ -364,11 +365,10 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_negative_maxdim_is_usage_error(capsys):
-    for argv in (("validate", "example://random?grid=2,2&maxdim=-1"),
-                 ("example", "random", "--grid", "2,2", "--max-dim", "-1")):
-        code, doc = run_json(capsys, *argv)
-        assert code == 2, argv
-        assert doc["error"]["kind"] == "usage", argv
+    for command in ("validate", "example"):
+        code, doc = run_json(capsys, command, "example://random?grid=2,2&maxdim=-1")
+        assert code == 2, command
+        assert doc["error"]["kind"] == "usage", command
 
 
 @pytest.mark.parametrize("content", [None, '{"n": [0, 0],'], ids=["missing", "invalid-json"])
@@ -425,15 +425,63 @@ def test_zero_denominator_in_gram_or_pairing_is_error_object(tmp_path, capsys):
 
 
 def test_bad_example_values_are_usage_errors(capsys):
-    cases = [(("square", "--at", "abc"), "example://square?at=abc"),
-             (("random", "--grid", "4"), "example://random?grid=4"),
-             (("square", "--at=-1,0"), "example://square?at=-1,0"),
-             (("zigzag", "--gens", "0"), "example://zigzag?gens=0")]
-    for options, uri in cases:
-        for argv in (("example",) + options, ("validate", uri)):
-            code, doc = run_json(capsys, *argv)
-            assert code == 2, argv
-            assert doc["error"]["kind"] == "usage", argv
+    for uri in ("example://square?at=abc", "example://random?grid=4",
+                "example://square?at=-1,0", "example://zigzag?gens=0"):
+        for command in ("example", "validate"):
+            code, doc = run_json(capsys, command, uri)
+            assert code == 2, (command, uri)
+            assert doc["error"]["kind"] == "usage", (command, uri)
+
+
+@pytest.mark.parametrize("uri,key,accepted", [
+    ("example://ce?u=1&vv=5", "vv", "u, v, w"),
+    ("example://dot?at=1,1&bogus=3", "bogus", "at"),
+    ("example://random?seed=1&max-dim=2", "max-dim", "grid, seed, maxdim"),
+    ("example://zigzag?gens=2&rigth", "rigth", "start, gens, left, right"),
+], ids=["ce-misspelt", "dot-extra", "random-option-spelling", "key-without-value"])
+def test_unknown_example_key_is_usage_error(capsys, uri, key, accepted):
+    kind = uri.split("?")[0]
+    code, doc = run_json(capsys, "validate", uri)
+    assert code == 2
+    assert doc == {"error": {"kind": "usage", "message":
+                             f"unknown key {key!r} in {kind} (accepted: {accepted})"}}
+
+
+@pytest.mark.parametrize("uri", [
+    "example://dot", "example://square?at=1,2", "example://zigzag?start=0,1&gens=2&right=1",
+    "example://ce?u=1&v=1", "example://random?grid=4,4&seed=7&maxdim=4"])
+def test_example_prints_the_complex_of_its_input(capsys, uri):
+    from bigraded.bicomplex import complex_to_dict
+    from bigraded.cli import load_input
+    code, doc = run_json(capsys, "example", uri)
+    assert code == 0
+    assert doc == complex_to_dict(load_input(uri))
+
+
+_REQUIRED = {"check-pageddbar": ("--r", "1"), "duality": ("--pairing", "p.json")}
+_ONE_SPELLING = [
+    *[((command, "example://dot", *_REQUIRED.get(command, ()), "--seed", "1"),
+       "bigraded: unrecognized arguments: --seed 1")
+      for command in ("validate", "pages", "bca", "check-pageddbar", "hodge", "decompose",
+                      "duality", "report", "example")],
+    *[((command, "example://dot", *_REQUIRED.get(command, ()), "--format", "md"),
+       "bigraded: unrecognized arguments: --format md")
+      for command in ("validate", "check-pageddbar", "hodge", "duality")],
+    (("example", "ce", "--u", "2"), "bigraded: unrecognized arguments: --u 2"),
+    (("example", "random", "--max-dim", "2"), "bigraded: unrecognized arguments: --max-dim 2"),
+    (("pages", "example://dot", "--show-reps", "--format", "md"),
+     "--show-reps has no Markdown form; use --format json"),
+    (("decompose", "example://dot", "--constructive", "--format", "md"),
+     "--constructive has no Markdown form; use --format json"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _ONE_SPELLING,
+                         ids=[" ".join(argv) for argv, _ in _ONE_SPELLING])
+def test_each_setting_has_one_spelling(capsys, argv, message):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc == {"error": {"kind": "usage", "message": message}}
 
 
 def test_gram_file_checked_against_complex(tmp_path, capsys):
@@ -459,7 +507,7 @@ def test_hodge_with_rational_gram(tmp_path, capsys):
     stable = {"0,1": 1, "0,2": 1, "0,3": 1, "3,1": 1}
     expected = {"harmonic_dims": {"1": dict(stable, **{"1,3": 1, "2,3": 1}), "2": stable,
                                   "3": stable},
-                "name": "random-5", "pages_match": True, "three_space_checks": True}
+                "name": "random-5", "three_space_checks": True}
     for extra in ((), ("--gram", str(gram))):
         code, doc = run_json(capsys, "hodge", uri, "--rmax", "3", *extra)
         assert (code, doc) == (0, expected), extra

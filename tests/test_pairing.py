@@ -227,6 +227,14 @@ def test_pairing_survives_a_json_round_trip(grid, seed, factor):
     assert report.ok and report.perfect
 
 
+@settings(max_examples=25, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)]),
+       seed=st.integers(0, 10**6))
+def test_sum_with_dual_pairing_is_compatible_and_perfect(grid, seed):
+    report = validate_pairing(*sum_with_dual(random_complex(grid, 3, seed)))
+    assert report.ok and report.perfect
+
+
 def test_perfect_pairing_restores_injectivity_criteria():
     # on c + dual(c) with the evaluation pairing, injectivity (D) and the
     # exactness equivalence (E) match the verdict exactly; the antidiagonal
