@@ -78,20 +78,23 @@ _EXAMPLE_KEYS = {"dot": ("at",), "square": ("at",), "zigzag": ("start", "gens", 
 def _example(uri):
     """The built-in example of an `example://KIND?key=value&...` URI.
 
-    An unknown kind or key, or a bad value, is a usage error; a key left
-    blank takes its default.
+    An unknown kind or key, a key given twice, or a bad value, is a usage
+    error; a key left blank takes its default.
     """
     parsed = urlparse(uri)
     kind = parsed.netloc or parsed.path.lstrip("/")
     if kind not in _EXAMPLE_KEYS:
         raise UsageError(f"unknown example {kind!r} "
                          "(expected dot, square, zigzag, ce or random)")
-    pairs = parse_qsl(parsed.query, keep_blank_values=True)
-    for key, _ in pairs:
+    given = {}
+    for key, value in parse_qsl(parsed.query, keep_blank_values=True):
         if key not in _EXAMPLE_KEYS[kind]:
             raise UsageError(f"unknown key {key!r} in example://{kind} "
                              f"(accepted: {', '.join(_EXAMPLE_KEYS[kind])})")
-    params = {key: value for key, value in pairs if value}
+        if key in given:
+            raise UsageError(f"key {key!r} given twice in example://{kind}")
+        given[key] = value
+    params = {key: value for key, value in given.items() if value}
     try:
         if kind == "dot":
             return models.build_shape(models.dot_shape(*_unkey(params.get("at", "0,0"))))
@@ -100,10 +103,13 @@ def _example(uri):
         if kind == "zigzag":
             p, q = _unkey(params.get("start", "0,1"))
             gens = int(params.get("gens", "1"))
-            left = params.get("left", "0") == "1"
-            right = params.get("right", "0") == "1"
+            arrows = {key: params.get(key, "0") for key in ("left", "right")}
+            for key, value in arrows.items():
+                if value not in ("0", "1"):
+                    raise UsageError(f"bad zigzag example: {key} must be 0 or 1, got {value!r}")
             return models.build_shape(models.ZigzagShape(
-                tuple((p + i, q - i) for i in range(gens)), left, right))
+                tuple((p + i, q - i) for i in range(gens)), arrows["left"] == "1",
+                arrows["right"] == "1"))
         if kind == "ce":
             u = int(params.get("u", "1"))
             v = int(params.get("v", "1"))

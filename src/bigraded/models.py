@@ -24,7 +24,8 @@ the Koszul sign rule ab = (-1)^{|a||b|} ba and the left Leibniz rule
 d(ab) = (da)b + (-1)^{|a|} a(db).  Infinite algebras are handled through a
 truncation that is accepted only when the discarded monomials form an ideal
 stable under both derivations, so the retained object is an honest quotient
-double complex.
+double complex.  Whether d^2 = 0 is decided on the generators, before any
+matrix is built.
 
 The Calabi-Eckmann family is provided ready-made: the Dolbeault-model of
 S^{2u+1} x S^{2v+1} with its standard second differential, truncated by
@@ -36,8 +37,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from itertools import count, takewhile
+from operator import add, mul
 
-from bigraded.bicomplex import DoubleComplex, _require_int, require_valid
+from bigraded.bicomplex import DoubleComplex, _require_int
 from bigraded.linalg import LinalgError, Matrix
 
 Q = Fraction
@@ -254,7 +257,12 @@ def _tokenize(src):
         if m.group("name"):
             tokens.append(("name", m.group("name"), m.start("name")))
         elif m.group("num"):
-            tokens.append(("num", int(m.group("num")), m.start("num")))
+            try:
+                value = int(m.group("num"))
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(f"number of {len(m.group('num'))} digits is too long",
+                                 m.start("num")) from None
+            tokens.append(("num", value, m.start("num")))
         else:
             tokens.append(("op", m.group("op"), m.start("op")))
         pos = m.end()
@@ -270,9 +278,14 @@ class CdgaSpec:
     `d2_rules` map generator names to expression strings.  `truncation` is
     ``(max_p, max_q)``; `weights` optionally assigns a weight per generator
     and `max_weight` cuts monomials with larger total weight.
+
+    The tables by generator index are built once: `names`, `index` (name to
+    index), `bidegrees`, `odd` (1 for an odd generator) and `weight` (0 where
+    `weights` has none).  A monomial is a tuple of exponents in that order.
     """
 
-    __slots__ = ("generators", "d1_rules", "d2_rules", "truncation", "weights", "max_weight")
+    __slots__ = ("generators", "d1_rules", "d2_rules", "truncation", "weights", "max_weight",
+                 "names", "index", "bidegrees", "odd", "weight")
 
     def __init__(self, generators, d1_rules, d2_rules, truncation, weights=None,
                  max_weight=None):
@@ -282,108 +295,69 @@ class CdgaSpec:
         self.truncation = truncation
         self.weights = weights
         self.max_weight = max_weight
-        seen = set()
+        self.index = {}
         for name, (p, q) in self.generators:
             if not isinstance(name, str):
                 raise LinalgError(f"generator name {name!r} is not a string")
-            if name in seen:
+            if name in self.index:
                 raise LinalgError(f"duplicate generator {name!r}")
-            seen.add(name)
+            self.index[name] = len(self.index)
             _require_int(p, f"bidegree of {name!r}")
             _require_int(q, f"bidegree of {name!r}")
             if p < 0 or q < 0:
                 raise LinalgError(f"generator {name!r} outside the first quadrant")
             if p == 0 and q == 0:
                 raise LinalgError(f"generator {name!r} of bidegree (0,0) makes the algebra infinite per bidegree")
-        for which, rules in (("d1", self.d1_rules), ("d2", self.d2_rules)):
-            for name, expr in rules.items():
-                if not isinstance(expr, str):
-                    raise LinalgError(
-                        f"{which} rule for {name!r} must be an expression string, got {expr!r}")
         for bound in self.truncation:
             _require_int(bound, "truncation bound", minimum=0)
         for name, w in (self.weights or {}).items():
-            if name not in seen:
+            if name not in self.index:
                 raise LinalgError(f"weight for undeclared generator {name!r}")
             _require_int(w, f"weight for {name!r}")
             if w < 0:
                 raise LinalgError(f"negative weight for {name!r}")
         if self.max_weight is not None:
             _require_int(self.max_weight, "max_weight", minimum=0)
-
-    @property
-    def names(self):
-        return [name for name, _ in self.generators]
-
-    def bidegree(self, i):
-        return self.generators[i][1]
-
-    def parity(self, i):
-        p, q = self.generators[i][1]
-        return (p + q) % 2
+        self.names = tuple(self.index)
+        self.bidegrees = tuple(tuple(bidegree) for _, bidegree in self.generators)
+        self.odd = tuple((p + q) % 2 for p, q in self.bidegrees)
+        self.weight = tuple((self.weights or {}).get(name, 0) for name in self.names)
 
     def mono_bidegree(self, mono):
-        p = sum(e * self.bidegree(i)[0] for i, e in enumerate(mono))
-        q = sum(e * self.bidegree(i)[1] for i, e in enumerate(mono))
-        return p, q
+        return (sum(e * p for e, (p, _) in zip(mono, self.bidegrees)),
+                sum(e * q for e, (_, q) in zip(mono, self.bidegrees)))
 
-    def mono_weight(self, mono):
-        if not self.weights:
-            return 0
-        w = 0
-        for i, e in enumerate(mono):
-            w += e * self.weights.get(self.names[i], 0)
-        return w
+    def kept(self, mono):
+        """Whether `mono` survives truncation: bidegree within `truncation`, weight within `max_weight`.
+
+        `mono` may be a prefix of the exponent tuple.  The monomials not kept
+        form an ideal, since no generator has a negative degree or weight.
+        """
+        p, q = self.mono_bidegree(mono)
+        return p <= self.truncation[0] and q <= self.truncation[1] and (
+            self.max_weight is None or sum(map(mul, mono, self.weight)) <= self.max_weight)
 
     def mono_str(self, mono):
-        parts = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                parts.append(self.names[i])
-            elif e > 1:
-                parts.append(f"{self.names[i]}^{e}")
-        return "*".join(parts) if parts else "1"
-
-
-def _koszul_sort(factors, spec):
-    """Sort written factors into declaration order, tracking the Koszul sign.
-
-    `factors` is a list of (generator index, exponent).  Returns
-    ``(sign, factors_sorted)``; blocks of even total degree move freely,
-    swapping two odd blocks flips the sign.
-    """
-    factors = list(factors)
-    sign = 1
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(factors) - 1):
-            (i1, e1), (i2, e2) = factors[k], factors[k + 1]
-            if i1 > i2:
-                if (e1 * spec.parity(i1)) % 2 and (e2 * spec.parity(i2)) % 2:
-                    sign = -sign
-                factors[k], factors[k + 1] = factors[k + 1], factors[k]
-                changed = True
-    return sign, factors
-
-
-def _factors_to_mono(sign, factors, spec):
-    """Collect sorted factors into an exponent tuple; odd squares kill the term."""
-    expo = [0] * len(spec.generators)
-    for i, e in factors:
-        expo[i] += e
-    for i, e in enumerate(expo):
-        if e >= 2 and spec.parity(i):
-            return 0, None
-    return sign, tuple(expo)
+        return "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.names, mono) if e) or "1"
 
 
 def mono_mul(m1, m2, spec):
-    """Product of two canonical monomials: (sign, monomial) or (0, None)."""
-    factors = [(i, e) for i, e in enumerate(m1) if e] + \
-              [(i, e) for i, e in enumerate(m2) if e]
-    sign, factors = _koszul_sort(factors, spec)
-    return _factors_to_mono(sign, factors, spec)
+    """Product of two monomials: (sign, monomial), or (0, None) when an odd generator repeats.
+
+    Bringing the product into declaration order moves each odd factor of m2
+    left past the odd factors of m1 at later indices, and even factors
+    commute freely, so the Koszul sign is (-1) to the number of such pairs.
+    """
+    sign, later = 1, 0  # later: parity of the odd factors of m1 after index i
+    for i in range(len(m1) - 1, -1, -1):
+        if spec.odd[i]:
+            if m1[i] and m2[i]:
+                return 0, None
+            if m2[i] and later:
+                sign = -sign
+            later ^= m1[i]
+    return sign, tuple(map(add, m1, m2))
 
 
 def parse_expression(src, spec: CdgaSpec):
@@ -391,12 +365,13 @@ def parse_expression(src, spec: CdgaSpec):
 
     Grammar: terms joined by '+'/'-'; a term is '*'-separated factors, each
     either a rational number (``3``, ``3/2``) or ``name['^' power]``.  The
-    result is a normalised polynomial ``{exponent tuple: Fraction}`` with
-    Koszul signs applied and odd squares removed.
+    factors of a term are multiplied in written order by `mono_mul`, and an
+    odd generator to a power of 2 or more is zero.  The result is a
+    normalised polynomial ``{exponent tuple: Fraction}``.
     """
-    index = {name: i for i, name in enumerate(spec.names)}
     tokens = _tokenize(src)
     pos = 0
+    unit = (0,) * len(spec.names)
 
     def peek():
         return tokens[pos]
@@ -421,7 +396,7 @@ def parse_expression(src, spec: CdgaSpec):
                 coeff /= v2
             return coeff, None
         if kind == "name":
-            if value not in index:
+            if value not in spec.index:
                 raise ParseError(f"undeclared name {value!r}", at)
             power = 1
             if peek()[:2] == ("op", "^"):
@@ -436,23 +411,27 @@ def parse_expression(src, spec: CdgaSpec):
                 power = -v2 if neg else v2
                 if power < 0:
                     raise ParseError("negative exponent", at2)
-            return None, (index[value], power)
+            return None, (spec.index[value], power)
         raise ParseError(f"unexpected token {value!r}", at)
 
     def parse_term():
-        coeff = Q(1)
-        factors = []
+        coeff, mono = Q(1), unit
         while True:
             c, f = parse_factor()
             if c is not None:
                 coeff *= c
-            elif f is not None:
-                factors.append(f)
+            elif coeff:
+                i, power = f
+                if power > 1 and spec.odd[i]:
+                    coeff = Q(0)
+                else:
+                    s, mono = mono_mul(mono, unit[:i] + (power,) + unit[i + 1:], spec)
+                    coeff *= s
             if peek()[:2] == ("op", "*"):
                 advance()
                 continue
             break
-        return coeff, factors
+        return coeff, mono
 
     poly = {}
     sign = 1
@@ -463,11 +442,9 @@ def parse_expression(src, spec: CdgaSpec):
     elif (kind, value) == ("op", "+"):
         advance()
     while True:
-        coeff, factors = parse_term()
-        ks, sorted_factors = _koszul_sort(factors, spec)
-        ks, mono = _factors_to_mono(ks, sorted_factors, spec)
-        if ks and coeff:
-            poly[mono] = poly.get(mono, Q(0)) + sign * ks * coeff
+        coeff, mono = parse_term()
+        if coeff:
+            poly[mono] = poly.get(mono, Q(0)) + sign * coeff
             if poly[mono] == 0:
                 del poly[mono]
         kind, value, at = peek()
@@ -505,152 +482,124 @@ def expression_to_str(poly, spec: CdgaSpec):
     return " ".join(chunks)
 
 
-def _derive_mono(mono, rules, spec: CdgaSpec):
-    """Apply a degree-one derivation with left Leibniz rule to a monomial."""
+def _derive(poly, rules, spec: CdgaSpec):
+    """A derivation, given by `rules` {generator index: polynomial}, applied to `poly`.
+
+    Left Leibniz rule: the derivation passes the factors before the one it
+    acts on with the sign (-1) to their odd count, and takes x^e to
+    e x^{e-1} dx for an even x.  Terms that `spec.kept` drops are left out.
+    """
     out = {}
-    prefix_parity = 0
-    for i, e in enumerate(mono):
-        if e:
-            rule = rules.get(spec.names[i])
+    for mono, c in poly.items():
+        passed = 0  # parity of the odd factors before index i
+        for i, e in enumerate(mono):
+            rule = rules.get(i) if e else None
             if rule:
-                left = list(mono[: i + 1]) + [0] * (len(mono) - i - 1)
-                left[i] = e - 1
-                right = [0] * len(mono)
-                for j in range(i + 1, len(mono)):
-                    right[j] = mono[j]
-                base = Q(e if spec.parity(i) == 0 else 1)
-                lead = -base if prefix_parity else base
+                left = mono[:i] + (e - 1,) + (0,) * (len(mono) - i - 1)
+                right = (0,) * (i + 1) + mono[i + 1:]
+                lead = (-c if passed else c) * (1 if spec.odd[i] else e)
                 for rmono, rc in rule.items():
-                    s1, m1 = mono_mul(tuple(left), rmono, spec)
-                    if not s1:
-                        continue
-                    s2, m2 = mono_mul(m1, tuple(right), spec)
-                    if not s2:
-                        continue
-                    coeff = lead * rc * s1 * s2
-                    out[m2] = out.get(m2, Q(0)) + coeff
-                    if out[m2] == 0:
-                        del out[m2]
-            prefix_parity = (prefix_parity + e * spec.parity(i)) % 2
-    return out
+                    s1, m = mono_mul(left, rmono, spec)
+                    s2, m = mono_mul(m, right, spec) if s1 else (0, None)
+                    if s2 and spec.kept(m):
+                        out[m] = out.get(m, 0) + s1 * s2 * lead * rc
+            passed ^= e & spec.odd[i]
+    return {m: x for m, x in out.items() if x}
 
 
-def _check_rule_bidegrees(spec, rules, shift, which):
-    for name, poly in rules.items():
-        if name not in spec.names:
+def _parse_rules(spec, rules, shift, which):
+    """{generator index: polynomial} of one differential's rules, each of the right bidegree.
+
+    Under a weight truncation no term may weigh less than its generator, so
+    that the discarded monomials stay discarded.
+    """
+    out = {}
+    for name, src in rules.items():
+        if not isinstance(src, str):
+            raise LinalgError(f"{which} rule for {name!r} must be an expression string, got {src!r}")
+        poly = parse_expression(src, spec)
+        if name not in spec.index:
             raise LinalgError(f"{which} rule for undeclared generator {name!r}")
-        i = spec.names.index(name)
-        gp, gq = spec.bidegree(i)
-        want = (gp + shift[0], gq + shift[1])
+        i = spec.index[name]
+        want = (spec.bidegrees[i][0] + shift[0], spec.bidegrees[i][1] + shift[1])
         for mono in poly:
             if spec.mono_bidegree(mono) != want:
                 raise LinalgError(
                     f"{which} rule for {name!r} has a term of bidegree "
                     f"{spec.mono_bidegree(mono)}, expected {want}")
-
-
-def _check_truncation_stability(spec, rules, which):
-    """Discarded monomials must stay discarded: no rule may lower the weight."""
-    if spec.max_weight is None:
-        return
-    for name, poly in rules.items():
-        wg = (spec.weights or {}).get(name, 0)
-        for mono in poly:
-            if spec.mono_weight(mono) < wg:
+            if spec.max_weight is not None and sum(map(mul, mono, spec.weight)) < spec.weight[i]:
                 raise LinalgError(
                     f"truncation not differential-stable: {which} rule for {name!r} "
                     f"lowers the monomial weight")
+        out[i] = poly
+    return out
+
+
+def _check_square_zero(spec, d1, d2):
+    """Refuse the model unless d1 d1, d2 d2 and d1 d2 + d2 d1 vanish on every kept generator.
+
+    Each of the three is a derivation, and the monomials that `spec.kept`
+    drops form an ideal that d1 and d2 preserve, so each is zero on the
+    truncated algebra exactly when it is zero, modulo truncation, on its
+    generators.  The message gives the first nonzero value, cut to 200
+    characters.
+    """
+    n = len(spec.names)
+    for i, name in enumerate(spec.names):
+        g = (0,) * i + (1,) + (0,) * (n - i - 1)
+        if not spec.kept(g):
+            continue
+        a, b = _derive({g: Q(1)}, d1, spec), _derive({g: Q(1)}, d2, spec)
+        anti = _derive(b, d1, spec)
+        for m, x in _derive(a, d2, spec).items():
+            anti[m] = anti.get(m, 0) + x
+        for identity, value in ((f"d1 d1 {name}", _derive(a, d1, spec)),
+                                (f"d2 d2 {name}", _derive(b, d2, spec)),
+                                (f"d1 d2 {name} + d2 d1 {name}", anti)):
+            text = expression_to_str({m: x for m, x in value.items() if x}, spec)
+            if text != "0":
+                cut = text if len(text) <= 200 else text[:200] + " …"
+                raise LinalgError(f"invalid CDGA: {identity} = {cut}, not 0")
 
 
 def build_cdga(spec: CdgaSpec, name="cdga") -> DoubleComplex:
     """Realise the (truncated) free graded-commutative algebra as a double complex.
 
-    Enumerates the monomial basis inside the truncation region, extends the
-    rules as derivations, drops images that leave the region (legal because
-    the discarded set is verified stable under both derivations) and
-    validates the resulting complex.
+    Checks d^2 = 0 on the generators, enumerates the monomials that
+    `spec.kept` keeps and extends the rules to them as derivations.  The
+    matrices are not validated here but once by whoever consumes the
+    complex (`Workspace`, or the command line).
     """
-    max_p, max_q = spec.truncation
-    d1_rules = {n: parse_expression(e, spec) for n, e in spec.d1_rules.items()}
-    d2_rules = {n: parse_expression(e, spec) for n, e in spec.d2_rules.items()}
-    _check_rule_bidegrees(spec, d1_rules, (1, 0), "d1")
-    _check_rule_bidegrees(spec, d2_rules, (0, 1), "d2")
-    _check_truncation_stability(spec, d1_rules, "d1")
-    _check_truncation_stability(spec, d2_rules, "d2")
-
-    ngen = len(spec.generators)
-    bounds = []
-    for i in range(ngen):
-        if spec.parity(i):
-            bounds.append(1)
-            continue
-        gp, gq = spec.bidegree(i)
-        b = []
-        if gp:
-            b.append(max_p // gp)
-        if gq:
-            b.append(max_q // gq)
-        if spec.max_weight is not None:
-            w = (spec.weights or {}).get(spec.names[i], 0)
-            if w:
-                b.append(spec.max_weight // w)
-        bounds.append(min(b))
-
-    monomials = []
-
-    def enumerate_monos(i, current):
-        if i == ngen:
-            monomials.append(tuple(current))
-            return
-        for e in range(bounds[i] + 1):
-            current.append(e)
-            p, q = spec.mono_bidegree(tuple(current + [0] * (ngen - i - 1)))
-            if p <= max_p and q <= max_q and (
-                    spec.max_weight is None
-                    or spec.mono_weight(tuple(current + [0] * (ngen - i - 1))) <= spec.max_weight):
-                enumerate_monos(i + 1, current)
-            current.pop()
-
-    enumerate_monos(0, [])
-
+    d1 = _parse_rules(spec, spec.d1_rules, (1, 0), "d1")
+    d2 = _parse_rules(spec, spec.d2_rules, (0, 1), "d2")
+    _check_square_zero(spec, d1, d2)
+    monomials = [()]  # in lexicographic order, so each cell's list below is sorted
+    for odd in spec.odd:
+        monomials = [m + (e,) for m in monomials for e in takewhile(
+            lambda e, m=m: spec.kept(m + (e,)), range(2) if odd else count())]
     by_cell = {}
     for mono in monomials:
         by_cell.setdefault(spec.mono_bidegree(mono), []).append(mono)
-    for cell in by_cell:
-        by_cell[cell].sort()
-    index = {}
-    for cell, monos in by_cell.items():
-        for j, mono in enumerate(monos):
-            index[mono] = (cell, j)
-
-    pmax = max((p for (p, _) in by_cell), default=0)
-    qmax = max((q for (_, q) in by_cell), default=0)
     dims = {cell: len(monos) for cell, monos in by_cell.items()}
+    row = {mono: j for monos in by_cell.values() for j, mono in enumerate(monos)}
 
-    def derivative_matrices(rules, shift):
+    def matrices(rules, shift):
         table = {}
         for (p, q), monos in by_cell.items():
-            tgt = (p + shift[0], q + shift[1])
-            nr = dims.get(tgt, 0)
-            if nr == 0:
-                continue
-            data = [[Q(0)] * len(monos) for _ in range(nr)]
-            for j, mono in enumerate(monos):
-                for m2, coeff in _derive_mono(mono, rules, spec).items():
-                    hit = index.get(m2)
-                    if hit is None:
-                        continue  # image left the truncation region
-                    data[hit[1]][j] = coeff
-            table[(p, q)] = Matrix(nr, len(monos), data)
+            rows = dims.get((p + shift[0], q + shift[1]), 0)
+            if rows:
+                data = [[Q(0)] * len(monos) for _ in range(rows)]
+                for j, mono in enumerate(monos):
+                    for image, x in _derive({mono: Q(1)}, rules, spec).items():
+                        data[row[image]][j] = x
+                table[(p, q)] = Matrix(rows, len(monos), data)
         return table
 
-    d1 = derivative_matrices(d1_rules, (1, 0))
-    d2 = derivative_matrices(d2_rules, (0, 1))
-    c = DoubleComplex(name, pmax, qmax, dims, d1, d2)
-    for cell, monos in by_cell.items():
-        c.labels[cell] = [spec.mono_str(m) for m in monos]
-    require_valid(c)
-    return c
+    return DoubleComplex(name, max((p for p, _ in by_cell), default=0),
+                         max((q for _, q in by_cell), default=0), dims,
+                         matrices(d1, (1, 0)), matrices(d2, (0, 1)),
+                         labels={cell: [spec.mono_str(m) for m in monos]
+                                 for cell, monos in by_cell.items()})
 
 
 def example_calabi_eckmann(u, v, weight_bound=None) -> DoubleComplex:

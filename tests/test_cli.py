@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -447,6 +448,28 @@ def test_unknown_example_key_is_usage_error(capsys, uri, key, accepted):
                              f"unknown key {key!r} in {kind} (accepted: {accepted})"}}
 
 
+@pytest.mark.parametrize("uri, message", [
+    ("example://zigzag?gens=2&left=2", "bad zigzag example: left must be 0 or 1, got '2'"),
+    ("example://zigzag?gens=2&right=yes", "bad zigzag example: right must be 0 or 1, got 'yes'"),
+], ids=["left-2", "right-yes"])
+def test_zigzag_arrow_outside_zero_or_one_is_usage_error(capsys, uri, message):
+    for command in ("validate", "example"):
+        code, doc = run_json(capsys, command, uri)
+        assert (code, doc) == (2, {"error": {"kind": "usage", "message": message}}), command
+
+
+@pytest.mark.parametrize("uri, key", [
+    ("example://dot?at=1,1&at=2,2", "at"),
+    ("example://ce?u=1&v=2&u=0", "u"),
+    ("example://random?seed=&seed=3", "seed"),
+], ids=["dot-at", "ce-u", "random-blank-then-given"])
+def test_repeated_example_key_is_usage_error(capsys, uri, key):
+    kind = uri.split("?")[0]
+    code, doc = run_json(capsys, "validate", uri)
+    assert (code, doc) == (2, {"error": {"kind": "usage",
+                                         "message": f"key {key!r} given twice in {kind}"}})
+
+
 @pytest.mark.parametrize("uri", [
     "example://dot", "example://square?at=1,2", "example://zigzag?start=0,1&gens=2&right=1",
     "example://ce?u=1&v=1", "example://random?grid=4,4&seed=7&maxdim=4"])
@@ -586,3 +609,50 @@ def test_report_bytes_do_not_depend_on_the_shared_memo():
     warm = render_json(build_report(load_input(uri), 4))
     linalg._memo.cache_clear()
     assert render_json(build_report(load_input(uri), 4)) == warm
+
+
+# ---------------------------------------------------------------------------
+# CDGA inputs: d^2 = 0 decided on the generators, the matrices validated once
+
+_INVALID_CDGA = {"name": "bad", "generators": [{"name": "a", "bidegree": [0, 1]},
+                                               {"name": "b", "bidegree": [1, 1]},
+                                               {"name": "x", "bidegree": [1, 1]}],
+                 "d1": {"a": "b"}, "d2": {"b": "a*x"}, "truncation": {"max_p": 3, "max_q": 3}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("pages",), ("bca",), ("check-pageddbar", "--r", "1"), ("hodge",),
+    ("decompose",), ("duality", "--pairing", "unused.json"), ("example",), ("report",),
+], ids=lambda argv: argv[0])
+def test_invalid_cdga_is_input_error_naming_the_generator(tmp_path, capsys, argv):
+    path = _write(tmp_path, _INVALID_CDGA)
+    code, doc = run_json(capsys, argv[0], path, *argv[1:])
+    assert (code, doc) == (1, {"error": {"kind": "input", "message":
+                                         "invalid CDGA: d1 d2 a + d2 d1 a = a*x, not 0"}})
+
+
+@pytest.mark.parametrize("rule", ["1" + "0" * 5_000 + "*b", "b^" + "1" * 5_000],
+                         ids=["coefficient", "exponent"])
+def test_over_long_integer_in_a_rule_is_input_error(tmp_path, capsys, rule):
+    path = _write(tmp_path, dict(_INVALID_CDGA, d1={"a": rule}, d2={}))
+    for command in ("validate", "report"):
+        code, doc = run_json(capsys, command, path)
+        assert code == 1 and doc["error"]["kind"] == "input", command
+        assert "digits is too long (at position" in doc["error"]["message"], command
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_cdga_input_is_validated_once(tmp_path, capsys, monkeypatch, command):
+    from bigraded import bicomplex
+    seen = []
+    original = bicomplex.validate
+
+    def counting(c):
+        seen.append(c.name)
+        return original(c)
+
+    monkeypatch.setattr(bicomplex, "validate", counting)
+    path = str(Path(__file__).parent / "data" / "models" / "iwasawa.json")
+    code, _ = run(capsys, command, path, *(("--rmax", "2") if command == "report" else ()))
+    assert code == 0
+    assert seen.count("iwasawa") == 1, seen
