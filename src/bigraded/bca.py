@@ -349,9 +349,7 @@ def _criterion_bc_a_maps(ws, r):
 
 def _criterion_dims(ws, r):
     table = bca_dims(ws.c, r, ws)
-    kmax = ws.c.pmax + ws.c.qmax
-    return all(table.antidiagonal("bc", r, k) == table.antidiagonal("a", r, k)
-               for k in range(kmax + 1))
+    return table.degree_sums("bc", r) == table.degree_sums("a", r)
 
 
 def _four_exactness_spaces(ws, r, p, q):
@@ -480,8 +478,8 @@ class InequalityReport:
     def __init__(self, r, bca_total, page_total, betti_doubled, chain_ok, verdict,
                  equality_ok):
         self.r = r
-        self.bca_total = bca_total          # e_{r,BC} + e_{r,A}, summed over the grid
-        self.page_total = page_total        # e_r + conjugate e_r, summed over the grid
+        self.bca_total = bca_total          # e_{r,BC} + e_{r,A}, summed over the cells
+        self.page_total = page_total        # e_r + conjugate e_r, summed over the cells
         self.betti_doubled = betti_doubled  # 2 * sum of Betti numbers
         self.chain_ok = chain_ok
         self.verdict = verdict              # bool, or None when not computed

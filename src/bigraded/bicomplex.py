@@ -90,12 +90,21 @@ class DoubleComplex:
             m = self._d2_at[(p, q)] = Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
         return m
 
-    def cells(self):
-        """All in-grid bidegrees, lexicographic; includes zero-dimensional ones."""
-        return [(p, q) for p in range(self.pmax + 1) for q in range(self.qmax + 1)]
-
     def support(self):
+        """The bidegrees of nonzero dimension, lexicographic; every loop walks these."""
         return sorted(self.dims)
+
+    def span(self):
+        """(max p - min p, max q - min q) over the support; (0, 0) when it is empty.
+
+        The page bounds read it, so a complex costs the same wherever it
+        sits on its grid.
+        """
+        if not self.dims:
+            return 0, 0
+        ps = [p for p, _ in self.dims]
+        qs = [q for _, q in self.dims]
+        return max(ps) - min(ps), max(qs) - min(qs)
 
     def total_dim(self):
         return sum(self.dims.values())
@@ -143,9 +152,7 @@ def validate(c: DoubleComplex) -> ValidationReport:
     Every product starts at (p,q), so a zero-dimensional cell has nothing to check.
     """
     violations = []
-    for p, q in c.cells():
-        if not c.dim(p, q):
-            continue
+    for p, q in c.support():
         m = c.d1_at(p + 1, q) * c.d1_at(p, q)
         if not m.is_zero():
             violations.append(("d1∘d1", p, q, m))
@@ -166,18 +173,13 @@ def require_valid(c: DoubleComplex):
 
 def direct_sum(a: DoubleComplex, b: DoubleComplex, name=None) -> DoubleComplex:
     """Block-diagonal sum; every invariant computed downstream is additive."""
-    pmax = max(a.pmax, b.pmax)
-    qmax = max(a.qmax, b.qmax)
-    dims = {}
+    dims, d1, d2 = {}, {}, {}
     for (p, q) in set(a.dims) | set(b.dims):
         dims[(p, q)] = a.dim(p, q) + b.dim(p, q)
-    d1 = {}
-    d2 = {}
-    for p in range(pmax + 1):
-        for q in range(qmax + 1):
-            d1[(p, q)] = _block_diag(a.d1_at(p, q), b.d1_at(p, q))
-            d2[(p, q)] = _block_diag(a.d2_at(p, q), b.d2_at(p, q))
-    return DoubleComplex(name or f"{a.name}+{b.name}", pmax, qmax, dims, d1, d2)
+        d1[(p, q)] = _block_diag(a.d1_at(p, q), b.d1_at(p, q))
+        d2[(p, q)] = _block_diag(a.d2_at(p, q), b.d2_at(p, q))
+    return DoubleComplex(name or f"{a.name}+{b.name}", max(a.pmax, b.pmax),
+                         max(a.qmax, b.qmax), dims, d1, d2)
 
 
 def _block_diag(m1: Matrix, m2: Matrix) -> Matrix:
@@ -196,13 +198,10 @@ def change_of_basis(c: DoubleComplex, transforms) -> DoubleComplex:
     for (p, q) in transforms:
         if not (0 <= p <= c.pmax and 0 <= q <= c.qmax):
             raise LinalgError(f"transform at {(p, q)} lies outside the grid {c.pmax}x{c.qmax}")
-    t = {}
-    tinv = {}
-    for (p, q) in c.cells():
+    t = {cell: Matrix.identity(n) for cell, n in c.dims.items()}
+    tinv = dict(t)
+    for (p, q), m in sorted(transforms.items()):
         n = c.dim(p, q)
-        m = transforms.get((p, q))
-        if m is None:
-            m = Matrix.identity(n)
         if m.rows != n or m.cols != n:
             raise LinalgError(f"transform at {(p, q)} must be {n}x{n}")
         t[(p, q)] = m
@@ -210,15 +209,8 @@ def change_of_basis(c: DoubleComplex, transforms) -> DoubleComplex:
             tinv[(p, q)] = m.inverse()
         except LinalgError as exc:
             raise LinalgError(f"transform at {(p, q)} is not invertible") from exc
-    d1 = {}
-    d2 = {}
-    for (p, q) in c.cells():
-        if c.dim(p, q) == 0:
-            continue
-        if c.dim(p + 1, q):
-            d1[(p, q)] = tinv[(p + 1, q)] * c.d1_at(p, q) * t[(p, q)]
-        if c.dim(p, q + 1):
-            d2[(p, q)] = tinv[(p, q + 1)] * c.d2_at(p, q) * t[(p, q)]
+    d1 = {(p, q): tinv[(p + 1, q)] * m * t[(p, q)] for (p, q), m in c.d1.items()}
+    d2 = {(p, q): tinv[(p, q + 1)] * m * t[(p, q)] for (p, q), m in c.d2.items()}
     return DoubleComplex(c.name, c.pmax, c.qmax, dict(c.dims), d1, d2)
 
 
@@ -239,12 +231,15 @@ def swap_complex(c: DoubleComplex) -> DoubleComplex:
 
 
 class TotalComplex:
-    """Total complex of a double complex: T^k = sum of A^{p,q} with p+q=k."""
+    """Total complex of a double complex: T^k = sum of A^{p,q} with p+q=k.
 
-    __slots__ = ("kmax", "degree_dims", "layout", "differentials")
+    `layout`, `degree_dims` and `differentials` hold only the degrees k
+    that hold a cell, in increasing order; every other T^k is zero.
+    """
 
-    def __init__(self, kmax, degree_dims, layout, differentials):
-        self.kmax = kmax
+    __slots__ = ("degree_dims", "layout", "differentials")
+
+    def __init__(self, degree_dims, layout, differentials):
         self.degree_dims = degree_dims
         self.layout = layout
         self.differentials = differentials
@@ -290,42 +285,33 @@ class TotalComplex:
 
 def total_complex(c: DoubleComplex) -> TotalComplex:
     """Assemble the total differential D = d1 + d2, blocks ordered lex in (p,q)."""
-    kmax = c.pmax + c.qmax
     layout = {}
     degree_dims = {}
-    for k in range(kmax + 1):
-        off = 0
-        blocks = []
-        for p in range(c.pmax + 1):
-            q = k - p
-            d = c.dim(p, q)
-            if d:
-                blocks.append((p, q, off, d))
-                off += d
-        layout[k] = blocks
-        degree_dims[k] = off
+    for (p, q) in sorted(c.dims, key=lambda cell: (sum(cell), cell)):
+        k, d = p + q, c.dims[(p, q)]
+        off = degree_dims.get(k, 0)
+        layout.setdefault(k, []).append((p, q, off, d))
+        degree_dims[k] = off + d
     differentials = {}
-    for k in range(kmax + 1):
+    for k, blocks_k in layout.items():
         targets = {(p, q): off for (p, q, off, _) in layout.get(k + 1, [])}
         blocks = []
-        for (p, q, off, _) in layout[k]:
+        for (p, q, off, _) in blocks_k:
             for m, tgt in ((c.d1_at(p, q), (p + 1, q)), (c.d2_at(p, q), (p, q + 1))):
                 if tgt in targets:
                     blocks.append((targets[tgt], off, m))
-        differentials[k] = Matrix.from_blocks(degree_dims.get(k + 1, 0),
-                                              degree_dims.get(k, 0), blocks)
-    t = TotalComplex(kmax, degree_dims, layout, differentials)
-    for k in range(kmax):
+        differentials[k] = Matrix.from_blocks(degree_dims.get(k + 1, 0), degree_dims[k], blocks)
+    t = TotalComplex(degree_dims, layout, differentials)
+    for k in layout:
         if not (t.differential(k + 1) * t.differential(k)).is_zero():
             raise LinalgError(f"total differential does not square to zero at degree {k}")
     return t
 
 
 def de_rham_dims(t: TotalComplex):
-    """Betti numbers of the total complex: b_k = dim ker D_k - rank D_{k-1}."""
-    ranks = [t.differential(k).rank() for k in range(t.kmax + 1)]
-    return {k: t.dim(k) - ranks[k] - (ranks[k - 1] if k else 0)
-            for k in range(t.kmax + 1)}
+    """Betti numbers of the total complex, b_k = dim ker D_k - rank D_{k-1}, per degree held."""
+    ranks = {k: t.differential(k).rank() for k in t.layout}
+    return {k: t.dim(k) - ranks[k] - ranks.get(k - 1, 0) for k in t.layout}
 
 
 def euler_characteristic(c: DoubleComplex):
@@ -364,7 +350,7 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
     if max_dim < 0:
         raise LinalgError(f"max_dim must be nonnegative, got {max_dim}")
     rng = random.Random(seed)
-    budget = {(p, q): max_dim for p in range(pmax + 1) for q in range(qmax + 1)}
+    used = {}  # cell -> summands placed there so far
     shapes = []
     if max_dim > 0:
         n_attempts = rng.randint(2, 4 + 2 * (pmax + qmax))
@@ -373,9 +359,9 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
         for _ in range(n_attempts):
             shape = _random_shape(rng, pmax, qmax)
             cells = models.shape_cells(shape)
-            if all(budget[c] >= 1 for c in cells):
+            if all(used.get(cell, 0) < max_dim for cell in cells):
                 for cell in cells:
-                    budget[cell] -= 1
+                    used[cell] = used.get(cell, 0) + 1
                 shapes.append(shape)
     summands = [models.build_shape(s, (pmax, qmax)) for s in shapes]
     acc = DoubleComplex(f"random-{seed}", pmax, qmax, {}, {}, {})
@@ -384,11 +370,7 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
         offsets = {cell: acc.dim(*cell) for cell in models.shape_cells(s)}
         acc = direct_sum(acc, piece, name=f"random-{seed}")
         blocks.append((s, offsets))
-    transforms = {}
-    for (p, q) in acc.cells():
-        n = acc.dim(p, q)
-        if n:
-            transforms[(p, q)] = random_invertible(n, rng)
+    transforms = {cell: random_invertible(acc.dim(*cell), rng) for cell in acc.support()}
     scrambled = change_of_basis(acc, transforms)
     scrambled.meta["seed"] = seed
     if not structure:

@@ -313,13 +313,13 @@ def _md_grid(title, grid):
     if not cells:
         lines += ["(all zero)", ""]
         return lines
-    pmax = max(p for p, _ in cells)
-    qmax = max(q for _, q in cells)
-    header = "| p \\ q | " + " | ".join(str(q) for q in range(qmax + 1)) + " |"
-    sep = "|---" * (qmax + 2) + "|"
+    last_p = max(p for p, _ in cells)  # the table spans its own cells, not the complex's grid
+    last_q = max(q for _, q in cells)
+    header = "| p \\ q | " + " | ".join(str(q) for q in range(last_q + 1)) + " |"
+    sep = "|---" * (last_q + 2) + "|"
     lines += [header, sep]
-    for p in range(pmax + 1):
-        row = [str(grid.get(f"{p},{q}", 0)) for q in range(qmax + 1)]
+    for p in range(last_p + 1):
+        row = [str(grid.get(f"{p},{q}", 0)) for q in range(last_q + 1)]
         lines.append(f"| {p} | " + " | ".join(row) + " |")
     lines.append("")
     return lines
@@ -455,7 +455,7 @@ def cmd_check_pageddbar(args):
 
 def cmd_hodge(args):
     c, ws = _prepared(args)
-    rmax = min(_default_rmax(c, args), 4)
+    rmax = _default_rmax(c, args)
     ip = _load_gram(args.gram, c) if args.gram else hodge.InnerProduct()
     out = {"name": c.name}
     out.update(_hodge_section(c, ws, ip, rmax))

@@ -93,11 +93,11 @@ def validate_pairing(c: DoubleComplex, pairing: DualityPairing) -> PairingValida
     if violations:
         return PairingValidation(False, False, violations)
     perfect = True
-    for p, q in c.cells():
-        a, b = c.dim(p, q), c.dim(n - p, n - q)
-        perfect = perfect and a == b and (not a or pairing.at(c, p, q).rank() == a)
-        if not a:  # both sides of both rules have dim(p, q) rows
-            continue
+    # both sides of both rules have dim(p, q) rows, and a cell of the mirror
+    # (n-p, n-q) of the support that lies outside it fails perfectness at (p,q)
+    for p, q in c.support():
+        a = c.dim(p, q)
+        perfect = perfect and c.dim(n - p, n - q) == a and pairing.at(c, p, q).rank() == a
         # d1 rule: pair (p,q)+(1,0) against (n-p-1, n-q)
         lhs = c.d1_at(p, q).transpose() * pairing.at(c, p + 1, q)
         rhs = pairing.at(c, p, q) * c.d1_at(n - p - 1, n - q)
@@ -133,12 +133,12 @@ def sum_with_dual(c: DoubleComplex, n=None):
         n = max(c.pmax, c.qmax)
     total = direct_sum(c, dual_complex(c, n), name=f"{c.name}+dual")
     pairs = {}
-    for p, q in total.cells():
+    for p, q in total.support():  # the support of c and its mirror (n-p, n-q)
         a = c.dim(p, q)          # c-part on the left
         b = c.dim(n - p, n - q)  # c-part on the right
-        if a or b:  # evaluation of the right dual part, then of the left one
-            pairs[(p, q)] = Matrix.from_blocks(a + b, a + b, [
-                (0, b, Matrix.identity(a)), (a, 0, Matrix.identity(b).scale((-1) ** (p + q)))])
+        # evaluation of the right dual part, then of the left one
+        pairs[(p, q)] = Matrix.from_blocks(a + b, a + b, [
+            (0, b, Matrix.identity(a)), (a, 0, Matrix.identity(b).scale((-1) ** (p + q)))])
     return total, DualityPairing(n, pairs)
 
 

@@ -218,12 +218,16 @@ class Invariants:
         return self.e.get((r, p, q), 0)
 
     def total(self, tag, r):
-        """Sum of the (r,p,q)-keyed table `tag` over the grid at page r."""
+        """Sum of the (r,p,q)-keyed table `tag` over all cells at page r."""
         return sum(v for (rr, _, _), v in getattr(self, tag).items() if rr == r)
 
-    def antidiagonal(self, tag, r, k):
-        """Sum of the (r,p,q)-keyed table `tag` over p + q = k at page r."""
-        return sum(v for (rr, p, q), v in getattr(self, tag).items() if rr == r and p + q == k)
+    def degree_sums(self, tag, r):
+        """{k: sum of the (r,p,q)-keyed table `tag` over p + q = k} at page r, without zeros."""
+        sums = {}
+        for (rr, p, q), v in getattr(self, tag).items():
+            if rr == r:
+                sums[p + q] = sums.get(p + q, 0) + v
+        return {k: v for k, v in sums.items() if v}
 
     def add(self, other, times=1):
         """Add `times` copies of every table of `other` into this one; returns self."""
@@ -286,8 +290,13 @@ def dr_matrix(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Matrix:
 
 
 def effective_page_bound(c: DoubleComplex):
-    """Past this page index every differential vanishes for bidegree reasons."""
-    return max(1, min(c.pmax, c.qmax + 1))
+    """Past this page index every differential vanishes for bidegree reasons.
+
+    d_r joins (p,q) to (p+r, q-r+1), so a nonzero one needs r <= the span
+    of p and r - 1 <= the span of q over the support.
+    """
+    p_span, q_span = c.span()
+    return max(1, min(p_span, q_span + 1))
 
 
 def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
@@ -326,8 +335,8 @@ def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) 
 def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     """Smallest r with all page differentials d_s, s >= r, identically zero.
 
-    Bounded complexes stabilise no later than min(pmax, qmax+1)+1; page
-    totals are strictly decreasing exactly while some d_s is nonzero.
+    Bounded complexes stabilise no later than `effective_page_bound` + 1;
+    page totals are strictly decreasing exactly while some d_s is nonzero.
     """
     ws = ws or Workspace(c)
     bound = effective_page_bound(ws.c)
@@ -344,7 +353,7 @@ class ConvergenceReport:
 
     def __init__(self, ok, per_degree):
         self.ok = ok
-        # k -> (sum of stable page dims on the antidiagonal, betti number)
+        # k -> (sum of stable page dims over p + q = k, betti number), per degree held
         self.per_degree = per_degree
 
     def __bool__(self):
@@ -359,14 +368,7 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
     """
     ws = ws or Workspace(c)
     bound = effective_page_bound(ws.c)
-    table = page_dims(ws.c, bound + 1, ws, conjugate=False)
+    stable = page_dims(ws.c, bound + 1, ws, conjugate=False).degree_sums("e", bound + 1)
     betti = ws.betti
-    per_degree = {}
-    ok = True
-    for k in range(ws.c.pmax + ws.c.qmax + 1):
-        stable = table.antidiagonal("e", bound + 1, k)
-        b = betti.get(k, 0)
-        per_degree[k] = (stable, b)
-        if stable != b:
-            ok = False
-    return ConvergenceReport(ok, per_degree)
+    per_degree = {k: (stable.get(k, 0), betti.get(k, 0)) for k in sorted(stable.keys() | betti)}
+    return ConvergenceReport(all(e == b for e, b in per_degree.values()), per_degree)

@@ -174,44 +174,50 @@ def _absorb(order, coeffs):
 def _split_zigzags(w: DoubleComplex):
     """Interval decomposition of a complex with d1 d2 = 0, one antidiagonal at a time.
 
-    Yields ``(ZigzagShape, {cell: vector})`` in `w`'s coordinates.
+    Yields ``(ZigzagShape, {cell: vector})`` in `w`'s coordinates.  Only the
+    antidiagonals with a nonzero complement are swept: elsewhere every cell
+    is image, which d1 and d2 kill, so no interval starts there.
     """
     images = {}
     complements = {}
+    positions = {}  # k -> the j with a nonzero complement at (j, k-j), increasing
     for (p, q) in w.support():
-        n = w.dim(p, q)
         images[(p, q)] = subspace_sum(image_basis(w.d1_at(p - 1, q)),
                                       image_basis(w.d2_at(p, q - 1)))
-        complements[(p, q)] = extend_basis(images[(p, q)], Subspace.full(n))
-    for k in range(w.pmax + w.qmax + 1):
-        for interval in _sweep(w, k, images, complements):
+        complements[(p, q)] = extend_basis(images[(p, q)], Subspace.full(w.dim(p, q)))
+        if complements[(p, q)]:
+            positions.setdefault(p + q, []).append(p)
+    for k in sorted(positions):
+        for interval in _sweep(w, k, positions[k], images, complements):
             yield _interval_shape(w, k, interval, complements)
 
 
-def _sweep(w, k, images, complements):
+def _sweep(w, k, positions, images, complements):
     """One left-to-right pass over I(0,k+1) <- C(0,k) -> I(1,k) <- ... -> I(k+1,0).
 
-    At an I <- C step the live intervals whose vectors span the image
-    continue: the image, in coordinates of the live vectors ordered by rank,
-    is put in echelon form with each pivot at its lowest-ranked interval,
-    which then absorbs the others; the kernel starts new intervals.  At a
-    C -> I step the kernel, in the same echelon form, names the intervals
-    that die; the complement of the image starts new ones.
+    Only the C(j, k-j) with j in `positions` are nonzero.  At an I <- C step
+    the live intervals whose vectors span the image continue: the image, in
+    coordinates of the live vectors ordered by rank, is put in echelon form
+    with each pivot at its lowest-ranked interval, which then absorbs the
+    others; the kernel starts new intervals.  At a C -> I step the kernel,
+    in the same echelon form, names the intervals that die; the complement
+    of the image starts new ones.  Past a zero C(j, k-j) every live interval
+    ends at I(j, k+1-j).
     """
     empty = Subspace.zero(0)
     done = []
-    live = [_Interval(0, v) for v in images.get((0, k + 1), empty).basis_columns()]
-    for j in range(k + 1):
+    live = []
+    reached = None  # the live intervals hold vectors at I(reached, k+1-reached)
+    for j in positions:
         cell, pos = (j, k - j), 2 * j + 1
-        comp = complements.get(cell)
-        if not comp:
-            # nothing at C(j, k-j): every live interval ends at I(j, k+1-j)
+        if j != reached:
+            # C(reached, .) up to C(j-1, .) are zero: the live intervals end at I(reached, .)
             for iv in live:
-                iv.end = pos - 1
+                iv.end = 2 * reached
             done += live
-            live = [_Interval(pos + 1, v)
-                    for v in images.get((j + 1, k - j), empty).basis_columns()]
-            continue
+            live = [_Interval(pos - 1, v)
+                    for v in images.get((j, k + 1 - j), empty).basis_columns()]
+        comp = complements[cell]
         cmat = Matrix.from_columns(comp, w.dim(*cell))
         # I(j, k+1-j) <- C(j, k-j) along d2
         rho = w.d2_at(*cell) * cmat
@@ -249,8 +255,9 @@ def _sweep(w, k, images, complements):
         target = images.get((j + 1, k - j), empty)
         span = Subspace.from_columns([iv.vecs[pos + 1] for iv in live], target.ambient_dim)
         live += [_Interval(pos + 1, v) for v in extend_basis(span, target)]
+        reached = j + 1
     for iv in live:
-        iv.end = 2 * k + 2
+        iv.end = 2 * reached
     return done + live
 
 

@@ -57,34 +57,32 @@ __all__ = [
 
 
 def enumerate_shapes(grid):
-    """All squares and zigzag shapes fitting the grid, deterministically ordered.
+    """All squares and zigzag shapes fitting the grid, deterministically ordered."""
+    pmax, qmax = grid
+    return _shapes_in({(p, q) for p in range(pmax + 1) for q in range(qmax + 1)})
 
-    Each call returns a fresh list; the shapes are built once per grid.
+
+def _shapes_in(cells):
+    """Every square and zigzag whose cells all lie in the set `cells`, in `_shape_key` order.
+
+    A zigzag grows from its first generator down-right, one generator and
+    the corner before it at a time, while both are in `cells`.
     """
-    return list(_grid_shapes(*grid))
-
-
-@cache
-def _grid_shapes(pmax, qmax):
     shapes = []
-    for p in range(pmax):
-        for q in range(qmax):
+    for (p, q) in cells:
+        if {(p + 1, q), (p, q + 1), (p + 1, q + 1)} <= cells:
             shapes.append(Square(p, q))
-    max_gens = min(pmax, qmax) + 1
-    for g in range(1, max_gens + 1):
-        for p0 in range(pmax - g + 2):
-            if p0 + g - 1 > pmax:
-                continue
-            for q0 in range(g - 1, qmax + 1):
-                gens = tuple((p0 + i, q0 - i) for i in range(g))
-                for bf in (False, True):
-                    if bf and q0 + 1 > qmax:
-                        continue
-                    for bl in (False, True):
-                        if bl and p0 + g > pmax:
-                            continue
-                        shapes.append(ZigzagShape(gens, bf, bl))
-    return tuple(sorted(shapes, key=_shape_key))
+        gens = [(p, q)]
+        while True:
+            a, b = gens[-1]
+            right = (a + 1, b) in cells
+            for bf in (False, True) if (p, q + 1) in cells else (False,):
+                for bl in (False, True) if right else (False,):
+                    shapes.append(ZigzagShape(tuple(gens), bf, bl))
+            if not (right and (a + 1, b - 1) in cells):
+                break
+            gens.append((a + 1, b - 1))
+    return sorted(shapes, key=_shape_key)
 
 
 def _shape_key(shape):
@@ -251,10 +249,8 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
     ws = ws or Workspace(c)
     c = ws.c
     if r_max is None:
-        r_max = max(c.pmax, c.qmax) + 1
-    support = set(c.dims)
-    shapes = [s for s in _grid_shapes(c.pmax, c.qmax)
-              if all(cell in support for cell in shape_cells(s))]
+        r_max = max(c.span()) + 1
+    shapes = _shapes_in(set(c.dims))
     if not shapes:
         return MultiplicityResult("unique", {}, 0, r_max)
     tables = [predicted_invariants(s, r_max) for s in shapes]
@@ -466,7 +462,7 @@ def _checked_split(ws: Workspace) -> Decomposition:
         raise ConsistencyError(
             f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
             "the implementation is at fault")
-    r_max = max(c.pmax, c.qmax) + 1
+    r_max = max(c.span()) + 1
     predicted = Invariants(r_max)
     for shape, mult in dec.inventory.items():
         predicted.add(predicted_invariants(shape, r_max), mult)

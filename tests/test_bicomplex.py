@@ -14,9 +14,11 @@ from bigraded.bicomplex import (DoubleComplex, change_of_basis,
 from bigraded.linalg import Matrix
 from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
                              example_calabi_eckmann)
-from bigraded.spectral import Invariants, Workspace, page_dims
-from bigraded.bca import bca_dims
-from bigraded.zigzag import measured_invariants
+from bigraded.spectral import (Invariants, Workspace, degeneration_page, einfty_check,
+                               page_dims)
+from bigraded.bca import bca_dims, page_ddbar_verdict
+from bigraded.cli import build_report
+from bigraded.zigzag import decompose, measured_invariants
 
 
 def test_square_is_valid():
@@ -147,6 +149,58 @@ def test_every_invariant_table_is_additive_under_direct_sum(grids, seeds):
     assert _all_zero(whole.add(measured_invariants(a, 4), -1).add(measured_invariants(b, 4), -1))
 
 
+SHIFTS = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+def _translated(c, a, b):
+    """`c` moved by (a, b), on its grid grown by as much."""
+    def move(table):
+        return {(p + a, q + b): v for (p, q), v in table.items()}
+    return DoubleComplex(c.name, c.pmax + a, c.qmax + b, move(c.dims), move(c.d1), move(c.d2),
+                         meta=dict(c.meta))
+
+
+def _translated_shape(shape, a, b):
+    if isinstance(shape, Square):
+        return Square(shape.p + a, shape.q + b)
+    return ZigzagShape(tuple((p + a, q + b) for p, q in shape.generators),
+                       shape.d2_out_first, shape.d1_out_last)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=GRIDS, seed=st.integers(0, 10**6), pad=SHIFTS)
+def test_a_report_does_not_see_grid_padding(grid, seed, pad):
+    c = random_complex(grid, 2, seed)
+    padded = DoubleComplex(c.name, c.pmax + pad[0], c.qmax + pad[1], c.dims, c.d1, c.d2,
+                           meta=dict(c.meta))
+    report, again = build_report(c, 4), build_report(padded, 4)
+    assert report.pop("grid") == [c.pmax, c.qmax]
+    assert again.pop("grid") == [c.pmax + pad[0], c.qmax + pad[1]]
+    assert again == report
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=GRIDS, seed=st.integers(0, 10**6), shift=SHIFTS)
+def test_translation_moves_every_table_and_keeps_every_verdict(grid, seed, shift):
+    a, b = shift
+    c = random_complex(grid, 2, seed)
+    moved = _translated(c, a, b)
+    ws, wm = Workspace(c), Workspace(moved)
+    before, after = measured_invariants(c, 4, ws), measured_invariants(moved, 4, wm)
+    assert after.dims == {(p + a, q + b): n for (p, q), n in before.dims.items()}
+    for tag in ("e", "ebar", "bc", "a"):
+        assert getattr(after, tag) == {(r, p + a, q + b): v
+                                       for (r, p, q), v in getattr(before, tag).items()}
+    assert after.b == {k + a + b: v for k, v in before.b.items()}
+    assert decompose(moved, wm).inventory == {
+        _translated_shape(s, a, b): m for s, m in decompose(c, ws).inventory.items()}
+    assert degeneration_page(moved, wm) == degeneration_page(c, ws)
+    assert einfty_check(moved, wm).ok == einfty_check(c, ws).ok
+    for r in range(1, 5):
+        v, w = page_ddbar_verdict(c, r, ws), page_ddbar_verdict(moved, r, wm)
+        assert (w.verdict, w.criteria, w.duality_gap) == (v.verdict, v.criteria, v.duality_gap)
+
+
 @settings(max_examples=25, deadline=None)
 @given(grid=GRIDS, seed=st.integers(0, 10**6))
 def test_pages_of_the_swapped_complex_are_the_conjugate_pages(grid, seed):
@@ -165,9 +219,9 @@ def test_change_of_basis_scaling_one_vector():
 def test_total_complex_dot():
     dot = build_shape(dot_shape(1, 1))
     t = total_complex(dot)
-    assert t.dim(2) == 1
+    assert [t.dim(k) for k in (0, 1, 2)] == [0, 0, 1]
     assert t.differential(2).is_zero()
-    assert de_rham_dims(t) == {0: 0, 1: 0, 2: 1}
+    assert de_rham_dims(t) == {2: 1}  # one Betti number per degree that holds a cell
 
 
 def test_total_complex_square_dims():
@@ -203,8 +257,8 @@ def test_betti_numbers_rank_each_differential_once(monkeypatch):
     rank = Matrix.rank
     monkeypatch.setattr(Matrix, "rank", lambda m: ranked.append(m) or rank(m))
     betti = ws.betti
-    assert len(ranked) == t.kmax + 1
-    assert ws.betti is betti and len(ranked) == t.kmax + 1
+    assert len(ranked) == len(t.degree_dims) == 21  # degrees 0..20 all hold a cell
+    assert ws.betti is betti and len(ranked) == 21
     assert [betti[k] for k in range(7)] == [1, 0, 0, 2, 0, 0, 1]
 
 

@@ -130,6 +130,16 @@ def test_hodge_command(capsys):
     assert doc["harmonic_dims"]["1"] == {}
 
 
+def test_hodge_rmax_is_the_last_page(capsys):
+    # --rmax is the last page on every command: six harmonic grids, each the page grid
+    uri = "example://ce?u=2&v=3"
+    code, doc = run_json(capsys, "hodge", uri, "--rmax", "6")
+    assert code == 0
+    _, pages = run_json(capsys, "pages", uri, "--rmax", "6")
+    assert sorted(doc["harmonic_dims"], key=int) == [str(r) for r in range(1, 7)]
+    assert doc["harmonic_dims"] == pages["pages"]
+
+
 def test_duality_command(tmp_path, capsys):
     from bigraded.bicomplex import dump_complex
     from bigraded.models import ZigzagShape, build_shape

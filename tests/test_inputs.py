@@ -1,14 +1,13 @@
 """Arbitrary JSON in each field of a CDGA file and of the complex header.
 
 Every read returns a complex or raises `LinalgError`; nothing else escapes,
-and a CDGA that is read is a valid double complex.  (The four matrix tables
-are fuzzed in `test_tables.py`.)
+and every complex that is read is a valid double complex.  (The four matrix
+tables are fuzzed in `test_tables.py`.)
 
-Integers stay within -3..8, so truncation bounds and grid sizes are at most
-8.  The size of a truncated algebra grows with its bound: a (1,1) generator
-under ``max_p: 10**6`` is a million monomials.  And several loops walk the
-whole grid, so a 1000x1000 grid holding one cell takes seconds to report.
-Large values would time those, not test the reader.
+Grid sizes go up to 10**6, since reading and validating a complex walk its
+support, not its grid.  The other integers stay within -3..8, so truncation
+bounds are at most 8: the size of a truncated algebra grows with its bound,
+and a (1,1) generator under ``max_p: 10**6`` is a million monomials.
 """
 
 import copy
@@ -49,11 +48,12 @@ def read_cdga(obj):
 
 
 def read_complex(obj):
+    """`complex_from_dict(obj)`, which must be a valid complex or raise LinalgError."""
     try:
         c = complex_from_dict(obj)
     except LinalgError:
         return None
-    assert isinstance(c, DoubleComplex), obj
+    assert isinstance(c, DoubleComplex) and validate(c).ok, obj
     return c
 
 
@@ -117,7 +117,7 @@ _cells = st.sampled_from(["0,0", "1,0", "0,1", "1,1", "8,8", "-1,0", "a", "1,1,1
 
 
 @_FUZZ
-@given(grid=_pairs | _json)
+@given(grid=st.lists(st.integers(-3, 10**6), min_size=2, max_size=2) | _pairs | _json)
 def test_header_grid(grid):
     read_complex(dict(_HEADER, grid=grid))
 

@@ -79,7 +79,7 @@ def test_invariants_add_sums_tables_and_drops_zeros():
     assert s.add(t, 3) is s
     assert (s.e, s.bc, s.a, s.b) == ({(1, 0, 0): 7}, {(2, 1, 0): 1}, {(1, 0, 1): 6}, {0: 1})
     assert s.total("e", 1) == 7 and s.total("e", 2) == 0 and s.dim(1, 0, 0) == 7
-    assert s.antidiagonal("a", 1, 1) == 6 and s.antidiagonal("a", 1, 0) == 0
+    assert s.degree_sums("a", 1) == {1: 6} and s.degree_sums("a", 2) == {}
     s.add(t, -3).add(t, -1)
     assert s.e == {(1, 0, 0): -1} and s.a == {(1, 0, 1): -2}
     s.add(t, 1)
