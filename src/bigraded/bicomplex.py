@@ -44,9 +44,13 @@ __all__ = [
 
 
 class DoubleComplex:
-    """Bounded bigraded space with differentials d1: (p,q)->(p+1,q), d2: (p,q)->(p,q+1)."""
+    """Bounded bigraded space with differentials d1: (p,q)->(p+1,q), d2: (p,q)->(p,q+1).
 
-    __slots__ = ("name", "pmax", "qmax", "dims", "d1", "d2", "labels", "meta", "_d1_at", "_d2_at")
+    `d1` and `d2` hold the nonzero maps; `d1_at` and `d2_at` read an absent
+    one as the shared zero `Matrix` of its shape.
+    """
+
+    __slots__ = ("name", "pmax", "qmax", "dims", "d1", "d2", "labels", "meta")
 
     def __init__(self, name, pmax, qmax, dims, d1, d2, labels=None, meta=None):
         self.name = name
@@ -72,38 +76,25 @@ class DoubleComplex:
                 self.d2[(p, q)] = m
         self.labels = labels or {}
         self.meta = meta or {}
-        self._d1_at = dict(self.d1)  # plus each zero map once it is asked for
-        self._d2_at = dict(self.d2)
 
     def dim(self, p, q):
         return self.dims.get((p, q), 0)
 
     def d1_at(self, p, q):
-        m = self._d1_at.get((p, q))
-        if m is None:
-            m = self._d1_at[(p, q)] = Matrix.zero(self.dim(p + 1, q), self.dim(p, q))
-        return m
+        return self.d1.get((p, q)) or Matrix.zero(self.dims.get((p + 1, q), 0),
+                                                  self.dims.get((p, q), 0))
 
     def d2_at(self, p, q):
-        m = self._d2_at.get((p, q))
-        if m is None:
-            m = self._d2_at[(p, q)] = Matrix.zero(self.dim(p, q + 1), self.dim(p, q))
-        return m
+        return self.d2.get((p, q)) or Matrix.zero(self.dims.get((p, q + 1), 0),
+                                                  self.dims.get((p, q), 0))
 
     def support(self):
         """The bidegrees of nonzero dimension, lexicographic; every loop walks these."""
         return sorted(self.dims)
 
     def span(self):
-        """(max p - min p, max q - min q) over the support; (0, 0) when it is empty.
-
-        The page bounds read it, so a complex costs the same wherever it
-        sits on its grid.
-        """
-        if not self.dims:
-            return 0, 0
-        ps = [p for p, _ in self.dims]
-        qs = [q for _, q in self.dims]
+        """(max p - min p, max q - min q) over the support; (0, 0) when it is empty."""
+        ps, qs = zip(*self.dims) if self.dims else ((0,), (0,))
         return max(ps) - min(ps), max(qs) - min(qs)
 
     def total_dim(self):

@@ -313,13 +313,13 @@ def _md_grid(title, grid):
     if not cells:
         lines += ["(all zero)", ""]
         return lines
-    last_p = max(p for p, _ in cells)  # the table spans its own cells, not the complex's grid
-    last_q = max(q for _, q in cells)
-    header = "| p \\ q | " + " | ".join(str(q) for q in range(last_q + 1)) + " |"
-    sep = "|---" * (last_q + 2) + "|"
+    # the table spans the bounding box of its own cells, not the complex's grid
+    ps, qs = (range(min(xs), max(xs) + 1) for xs in zip(*cells))
+    header = "| p \\ q | " + " | ".join(map(str, qs)) + " |"
+    sep = "|---" * (len(qs) + 1) + "|"
     lines += [header, sep]
-    for p in range(last_p + 1):
-        row = [str(grid.get(f"{p},{q}", 0)) for q in range(last_q + 1)]
+    for p in ps:
+        row = [str(grid.get(f"{p},{q}", 0)) for q in qs]
         lines.append(f"| {p} | " + " | ".join(row) + " |")
     lines.append("")
     return lines

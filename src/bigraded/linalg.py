@@ -42,7 +42,7 @@ costs about as much as they do.  `_memo.cache_info()` counts hits and misses.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import cache, lru_cache, wraps
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
@@ -93,7 +93,6 @@ def _memoised(fn):
 
 
 _put = object.__setattr__
-_zeros = {}
 _identities = {}
 
 
@@ -141,12 +140,11 @@ class Matrix:
             raise LinalgError("from_rows needs at least one row; use zero()")
         return cls(len(rows), len(rows[0]), rows)
 
-    @classmethod
-    def zero(cls, rows, cols):
+    @staticmethod
+    @cache
+    def zero(rows, cols):
         """The rows x cols zero matrix; one shared instance per shape."""
-        if (rows, cols) not in _zeros:
-            _zeros[(rows, cols)] = _matrix(rows, cols, ((0,) * cols,) * rows)
-        return _zeros[(rows, cols)]
+        return _matrix(rows, cols, ((0,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n):

@@ -95,8 +95,8 @@ class Workspace:
 
     `spaces` holds the tower spaces of this orientation, keyed by
     (kind, r, p, q) and filled by `space`; the conjugate towers live in the
-    workspace of the swapped complex, `swapped`.  `swapped`, `total` and
-    `betti` are computed on first use and then read as plain attributes.
+    workspace of the swapped complex, `swapped`.  `swapped`, `total`,
+    `betti` and `stable_page` are computed on first use, then read as is.
     Every other derived value (page representatives, page differentials,
     and the values of the higher modules) is a `memoised` accessor kept in
     `memo`.  The complex is validated once on entry; all cached values are
@@ -122,6 +122,27 @@ class Workspace:
     def betti(self):
         """Betti numbers of the total complex, degree -> b_k; read, never changed."""
         return de_rham_dims(self.total)
+
+    @functools.cached_property
+    def stable_page(self):
+        """The first page from which no E_r of this orientation changes, at most max(span) + 1.
+
+        It is max(a, b) for a, the first s >= 1 with runs_s = runs_{s-1},
+        and b, the first s >= 2 with reaches_s = reaches_{s-1}.  A one-step
+        recursion keeps its fixed point, and E_r reads runs_{r-1} and
+        reaches_{r-1}, as BC_r and A_r (r >= 2) do in both orientations.
+        Only cells with a nonzero d1 out of them are compared: elsewhere
+        runs_s is the whole space, and reaches spaces are only read through
+        their d1-image.  Runs shrink and reaches grow, so dimensions decide.
+        """
+        def fixed(kind, s):
+            return all(self.space(kind, s, p, q).dim == self.space(kind, s - 1, p, q).dim
+                       for p, q in self.c.d1)
+
+        cap = max(self.c.span()) + 1
+        a = next((s for s in range(1, cap) if fixed(TowerKind.RUNS, s)), cap)
+        b = next((s for s in range(2, cap) if fixed(TowerKind.REACHES_ZERO, s)), cap)
+        return max(a, b)
 
     def space(self, kind: TowerKind, r, p, q) -> Subspace:
         key = (kind, r, p, q)
@@ -289,16 +310,6 @@ def dr_matrix(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Matrix:
     return ws.dr_matrix(r, p, q)
 
 
-def effective_page_bound(c: DoubleComplex):
-    """Past this page index every differential vanishes for bidegree reasons.
-
-    d_r joins (p,q) to (p+r, q-r+1), so a nonzero one needs r <= the span
-    of p and r - 1 <= the span of q over the support.
-    """
-    p_span, q_span = c.span()
-    return max(1, min(p_span, q_span + 1))
-
-
 def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
     """Second engine: first page from d2 cohomology, then rank-nullity of d_r.
 
@@ -308,44 +319,28 @@ def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) 
     ws = ws or Workspace(c)
     c = ws.c
     table = Invariants(r_max)
-    current = {}
-    for (p, q) in c.support():
-        e1 = (c.dim(p, q) - c.d2_at(p, q).rank()) - c.d2_at(p, q - 1).rank()
-        if e1:
-            current[(p, q)] = e1
-    bound = effective_page_bound(c)
+    current = {(p, q): c.dim(p, q) - c.d2_at(p, q).rank() - c.d2_at(p, q - 1).rank()
+               for (p, q) in c.support()}
     for r in range(1, r_max + 1):
-        for (p, q), v in current.items():
-            if v:
-                table.e[(r, p, q)] = v
-        if r >= r_max:
-            break
-        nxt = {}
-        for (p, q), v in current.items():
-            drop = 0
-            if r <= bound:
-                drop += ws.dr_matrix(r, p, q).rank()
-                drop += ws.dr_matrix(r, p - r, q + r - 1).rank()
-            if v - drop:
-                nxt[(p, q)] = v - drop
-        current = nxt
+        current = {cell: v for cell, v in current.items() if v}
+        table.e.update(((r,) + cell, v) for cell, v in current.items())
+        if r < r_max:
+            current = {(p, q): v - ws.dr_matrix(r, p, q).rank()
+                               - ws.dr_matrix(r, p - r, q + r - 1).rank()
+                       for (p, q), v in current.items()}
     return table
 
 
 def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     """Smallest r with all page differentials d_s, s >= r, identically zero.
 
-    Bounded complexes stabilise no later than `effective_page_bound` + 1;
-    page totals are strictly decreasing exactly while some d_s is nonzero.
+    Page totals drop exactly while some d_s is nonzero, and the pages are
+    fixed from `ws.stable_page` on.
     """
     ws = ws or Workspace(c)
-    bound = effective_page_bound(ws.c)
-    table = page_dims(ws.c, bound + 1, ws, conjugate=False)
-    last_drop = 0
-    for r in range(1, bound + 1):
-        if table.total("e", r) != table.total("e", r + 1):
-            last_drop = r
-    return last_drop + 1
+    table = page_dims(ws.c, ws.stable_page, ws, conjugate=False)
+    totals = [table.total("e", r) for r in range(1, ws.stable_page + 1)]
+    return totals.index(totals[-1]) + 1
 
 
 class ConvergenceReport:
@@ -367,8 +362,7 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
     means the implementation (not the input) is broken.
     """
     ws = ws or Workspace(c)
-    bound = effective_page_bound(ws.c)
-    stable = page_dims(ws.c, bound + 1, ws, conjugate=False).degree_sums("e", bound + 1)
-    betti = ws.betti
-    per_degree = {k: (stable.get(k, 0), betti.get(k, 0)) for k in sorted(stable.keys() | betti)}
+    stable = page_dims(ws.c, ws.stable_page, ws, conjugate=False).degree_sums("e", ws.stable_page)
+    per_degree = {k: (stable.get(k, 0), ws.betti.get(k, 0))
+                  for k in sorted(stable.keys() | ws.betti)}
     return ConvergenceReport(all(e == b for e, b in per_degree.values()), per_degree)

@@ -157,6 +157,20 @@ def predicted_invariants(shape, r_max) -> Invariants:
     return pred
 
 
+def _shape_stable_page(shape):
+    """The first page from which `predicted_invariants(shape, r)` stops changing."""
+    if isinstance(shape, Square):
+        return 1
+    g = len(shape.generators)
+    return (g // 2, g, (g + 1) // 2)[shape.d2_out_first + shape.d1_out_last] + 1
+
+
+def _stable_page(ws: Workspace, shapes):
+    """The page from which the tables of `ws.c` and of each of `shapes` stay fixed."""
+    return max([ws.stable_page, ws.swapped.stable_page]
+               + [_shape_stable_page(s) for s in shapes])
+
+
 def measured_invariants(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
     """The same invariant tables, computed from the complex itself."""
     ws = ws or Workspace(c)
@@ -245,12 +259,13 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
     which falsifies the implementation, since a decomposition into squares
     and zigzags always exists; fewer pivots than shapes mean a kernel; else
     the reduced rows give the inventory, which must be nonnegative integers.
+    By default the tables reach the page from which none of them changes.
     """
     ws = ws or Workspace(c)
     c = ws.c
-    if r_max is None:
-        r_max = max(c.span()) + 1
     shapes = _shapes_in(set(c.dims))
+    if r_max is None:
+        r_max = _stable_page(ws, shapes)
     if not shapes:
         return MultiplicityResult("unique", {}, 0, r_max)
     tables = [predicted_invariants(s, r_max) for s in shapes]
@@ -443,8 +458,8 @@ def decompose(c: DoubleComplex, ws: Workspace | None = None) -> Decomposition:
     The splitter's certificate must pass `verify_certificate`, and the
     summed closed-form invariants of its inventory must equal the measured
     pages, conjugate pages, Bott-Chern, Aeppli, Betti and dimension tables
-    (at the default `r_max` of `multiplicity_solve`); otherwise the
-    implementation is at fault and ConsistencyError is raised.
+    up to the page where both stop changing; otherwise the implementation
+    is at fault and ConsistencyError is raised.
     """
     return _checked_split(ws or Workspace(c))
 
@@ -462,7 +477,7 @@ def _checked_split(ws: Workspace) -> Decomposition:
         raise ConsistencyError(
             f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
             "the implementation is at fault")
-    r_max = max(c.span()) + 1
+    r_max = _stable_page(ws, dec.inventory)
     predicted = Invariants(r_max)
     for shape, mult in dec.inventory.items():
         predicted.add(predicted_invariants(shape, r_max), mult)

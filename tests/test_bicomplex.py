@@ -12,7 +12,7 @@ from bigraded.bicomplex import (DoubleComplex, change_of_basis,
                                 random_complex, random_invertible,
                                 swap_complex, total_complex, validate)
 from bigraded.linalg import Matrix
-from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
+from bigraded.models import (Square, ZigzagShape, build_shape, cdga_from_dict, dot_shape,
                              example_calabi_eckmann)
 from bigraded.spectral import (Invariants, Workspace, degeneration_page, einfty_check,
                                page_dims)
@@ -49,6 +49,18 @@ def test_validate_describes_violations_next_to_empty_cells():
         "anticommutation fails at (0,1): the 1x1 product has 1 nonzero entry: [0,0] = 3\n"
         "anticommutation fails at (1,0): the 1x2 product has 2 nonzero entries: "
         "[0,0] = 1, [0,1] = 1")
+
+
+def test_absent_maps_are_the_shared_zero_and_never_kept():
+    # one generator x at (1,1): 20,001 cells on the diagonal and no nonzero map
+    c = cdga_from_dict({"generators": [{"name": "x", "bidegree": [1, 1]}],
+                        "truncation": {"max_p": 20000, "max_q": 20000}})
+    assert c.total_dim() == 20001
+    assert validate(c).ok
+    held = [v for slot in type(c).__slots__ if isinstance(getattr(c, slot), dict)
+            for v in getattr(c, slot).values()]
+    assert not any(isinstance(v, Matrix) for v in held)
+    assert c.d1_at(7, 7) is Matrix.zero(0, 1) and c.d2_at(7, 7) is Matrix.zero(0, 1)
 
 
 def test_entry_edit_is_rejected():

@@ -172,6 +172,15 @@ def test_markdown_output(capsys):
     assert "(all zero)" in out
 
 
+def test_markdown_grids_span_the_bounding_box_of_their_cells(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"grid": [1000, 1000], "dims": {"1000,1000": 1}}))
+    code, out = run(capsys, "report", str(path), "--rmax", "4", "--format", "md")
+    assert code == 0
+    assert len(out.encode()) < 10_000
+    assert "| p \\ q | 1000 |\n|---|---|\n| 1000 | 1 |" in out
+
+
 def test_invalid_complex_exits_one(tmp_path, capsys):
     from bigraded.bicomplex import complex_to_dict
     from bigraded.models import Square, build_shape

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-
+from bigraded.bicomplex import random_complex, swap_complex
 from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_sum)
-from bigraded.models import Square, ZigzagShape, build_shape, dot_shape
+from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
+                             example_calabi_eckmann)
 from bigraded.spectral import (TowerKind, Workspace, degeneration_page,
                                dr_matrix, einfty_check,
                                iterated_pages_oracle, page_dims, tower_space)
+from bigraded.zigzag import _shape_stable_page, measured_invariants, predicted_invariants
 
 
 def test_first_page_spaces_are_kernel_and_image(random_suite):
@@ -281,3 +284,73 @@ def test_swapped_kinds_match_swap_complex(random_suite):
                 for kind in (TowerKind.PAGE_CLOSED, TowerKind.PAGE_EXACT,
                              TowerKind.RUNS, TowerKind.REACHES_ZERO):
                     assert ws.swapped.space(kind, r, q, p) == wsw.space(kind, r, q, p)
+
+
+# the stable page: every table is read only up to it, so it must never undercut
+
+
+def _rows(table, start, stop):
+    """The pages start..stop of an (r,p,q)-keyed table, each as {(p, q): value}."""
+    return [{(p, q): v for (rr, p, q), v in table.items() if rr == r}
+            for r in range(start, stop + 1)]
+
+
+def _constant_from(table, start, stop):
+    rows = _rows(table, start, stop)
+    return all(row == rows[0] for row in rows)
+
+
+def _span_bound_degeneration(c):
+    """`degeneration_page` read off every page up to max(span) + 1."""
+    last = max(c.span()) + 1
+    table = page_dims(c, last, Workspace(c), conjugate=False)
+    drops = [r for r in range(1, last) if table.total("e", r) != table.total("e", r + 1)]
+    return max(drops, default=0) + 1
+
+
+def _assert_stable_page_never_undercuts(c):
+    for ws in (Workspace(c), Workspace(swap_complex(c))):
+        last = max(ws.c.span()) + 1
+        table = measured_invariants(ws.c, last, ws)
+        both = max(ws.stable_page, ws.swapped.stable_page)
+        for tag, start in (("e", ws.stable_page), ("ebar", ws.swapped.stable_page),
+                           ("bc", both), ("a", both)):
+            assert _constant_from(getattr(table, tag), start, last), (tag, start, last)
+        assert degeneration_page(ws.c, ws) == _span_bound_degeneration(ws.c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=st.sampled_from([(1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (4, 4)]),
+       max_dim=st.integers(1, 4), seed=st.integers(0, 10**6))
+def test_stable_page_never_undercuts_on_random_complexes(grid, max_dim, seed):
+    _assert_stable_page_never_undercuts(random_complex(grid, max_dim, seed))
+
+
+def _zigzags(max_generators):
+    for g in range(1, max_generators + 1):
+        gens = tuple((i, g - 1 - i) for i in range(g))
+        for first in (False, True):
+            for last in (False, True):
+                yield ZigzagShape(gens, first, last)
+
+
+def test_stable_page_never_undercuts_on_shapes():
+    for shape in [Square(0, 0), Square(2, 1), *_zigzags(10)]:
+        _assert_stable_page_never_undercuts(build_shape(shape))
+
+
+def test_shape_stable_page_is_where_the_predictions_stop_changing():
+    for shape in [Square(0, 0), *_zigzags(11)]:
+        last = len(getattr(shape, "generators", ())) + 3
+        pred = predicted_invariants(shape, last)
+        first_fixed = min(r for r in range(1, last + 1)
+                          if all(_constant_from(getattr(pred, tag), r, last)
+                                 for tag in ("e", "ebar", "bc", "a")))
+        assert _shape_stable_page(shape) == first_fixed, shape
+
+
+def test_degeneration_page_stops_where_the_towers_do():
+    # an 18x18 grid whose towers stop at page 3 and whose pages degenerate at page 2
+    ws = Workspace(example_calabi_eckmann(2, 3))
+    assert degeneration_page(ws.c, ws) == 2
+    assert len(ws.spaces) <= 1800
