@@ -13,9 +13,10 @@ anticommuting square-zero differentials:
 * decompositions into indecomposable squares and zigzags.
 
 Everything is computed exactly over Q: the core eliminates on Python integers
-(a `Matrix` is integer rows over one positive denominator), and
-`fractions.Fraction` values are made only where numbers leave it, as in the
-JSON output.  There is no floating point anywhere, so every reported
+(a `Matrix` is integer rows over one positive denominator, and a family of
+vectors is the matrix of its columns), and `fractions.Fraction` values are
+made only where numbers enter or leave it, as in the parsers and the JSON
+output.  There is no floating point anywhere, so every reported
 dimension and verdict is exact.
 """
 

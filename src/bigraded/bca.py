@@ -163,22 +163,22 @@ def _ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
 
 
 @memoised
-def bc_reps(ws: Workspace, r, p, q):
-    """Deterministic representatives of BC_r at (p,q)."""
+def bc_reps(ws: Workspace, r, p, q) -> Matrix:
+    """Deterministic representatives of BC_r at (p,q), as columns."""
     _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
     return extend_basis(ddbar_exact_space(ws.c, r, p, q, ws), closed_pure(ws, p, q))
 
 
 @memoised
-def a_reps(ws: Workspace, r, p, q):
-    """Deterministic representatives of A_r at (p,q)."""
+def a_reps(ws: Workspace, r, p, q) -> Matrix:
+    """Deterministic representatives of A_r at (p,q), as columns."""
     _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
     return extend_basis(im_both(ws, p, q), ddbar_closed_space(ws.c, r, p, q, ws))
 
 
 @memoised
-def de_rham_reps(ws: Workspace, k):
-    """Representatives of total-complex cohomology in degree k."""
+def de_rham_reps(ws: Workspace, k) -> Matrix:
+    """Representatives of total-complex cohomology in degree k, as columns."""
     return extend_basis(ws.total_image(k), kernel_basis(ws.total.differential(k)))
 
 
@@ -254,11 +254,6 @@ class CanonicalMaps:
         self.a_injective = a_injective
 
 
-def _class_matrix(denom: Subspace, target_reps, vectors):
-    cols = [class_coordinates(denom, target_reps, v) for v in vectors]
-    return Matrix.from_columns(cols, len(target_reps))
-
-
 def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> CanonicalMaps:
     ws = ws or Workspace(c)
     c = ws.c
@@ -280,26 +275,25 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
         cbar_r = ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p)
         imb = im_both(ws, p, q)
         dd_exact = ddbar_exact_space(c, r, p, q, ws)
-        out["bc_to_page"][(p, q)] = _class_matrix(c_r, page, bc)
-        out["bc_to_conj"][(p, q)] = _class_matrix(cbar_r, conj, bc)
-        out["bc_to_de_rham"][(p, q)] = _class_matrix(
-            ws.total_image(k), drr, [t.inject(p, q, v) for v in bc])
-        out["bc_to_a"][(p, q)] = _class_matrix(imb, a, bc)
-        out["page_to_a"][(p, q)] = _class_matrix(imb, a, page)
-        out["conj_to_a"][(p, q)] = _class_matrix(imb, a, conj)
-        out["de_rham_to_a"][(p, q)] = _class_matrix(
-            imb, a, [t.project(k, p, q, v) for v in drr])
-        out["bc1_to_bcr"][(p, q)] = _class_matrix(dd_exact, bc, bc_reps(ws, 1, p, q))
-        out["ar_to_a1"][(p, q)] = _class_matrix(imb, a_reps(ws, 1, p, q), a)
+        out["bc_to_page"][(p, q)] = class_coordinates(c_r, page, bc)
+        out["bc_to_conj"][(p, q)] = class_coordinates(cbar_r, conj, bc)
+        out["bc_to_de_rham"][(p, q)] = class_coordinates(ws.total_image(k), drr,
+                                                         t.inject(p, q, bc))
+        out["bc_to_a"][(p, q)] = class_coordinates(imb, a, bc)
+        out["page_to_a"][(p, q)] = class_coordinates(imb, a, page)
+        out["conj_to_a"][(p, q)] = class_coordinates(imb, a, conj)
+        out["de_rham_to_a"][(p, q)] = class_coordinates(imb, a, t.project(k, p, q, drr))
+        out["bc1_to_bcr"][(p, q)] = class_coordinates(dd_exact, bc, bc_reps(ws, 1, p, q))
+        out["ar_to_a1"][(p, q)] = class_coordinates(imb, a_reps(ws, 1, p, q), a)
         if out["page_to_a"][(p, q)] * out["bc_to_page"][(p, q)] != out["bc_to_a"][(p, q)]:
             commutes = False
         if out["conj_to_a"][(p, q)] * out["bc_to_conj"][(p, q)] != out["bc_to_a"][(p, q)]:
             commutes = False
         if out["de_rham_to_a"][(p, q)] * out["bc_to_de_rham"][(p, q)] != out["bc_to_a"][(p, q)]:
             commutes = False
-        if out["bc1_to_bcr"][(p, q)].rank() != len(bc):
+        if out["bc1_to_bcr"][(p, q)].rank() != bc.cols:
             bc_surjective = False
-        if out["ar_to_a1"][(p, q)].rank() != len(a):
+        if out["ar_to_a1"][(p, q)].rank() != a.cols:
             a_injective = False
     return CanonicalMaps(r=r, commutes=commutes, bc_surjective=bc_surjective,
                          a_injective=a_injective, **out)
@@ -372,22 +366,18 @@ def _criterion_exactness(ws, r, want_witness=False):
             continue
         if not want_witness:
             return False, None
-        witness = None
         for name in names:
-            bigger = spaces[name]
-            for col in bigger.basis_columns():
-                if not base.contains(col):
-                    witness = {
-                        "cell": (p, q),
-                        "vector": [str(x) for x in col],
-                        "memberships": {n: spaces[n].contains(col) for n in spaces},
-                    }
-                    witness["memberships"]["ddbar_exact"] = base.contains(col)
-                    break
-            if witness:
-                break
-        return False, witness
+            vec = _witness_vector(spaces[name], base)
+            if vec is not None:
+                return False, {"cell": (p, q), "vector": [str(x) for x in vec],
+                               "memberships": {n: s.contains(vec) for n, s in spaces.items()}}
+        return False, None
     return True, None
+
+
+def _witness_vector(big: Subspace, small: Subspace):
+    """The first column of `big`'s basis outside `small`, as `Fraction`s; None if none is."""
+    return next((v for v in big.basis.columns() if not small.contains(v)), None)
 
 
 def _criterion_subspace_identities(ws, r, want_witness=False):
@@ -414,7 +404,7 @@ def _criterion_subspace_identities(ws, r, want_witness=False):
                                              "d_exact": False}
             if not want_witness:
                 return False, None
-            vec = next(v for v in big.basis_columns() if not small.contains(v))
+            vec = _witness_vector(big, small)
             witness = {"cell": cell, "vector": [str(x) for x in vec], "memberships": memberships}
             if side is not ws:
                 witness["swapped_orientation"] = True

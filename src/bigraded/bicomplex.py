@@ -250,28 +250,26 @@ class TotalComplex:
                 return off, d
         return None
 
-    def inject(self, p, q, vec):
-        """Embed a component vector into its total-degree coordinate block."""
+    def inject(self, p, q, vecs: Matrix) -> Matrix:
+        """Embed the component vectors, the columns of `vecs`, into their total-degree block."""
         k = p + q
-        out = [Q(0)] * self.dim(k)
         found = self.block_offset(k, p, q)
         if found is None:
-            if any(x != 0 for x in vec):
+            if not vecs.is_zero():
                 raise LinalgError("inject: component not present in total complex")
-            return tuple(out)
+            return Matrix.zero(self.dim(k), vecs.cols)
         off, d = found
-        if len(vec) != d:
+        if vecs.rows != d:
             raise LinalgError("inject: wrong component dimension")
-        for i, x in enumerate(vec):
-            out[off + i] = x
-        return tuple(out)
+        return Matrix.from_blocks(self.dim(k), vecs.cols, [(off, 0, vecs)])
 
-    def project(self, k, p, q, vec):
+    def project(self, k, p, q, vecs: Matrix) -> Matrix:
+        """The (p,q) block of the total-degree-k vectors, the columns of `vecs`."""
         found = self.block_offset(k, p, q)
         if found is None:
-            return ()
+            return Matrix.zero(0, vecs.cols)
         off, d = found
-        return tuple(vec[off: off + d])
+        return Matrix.from_blocks(d, self.dim(k), [(0, off, Matrix.identity(d))]) * vecs
 
 
 def total_complex(c: DoubleComplex) -> TotalComplex:
@@ -311,14 +309,14 @@ def euler_characteristic(c: DoubleComplex):
 
 def random_invertible(n, rng, spread=2):
     """Random invertible integer matrix: unit triangular factors and sign flips."""
-    lower = [[Q(0)] * n for _ in range(n)]
-    upper = [[Q(0)] * n for _ in range(n)]
+    lower = [[0] * n for _ in range(n)]
+    upper = [[0] * n for _ in range(n)]
     for i in range(n):
-        lower[i][i] = Q(rng.choice((1, -1)))
-        upper[i][i] = Q(1)
+        lower[i][i] = rng.choice((1, -1))
+        upper[i][i] = 1
         for j in range(i):
-            lower[i][j] = Q(rng.randint(-spread, spread))
-            upper[j][i] = Q(rng.randint(-spread, spread))
+            lower[i][j] = rng.randint(-spread, spread)
+            upper[j][i] = rng.randint(-spread, spread)
     return Matrix(n, n, lower) * Matrix(n, n, upper)
 
 

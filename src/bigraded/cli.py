@@ -425,9 +425,9 @@ def cmd_pages(args):
         for (p, q) in c.support():
             for r in range(1, rmax + 1):
                 vecs = ws.page_reps(r, p, q)
-                if vecs:
+                if vecs.cols:
                     reps.setdefault(str(r), {})[f"{p},{q}"] = [
-                        [str(x) for x in v] for v in vecs]
+                        [str(x) for x in v] for v in vecs.columns()]
         out["representatives"] = reps
         if c.labels:
             out["labels"] = {f"{p},{q}": c.labels[(p, q)]

@@ -112,7 +112,7 @@ def green_inverse(op: Matrix) -> Matrix:
     if op.cols != n:
         raise LinalgError("green_inverse: operator must be square")
     im = image_basis(op)
-    select = Matrix(im.dim, n, [[int(i == p) for i in range(n)] for p in im.pivot_rows])
+    select = Matrix.identity(n).select(im.pivot_rows).transpose()
     try:
         m_inv = (select * op * im.basis).inverse()
     except LinalgError as exc:

@@ -11,15 +11,21 @@ plain ``==`` and the subspace calculus stays in the integers.
 
 A `Matrix` is `num`, a tuple of integer row tuples, over `den`, one positive
 integer, in lowest terms.  That form is unique, so ``==`` and `hash` compare
-plain int tuples.  Products, sums, `transpose`, `scale`, `hstack`, `rank`,
-`rref`, `solve`, `inverse`, kernels, images, preimages and `Subspace.basis`
-work on `num` and `den`, and build their results with `_matrix`, the one
-internal constructor, which divides out a common factor.  `Matrix(rows, cols,
-data)` is the checking constructor for parsed and user-built entries (ints,
-`Fraction`s or strings).  `Fraction`s are made only at the boundary, where
-values leave the module: `data` (and with it `column` and `columns`) is a
-view built on first use and kept, and `apply`, `extend_basis` and
-`Subspace.coordinates` return `Fraction` tuples.
+plain int tuples.  Products, sums, `transpose`, `scale`, `select`, `hstack`,
+`rank`, `rref`, `solve`, `inverse`, kernels, images, preimages and
+`Subspace.basis` work on `num` and `den`, and build their results with
+`_matrix`, the one internal constructor, which divides out a common factor;
+every integer product of rows and vectors goes through `_dots`.
+
+A `Matrix` is also the one vector type: a family of vectors is the matrix
+whose columns they are, as `extend_basis` and `class_coordinates` return
+them, so a product applies a map to all of them at once and one `solve`
+finds all their coordinates.  `Fraction`s are made only at the boundary:
+`Matrix(rows, cols, data)`, the checking constructor for parsed and
+user-built entries (ints, `Fraction`s or strings), `Matrix.from_columns` and
+`Subspace.from_columns` take them in, `data` (and with it `column` and
+`columns`) is a view built on first use and kept, and `scale` takes a
+non-integer factor.
 
 `Matrix.zero` and `Matrix.identity` are one shared instance per shape.  A
 product with the shared identity returns the other operand, and the identity
@@ -112,6 +118,21 @@ def _matrix(rows, cols, num, den=1):
 def _scaled(num, f):
     """The integer rows `num` times f."""
     return num if f == 1 else tuple(tuple(x * f for x in row) for row in num)
+
+
+def _dots(xs, ys):
+    """The integer products: row i is the dot product of xs[i] with each of `ys`."""
+    return tuple(tuple(sum(map(mul, x, y)) for y in ys) for x in xs)
+
+
+def _unit_pivot_columns(pairs, n):
+    """The n x len(pairs) matrix of the (row, pivot) `pairs`' rows scaled to unit pivots."""
+    if not pairs:
+        return Matrix.zero(n, 0)
+    den = lcm(*[row[p] for row, p in pairs])
+    return _matrix(n, len(pairs), tuple(zip(*[row if row[p] == den else
+                                              [x * (den // row[p]) for x in row]
+                                              for row, p in pairs])), den)
 
 
 class Matrix:
@@ -216,9 +237,17 @@ class Matrix:
         return self + (-other)
 
     def scale(self, c):
-        c = Q(c)
-        return _matrix(self.rows, self.cols, _scaled(self.num, c.numerator),
-                       self.den * c.denominator)
+        """self times the rational c; only a non-integer c is made a `Fraction`."""
+        if type(c) is not int:
+            c = Q(c)
+            return _matrix(self.rows, self.cols, _scaled(self.num, c.numerator),
+                           self.den * c.denominator)
+        return _matrix(self.rows, self.cols, _scaled(self.num, c), self.den)
+
+    def select(self, indices):
+        """The columns at `indices`, in that order."""
+        return _matrix(self.rows, len(indices), tuple(tuple(row[j] for j in indices)
+                                                      for row in self.num), self.den)
 
     def __mul__(self, other):
         """Products run on `num`; a factor that is the shared identity is skipped."""
@@ -231,21 +260,11 @@ class Matrix:
                 return other
             if other is _identities.get(other.rows):
                 return self
-            cols = list(zip(*other.num))
-            return _matrix(self.rows, other.cols, tuple(
-                tuple(sum(map(mul, a, b)) for b in cols) for a in self.num),
-                self.den * other.den)
+            return _matrix(self.rows, other.cols, _dots(self.num, list(zip(*other.num))),
+                           self.den * other.den)
         return self.scale(other)
 
     __rmul__ = scale
-
-    def apply(self, vec):
-        """Matrix times column vector (a tuple of Fractions)."""
-        if len(vec) != self.cols:
-            raise LinalgError("apply: vector length mismatch")
-        b, db = _cleared(vec)
-        den = self.den * db
-        return tuple(_fraction(sum(map(mul, a, b)), den) for a in self.num)
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -405,11 +424,9 @@ class Subspace:
 
     @property
     def basis(self):
-        if self._basis is None:  # unit pivots: the rows over the lcm of the pivots
-            pairs = list(zip(self.echelon, self.pivot_rows))
-            den = lcm(*[row[p] for row, p in pairs])
-            _put(self, "_basis", _matrix(self.dim, self.ambient_dim, tuple(
-                tuple(x * (den // row[p]) for x in row) for row, p in pairs), den).transpose())
+        if self._basis is None:
+            _put(self, "_basis", _unit_pivot_columns(list(zip(self.echelon, self.pivot_rows)),
+                                                     self.ambient_dim))
         return self._basis
 
     def __eq__(self, other):
@@ -422,9 +439,6 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def basis_columns(self):
-        return self.basis.columns() if self.pivot_rows else []
-
     def contains(self, vec):
         return not any(_residue(zip(self.echelon, self.pivot_rows), _cleared(vec)[0]))
 
@@ -434,16 +448,6 @@ class Subspace:
         pairs = list(zip(self.echelon, self.pivot_rows))
         return other.dim <= self.dim and not any(
             any(_residue(pairs, row)) for row in other.echelon)
-
-    def coordinates(self, vec):
-        """Coordinates of `vec` in the unit-pivot basis; raises if not a member.
-
-        That basis is zero at every other pivot row, so the coordinates are
-        the entries of `vec` at the pivot rows.
-        """
-        if not self.contains(vec):
-            raise LinalgError("vector not in subspace")
-        return tuple(Q(vec[p]) for p in self.pivot_rows)
 
 
 def _span(rows, n) -> Subspace:
@@ -489,30 +493,28 @@ def map_subspace(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map."""
     if m.cols != s.ambient_dim:
         raise LinalgError("map_subspace: domain mismatch")
-    a = m.num if s.pivot_rows else ()
-    return _span([[sum(map(mul, row, e)) for row in a] for e in s.echelon], m.rows)
+    return _span(list(_dots(s.echelon, m.num)), m.rows)
 
 
-def _pullback(s: Subspace, a, ncols):
-    """Integer vectors spanning {x in Q^ncols : A x in s}, `a` holding A's rows.
+def _pullback(s: Subspace, columns, ncols):
+    """Integer vectors spanning {x in Q^ncols : A x in s}, `columns` holding A's columns.
 
-    x lies in s iff its residue against the unit-pivot basis vanishes at
-    every non-pivot row i: x_i - sum_j (e_j[i] / e_j[p_j]) x_{p_j} = 0.
-    Those conditions, pulled back through A and cleared of denominators,
+    y lies in s iff its residue against the unit-pivot basis vanishes at
+    every non-pivot row i: y_i - sum_j (e_j[i] / e_j[p_j]) y_{p_j} = 0.
+    Those conditions, cleared of denominators and pulled back through A,
     cut out the result; None when they all vanish, so it is all of Q^ncols.
     """
     pivots = set(s.pivot_rows)
-    conditions = []
+    weights = []
     for i in range(s.ambient_dim):
         if i not in pivots:
-            terms = [(row[i], row[p], a[p]) for row, p in zip(s.echelon, s.pivot_rows) if row[i]]
-            scale = lcm(*[pv for _, pv, _ in terms])
-            cond = [x * scale for x in a[i]]
-            for e, pv, ap in terms:
-                f = e * (scale // pv)
-                cond = [x - f * y for x, y in zip(cond, ap)]
-            if any(cond):
-                conditions.append(cond)
+            terms = [(row[i], row[p], p) for row, p in zip(s.echelon, s.pivot_rows) if row[i]]
+            w = [0] * s.ambient_dim
+            w[i] = scale = lcm(*[pv for _, pv, _ in terms])
+            for e, pv, p in terms:
+                w[p] = -e * (scale // pv)
+            weights.append(w)
+    conditions = [cond for cond in _dots(weights, columns) if any(cond)]
     return _kernel_vectors(conditions, ncols) if conditions else None
 
 
@@ -521,7 +523,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     """{x : m x in s}, as a subspace of the domain Q^cols."""
     if m.rows != s.ambient_dim:
         raise LinalgError("preimage: codomain mismatch")
-    vectors = _pullback(s, m.num, m.cols)
+    vectors = _pullback(s, list(zip(*m.num)), m.cols)
     return Subspace.full(m.cols) if vectors is None else _span(vectors, m.cols)
 
 
@@ -544,11 +546,11 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
         return a
     if b.dim == 0 or a.dim == n:
         return b
-    coords = list(zip(*a.echelon))  # row i: the i-th entries of a's basis rows
-    vectors = _pullback(b, coords, a.dim)
+    # the map from coefficients to combinations has a's basis rows as its columns
+    vectors = _pullback(b, a.echelon, a.dim)
     if vectors is None:
         return a
-    return _span([[sum(map(mul, row, c)) for row in coords] for c in vectors], n)
+    return _span(list(_dots(vectors, list(zip(*a.echelon)))), n)
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:
@@ -565,36 +567,39 @@ def quotient_dim(big: Subspace, small: Subspace) -> int:
     return big.dim - small.dim
 
 
-def extend_basis(small: Subspace, big: Subspace):
-    """Vectors of `big`'s canonical basis extending `small` to a basis of `big`.
+def extend_basis(small: Subspace, big: Subspace) -> Matrix:
+    """Columns of `big`'s unit-pivot basis extending `small` to a basis of `big`.
 
-    Deterministic: `big`'s unit-pivot basis vectors are scanned in order and
-    kept when they add rank.  The result lists representatives of a
-    complement of `small` inside `big`.
+    Deterministic: `big`'s basis vectors are scanned in order and kept when
+    they add rank, until there are k = dim big - dim small.  The n x k result
+    holds representatives of a complement of `small` inside `big`.
     """
     if not big.contains_subspace(small):
         raise ContainmentError("extend_basis: small is not inside big")
     chosen = []
     span = list(zip(small.echelon, small.pivot_rows))
     for row, p in zip(big.echelon, big.pivot_rows):
+        if len(chosen) == big.dim - small.dim:
+            break
         v = _residue(span, row)
         if any(v):
-            chosen.append(tuple(_fraction(x, row[p]) for x in row))
+            chosen.append((row, p))
             span.append((v, next(i for i, x in enumerate(v) if x)))
-    return chosen
+    return _unit_pivot_columns(chosen, big.ambient_dim)
 
 
-def class_coordinates(denominator: Subspace, representatives, vec):
-    """Coordinates of `vec`'s class in the given representative basis.
+def class_coordinates(denominator: Subspace, reps: Matrix, vectors: Matrix) -> Matrix:
+    """Coordinates of the classes of `vectors`' columns in the basis of `reps`' columns.
 
-    Writes ``vec = d + sum_i c_i rep_i`` with ``d`` in the denominator and
-    returns the tuple of c_i.  Raises if `vec` is not in the span, which
-    signals an upstream logic error.  The c_i do not depend on the basis of
-    the denominator, so its integer rows serve.
+    Writes each column v as ``d + reps x`` with ``d`` in the denominator and
+    returns the matrix whose columns are the x, from one `solve`.  Raises if
+    a column is not in the span, which signals an upstream logic error.  The
+    x do not depend on the basis of the denominator, so its integer rows
+    serve.
     """
-    n = denominator.ambient_dim
-    m = Matrix.from_columns(list(denominator.echelon) + list(representatives), n)
-    sol = m.solve(Matrix.from_columns([tuple(vec)], n))
+    d = denominator.dim
+    rows = _matrix(d, denominator.ambient_dim, denominator.echelon).transpose()
+    sol = rows.hstack(reps).solve(vectors)
     if sol is None:
         raise LinalgError("class_coordinates: vector not in numerator span")
-    return sol.column(0)[denominator.dim:]
+    return _matrix(reps.cols, vectors.cols, sol.num[d:], sol.den)

@@ -218,7 +218,7 @@ def build_shape(shape, grid=None) -> DoubleComplex:
         kind = "dot" if len(cells) == 1 else f"zigzag-len{len(cells)}"
         labels = {g: [f"a{i + 1}"] for i, g in enumerate(gens)}
     d1_images = {dst for _, which, dst in arrows if which == "d1"}
-    one = Matrix.from_rows([[1]])
+    one = Matrix.identity(1)
     d = {"d1": {}, "d2": {}}
     for src, which, dst in arrows:
         d[which][src] = -one if which == "d2" and src in d1_images else one

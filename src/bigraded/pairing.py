@@ -54,17 +54,6 @@ class DualityPairing:
         return m
 
 
-def _bilinear(form: Matrix, x, y):
-    acc = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = form.data[i]
-            for j, yj in enumerate(y):
-                if yj and row[j]:
-                    acc += xi * row[j] * yj
-    return acc
-
-
 class PairingValidation:
     __slots__ = ("ok", "perfect", "violations")
 
@@ -154,21 +143,24 @@ class InducedPairing:
         self.nondegenerate = nondegenerate
 
 
-def _induced(pairing, c, r, p, q, left, right, left_null: Subspace,
+def _induced(pairing, c, r, p, q, left: Matrix, right: Matrix, left_null: Subspace,
              right_null: Subspace) -> InducedPairing:
-    """The form at (p,q) on classes with representatives `left` x `right`.
+    """The form F at (p,q) on classes with representatives the columns of L x R.
 
     The classes are taken modulo `left_null` at (p,q) and `right_null` at
-    (n-p,n-q).  Well defined means each null space pairs to zero with the
-    other side's representatives, each under the form at its own cell: a
-    pairing file may give forms at the two cells that are not transposes.
+    (n-p,n-q), with bases N and N'.  The Gram matrix is L^T F R, and it is
+    well defined when each null space pairs to zero with the other side's
+    representatives, each under the form at its own cell: N^T F R = 0 and
+    N'^T B L = 0 for the form B at (n-p,n-q), since a pairing file may give
+    forms at the two cells that are not transposes.
     """
     form, back = pairing.at(c, p, q), pairing.at(c, pairing.n - p, pairing.n - q)
-    gram = Matrix(len(left), len(right), [[_bilinear(form, x, y) for y in right] for x in left])
-    well = (not any(_bilinear(form, x, y) for x in left_null.basis_columns() for y in right)
-            and not any(_bilinear(back, x, y) for x in right_null.basis_columns() for y in left))
-    dims_match = len(left) == len(right)
-    nondeg = dims_match and gram.rank() == len(left)
+    form_right = form * right
+    gram = left.transpose() * form_right
+    well = ((left_null.basis.transpose() * form_right).is_zero()
+            and (right_null.basis.transpose() * (back * left)).is_zero())
+    dims_match = left.cols == right.cols
+    nondeg = dims_match and gram.rank() == left.cols
     return InducedPairing(r, (p, q), gram, well, dims_match, nondeg)
 
 

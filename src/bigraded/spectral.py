@@ -152,8 +152,8 @@ class Workspace:
         return hit
 
     @memoised
-    def page_reps(self, r, p, q):
-        """Deterministic representatives of a complement of C_r inside Z_r."""
+    def page_reps(self, r, p, q) -> Matrix:
+        """Deterministic representatives of a complement of C_r inside Z_r, as columns."""
         z = self.space(TowerKind.PAGE_CLOSED, r, p, q)
         cc = self.space(TowerKind.PAGE_EXACT, r, p, q)
         return extend_basis(cc, z)
@@ -164,12 +164,10 @@ class Workspace:
         src = self.page_reps(r, p, q)
         tp, tq = p + r, q - r + 1
         dst = self.page_reps(r, tp, tq)
-        if not src or not dst:
-            return Matrix.zero(len(dst), len(src))
-        cc_dst = self.space(TowerKind.PAGE_EXACT, r, tp, tq)
-        cols = [class_coordinates(cc_dst, dst, _dr_image(self, r, p, q, alpha))
-                for alpha in src]
-        return Matrix.from_columns(cols, len(dst))
+        if not src.cols or not dst.cols:
+            return Matrix.zero(dst.cols, src.cols)
+        return class_coordinates(self.space(TowerKind.PAGE_EXACT, r, tp, tq), dst,
+                                 _dr_image(self, r, p, q, src))
 
     @memoised
     def total_image(self, k) -> Subspace:
@@ -286,22 +284,23 @@ def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=Tr
     return table
 
 
-def _dr_image(ws: Workspace, r, p, q, alpha):
+def _dr_image(ws: Workspace, r, p, q, alpha: Matrix) -> Matrix:
     """d1 u_{r-1} for lifts d1 alpha = d2 u_1, d1 u_i = d2 u_{i+1}; r = 1 is d1 alpha.
 
-    Each u_i is taken inside the runs space of length r-1-i at its cell, so
-    the next lift always exists when alpha lies in Z_r.
+    `alpha` holds one element per column, and so does the result.  Each u_i
+    is taken inside the runs space of length r-1-i at its cell, so the next
+    lift always exists when alpha lies in Z_r.
     """
     c = ws.c
-    v = c.d1_at(p, q).apply(alpha)
+    v = c.d1_at(p, q) * alpha
     for i in range(1, r):
         cell = (p + i, q - i)
         runs = ws.space(TowerKind.RUNS, r - 1 - i, *cell).basis
-        y = (c.d2_at(*cell) * runs).solve(Matrix.from_columns([v], len(v)))
+        y = (c.d2_at(*cell) * runs).solve(v)
         if y is None:
             raise ConsistencyError(
                 f"lift tower unsolvable for a page-{r} representative at {(p, q)}")
-        v = c.d1_at(*cell).apply(runs.apply(y.column(0)))
+        v = c.d1_at(*cell) * (runs * y)
     return v
 
 

@@ -12,7 +12,7 @@ quiver
 whose interval summands are exactly the zigzags (Carlsson-de Silva,
 *Zigzag persistence*).  One left-to-right sweep per antidiagonal finds
 them.  Everything is built from the elimination routines of
-`bigraded.linalg`.
+`bigraded.linalg`, and every vector is an n x 1 `Matrix`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def split_complex(c: DoubleComplex) -> DecompositionCertificate:
     """Certificate of the squares-and-zigzags decomposition of a valid complex.
 
     Its transforms list, per bidegree, the square vectors first and then the
-    zigzag vectors, both in the complex's own coordinates.
+    zigzag vectors as columns, both in the complex's own coordinates.
     """
     squares, w, embed = _split_squares(c)
     vectors = {cell: [] for cell in c.support()}
@@ -49,10 +49,19 @@ def split_complex(c: DoubleComplex) -> DecompositionCertificate:
     for shape, cell_vectors in squares:
         place(shape, cell_vectors)
     for shape, cell_vectors in _split_zigzags(w):
-        place(shape, {cell: embed[cell].apply(v) for cell, v in cell_vectors.items()})
-    transforms = {cell: Matrix.from_columns(vecs, c.dim(*cell))
-                  for cell, vecs in vectors.items()}
+        place(shape, {cell: embed[cell] * v for cell, v in cell_vectors.items()})
+    transforms = {cell: _hstack(vecs, c.dim(*cell)) for cell, vecs in vectors.items()}
     return DecompositionCertificate(transforms, blocks)
+
+
+def _hstack(vectors, n):
+    """The n x len(vectors) matrix whose columns are the n x 1 matrices `vectors`."""
+    return Matrix.from_blocks(n, len(vectors), [(0, j, v) for j, v in enumerate(vectors)])
+
+
+def _columns(m: Matrix):
+    """The columns of `m`, each an n x 1 matrix."""
+    return [m.select([j]) for j in range(m.cols)]
 
 
 def _split_squares(c: DoubleComplex):
@@ -76,18 +85,17 @@ def _split_squares(c: DoubleComplex):
         if dd.is_zero():
             continue
         _, pivots, k = rref(dd)
-        images = Matrix.from_columns([dd.column(j) for j in pivots], dd.rows)
-        phi = images.transpose().solve(Matrix.identity(k)).transpose()
+        phi = dd.select(pivots).transpose().solve(Matrix.identity(k)).transpose()
         conditions[(p + 1, q + 1)].append(phi)
         conditions[(p, q + 1)].append(phi * c.d1_at(p, q + 1))
         conditions[(p + 1, q)].append(phi * c.d2_at(p + 1, q))
         conditions[(p, q)].append(phi * dd)
-        d1, d2 = c.d1_at(p, q), c.d2_at(p, q)
+        # the images of the unit vector x = e_j are the j-th columns of the maps
+        x, d1, d2 = Matrix.identity(c.dim(p, q)), c.d1_at(p, q), c.d2_at(p, q)
         for j in pivots:
-            x = tuple(1 if i == j else 0 for i in range(c.dim(p, q)))
             squares.append((Square(p, q), {
-                (p, q): x, (p + 1, q): d1.apply(x), (p, q + 1): d2.apply(x),
-                (p + 1, q + 1): dd.apply(x)}))
+                (p, q): x.select([j]), (p + 1, q): d1.select([j]),
+                (p, q + 1): d2.select([j]), (p + 1, q + 1): dd.select([j])}))
     embed = {}
     for cell, rows in conditions.items():
         n = c.dim(*cell)
@@ -147,28 +155,27 @@ class _Interval:
         return (1, self.start)
 
 
-def _absorb(order, coeffs):
-    """Vectors of sum_s coeffs[s] * order[s] on the support of the pivot interval.
+def _absorb(order, coeffs: Matrix):
+    """For each column c of `coeffs`, its pivot interval and the vectors of sum_s c[s] * order[s].
 
     The pivot is the first interval of `order` with a nonzero coefficient,
     and that coefficient is 1; every other one with a nonzero coefficient
-    ranks no lower.
+    ranks no lower.  The vectors are kept on the pivot's support; an
+    interval without a vector at a position adds nothing there.
     """
-    pivot = next(i for i, x in enumerate(coeffs) if x)
-    target = order[pivot]
-    out = {}
-    for pos, vec in target.vecs.items():
-        acc = list(vec)
-        for s, coef in enumerate(coeffs):
-            if s == pivot or not coef:
-                continue
-            other = order[s].vecs.get(pos)
-            if other is not None:
-                for i, x in enumerate(other):
-                    if x:
-                        acc[i] += coef * x
-        out[pos] = tuple(acc)
-    return target, out
+    if not coeffs.cols:
+        return []
+    sums = {}
+    for pos in {pos for iv in order for pos in iv.vecs}:
+        present = [iv.vecs.get(pos) for iv in order]
+        n = next(v.rows for v in present if v is not None)
+        sums[pos] = _hstack([Matrix.zero(n, 1) if v is None else v for v in present],
+                            n) * coeffs
+    out = []
+    for i in range(coeffs.cols):
+        target = order[next(s for s, row in enumerate(coeffs.num) if row[i])]
+        out.append((target, {pos: sums[pos].select([i]) for pos in target.vecs}))
+    return out
 
 
 def _split_zigzags(w: DoubleComplex):
@@ -185,7 +192,7 @@ def _split_zigzags(w: DoubleComplex):
         images[(p, q)] = subspace_sum(image_basis(w.d1_at(p - 1, q)),
                                       image_basis(w.d2_at(p, q - 1)))
         complements[(p, q)] = extend_basis(images[(p, q)], Subspace.full(w.dim(p, q)))
-        if complements[(p, q)]:
+        if complements[(p, q)].cols:
             positions.setdefault(p + q, []).append(p)
     for k in sorted(positions):
         for interval in _sweep(w, k, positions[k], images, complements):
@@ -216,45 +223,43 @@ def _sweep(w, k, positions, images, complements):
                 iv.end = 2 * reached
             done += live
             live = [_Interval(pos - 1, v)
-                    for v in images.get((j, k + 1 - j), empty).basis_columns()]
+                    for v in _columns(images.get((j, k + 1 - j), empty).basis)]
         comp = complements[cell]
-        cmat = Matrix.from_columns(comp, w.dim(*cell))
         # I(j, k+1-j) <- C(j, k-j) along d2
-        rho = w.d2_at(*cell) * cmat
+        rho = w.d2_at(*cell) * comp
         order = sorted(live, key=_Interval.rank)
-        coords = Matrix.from_columns([iv.vecs[pos - 1] for iv in order], rho.rows).solve(rho)
+        coords = _hstack([iv.vecs[pos - 1] for iv in order], rho.rows).solve(rho)
         if coords is None:
             raise ConsistencyError(f"d2 image at {cell} leaves im d1 + im d2")
         red, pivots, rk = rref(coords.transpose())
-        rows = red.data[:rk]
-        lifts = coords.solve(Matrix.from_columns(rows, len(order)))
+        combos = red.transpose().select(range(rk))  # the nonzero rows of red, as columns
+        lifts = coords.solve(combos)
         live = []
-        for i, (iv, vecs) in enumerate([_absorb(order, row) for row in rows]):
+        for i, (iv, vecs) in enumerate(_absorb(order, combos)):
             iv.vecs = vecs
-            iv.vecs[pos] = lifts.column(i)
+            iv.vecs[pos] = lifts.select([i])
             live.append(iv)
         for t, iv in enumerate(order):
             if t not in pivots:
                 iv.end = pos - 1
                 done.append(iv)
-        live += [_Interval(pos, v) for v in kernel_basis(rho).basis_columns()]
+        live += [_Interval(pos, v) for v in _columns(kernel_basis(rho).basis)]
         # C(j, k-j) -> I(j+1, k-j) along d1
         order = sorted(live, key=_Interval.rank)
-        sigma = w.d1_at(*cell) * cmat * Matrix.from_columns(
-            [iv.vecs[pos] for iv in order], cmat.cols)
+        sigma = w.d1_at(*cell) * comp * _hstack([iv.vecs[pos] for iv in order], comp.cols)
         ker = kernel_basis(sigma)
-        for iv, vecs in [_absorb(order, col) for col in ker.basis_columns()]:
+        for iv, vecs in _absorb(order, ker.basis):
             iv.vecs = vecs
             iv.end = pos
             done.append(iv)
         live = []
         for t, iv in enumerate(order):
             if t not in ker.pivot_rows:
-                iv.vecs[pos + 1] = sigma.column(t)
+                iv.vecs[pos + 1] = sigma.select([t])
                 live.append(iv)
         target = images.get((j + 1, k - j), empty)
-        span = Subspace.from_columns([iv.vecs[pos + 1] for iv in live], target.ambient_dim)
-        live += [_Interval(pos + 1, v) for v in extend_basis(span, target)]
+        span = image_basis(_hstack([iv.vecs[pos + 1] for iv in live], target.ambient_dim))
+        live += [_Interval(pos + 1, v) for v in _columns(extend_basis(span, target))]
         reached = j + 1
     for iv in live:
         iv.end = 2 * reached
@@ -272,7 +277,7 @@ def _interval_shape(w, k, interval, complements):
         j = pos // 2
         if pos % 2:
             cell = (j, k - j)
-            vecs[cell] = Matrix.from_columns(complements[cell], w.dim(*cell)).apply(v)
+            vecs[cell] = complements[cell] * v
         else:
             vecs[(j, k + 1 - j)] = v
     return ZigzagShape(gens, s % 2 == 0, e % 2 == 0), vecs

@@ -200,26 +200,29 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
         return 0
     # f(cell) is vectorised row-major in (b-index, a-index) from offsets[cell];
     # a row is one entry of db f(source) - f(target) da, on two disjoint blocks
+    # a missing map is zero: its block holds no entries, and db's rows are b's target dimension
     rows = []
     for (p, q) in a.support():
         src_off = offsets.get((p, q))
         na_s = a.dims[(p, q)]
-        for da, db, tgt in ((a.d1_at(p, q), b.d1_at(p, q), (p + 1, q)),
-                            (a.d2_at(p, q), b.d2_at(p, q), (p, q + 1))):
-            if da.is_zero() and db.is_zero():
+        for a_maps, b_maps, tgt in ((a.d1, b.d1, (p + 1, q)), (a.d2, b.d2, (p, q + 1))):
+            da, db = a_maps.get((p, q)), b_maps.get((p, q))
+            if da is None and db is None:
                 continue  # every equation of this block reads 0 = 0
             na_t = a.dims.get(tgt, 0)
             tgt_off = offsets.get(tgt)
-            # both blocks scaled by da.den * db.den, so the row is integral
-            for i, db_row in enumerate(db.num):
+            da_num, da_den = (da.num, da.den) if da else ((), 1)
+            db_num, db_den = (db.num, db.den) if db else (((),) * b.dims.get(tgt, 0), 1)
+            # both blocks scaled by da_den * db_den, so the row is integral
+            for i, db_row in enumerate(db_num):
                 for j in range(na_s):
                     row = [0] * total
                     for k, x in enumerate(db_row):
                         if x:
-                            row[src_off + k * na_s + j] = x * da.den
-                    for l, da_row in enumerate(da.num):
+                            row[src_off + k * na_s + j] = x * da_den
+                    for l, da_row in enumerate(da_num):
                         if da_row[j]:
-                            row[tgt_off + i * na_t + l] = -da_row[j] * db.den
+                            row[tgt_off + i * na_t + l] = -da_row[j] * db_den
                     if any(row):
                         rows.append(row)
     return total - _span(rows, total).dim

@@ -69,10 +69,9 @@ def test_exact_pure_is_image_meet_component(random_suite):
         t = ws.total
         for (p, q) in c.support():
             k, n = p + q, c.dim(p, q)
-            block = Subspace.from_columns(
-                [t.inject(p, q, row) for row in Matrix.identity(n).num], t.dim(k))
+            block = image_basis(t.inject(p, q, Matrix.identity(n)))
             meet = subspace_intersection(ws.total_image(k), block)
-            want = Subspace.from_columns([t.project(k, p, q, v) for v in meet.basis_columns()], n)
+            want = image_basis(t.project(k, p, q, meet.basis))
             assert exact_pure(ws, p, q) == want, (c.name, p, q)
 
 
@@ -107,8 +106,9 @@ def test_report_decides_each_verdict_once(monkeypatch):
 def test_bc_to_a_map_built_once_per_cell(monkeypatch):
     """Criteria (B) and (D) read subspace dimensions and build no class matrix at all."""
     built = []
-    class_matrix = bca._class_matrix
-    monkeypatch.setattr(bca, "_class_matrix", lambda *args: built.append(1) or class_matrix(*args))
+    class_coordinates = bca.class_coordinates
+    monkeypatch.setattr(bca, "class_coordinates",
+                        lambda *args: built.append(1) or class_coordinates(*args))
     c = direct_sum(direct_sum(build_shape(dot_shape(0, 1), grid=(2, 2)),
                               build_shape(Square(0, 0), grid=(2, 2))),
                    build_shape(dot_shape(2, 2), grid=(2, 2)))

@@ -22,6 +22,11 @@ def random_matrix(rng, rows, cols, span=5, denoms=False):
     return Matrix(rows, cols, [[entry() for _ in range(cols)] for _ in range(rows)])
 
 
+def as_column(vec):
+    """The vector `vec` as a one-column matrix."""
+    return Matrix.from_columns([tuple(vec)], len(vec))
+
+
 def test_rref_identity():
     m = Matrix.identity(2)
     red, pivots, rank = rref(m)
@@ -81,8 +86,7 @@ def test_rank_nullity():
     for _ in range(40):
         m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         assert rref(m)[2] + kernel_basis(m).dim == m.cols
-        for col in kernel_basis(m).basis_columns():
-            assert all(x == 0 for x in m.apply(col))
+        assert (m * kernel_basis(m).basis).is_zero()
 
 
 def test_image_cases():
@@ -165,7 +169,7 @@ def test_preimage_matches_brute_force_membership():
         meet = subspace_intersection(target, image_basis(m)).dim
         assert got.dim == kernel_basis(m).dim + meet
         for x in grid:
-            assert got.contains(x) == target.contains(m.apply(x))
+            assert got.contains(x) == target.contains((m * as_column(x)).column(0))
 
 
 def test_extend_basis_deterministic():
@@ -173,22 +177,24 @@ def test_extend_basis_deterministic():
     big = Subspace.full(3)
     reps = extend_basis(small, big)
     assert reps == extend_basis(small, big)
-    assert len(reps) == 2
-    span = small
-    for v in reps:
-        span = subspace_sum(span, Subspace.from_columns([v], 3))
-    assert span == big
+    assert (reps.rows, reps.cols) == (3, 2)
+    assert reps.columns() == [(0, 1, 0), (0, 0, 1)]
+    assert subspace_sum(small, image_basis(reps)) == big
 
 
 def test_class_coordinates_roundtrip():
     rng = random.Random(17)
     denom = Subspace.from_columns([(1, 1, 0, 0), (0, 0, 1, 1)], 4)
-    reps = [(1, 0, 0, 0), (0, 0, 1, 0)]
+    reps = Matrix.from_columns([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
+    coords, noise = [], []
     for _ in range(20):
-        cs = [Q(rng.randint(-3, 3)) for _ in range(2)]
-        noise = denom.basis.apply((Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3))))
-        v = tuple(cs[0] * a + cs[1] * b + n for a, b, n in zip(*reps, noise))
-        assert list(class_coordinates(denom, reps, v)) == cs
+        coords.append([Q(rng.randint(-3, 3)) for _ in range(2)])
+        noise.append((Q(rng.randint(-3, 3)), Q(rng.randint(-3, 3))))
+        v = reps * as_column(coords[-1]) + denom.basis * as_column(noise[-1])
+        assert list(class_coordinates(denom, reps, v).column(0)) == coords[-1]
+    # all twenty columns in one call
+    vectors = reps * Matrix.from_columns(coords, 2) + denom.basis * Matrix.from_columns(noise, 2)
+    assert class_coordinates(denom, reps, vectors) == Matrix.from_columns(coords, 2)
 
 
 def test_map_subspace():
@@ -243,6 +249,61 @@ def matrices(draw, max_rows=4, max_cols=4):
     return draw(shaped(draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))))
 
 
+def _reference_extend_basis(small, big):
+    """The `Fraction` vectors of `big`'s unit-pivot basis that add rank to `small`, in order."""
+    chosen = []
+    span = list(zip(small.echelon, small.pivot_rows))
+    for row, p in zip(big.echelon, big.pivot_rows):
+        v = linalg._residue(span, row)
+        if any(v):
+            chosen.append(tuple(Q(x, row[p]) for x in row))
+            span.append((v, next(i for i, x in enumerate(v) if x)))
+    return chosen
+
+
+def _reference_class_coordinates(denominator, representatives, vec):
+    """The coordinates of one vector's class, solved alone over `Fraction` columns."""
+    n = denominator.ambient_dim
+    m = Matrix.from_columns(list(denominator.echelon) + list(representatives), n)
+    sol = m.solve(Matrix.from_columns([tuple(vec)], n))
+    if sol is None:
+        raise LinalgError("class_coordinates: vector not in numerator span")
+    return sol.column(0)[denominator.dim:]
+
+
+@st.composite
+def nested(draw):
+    """(small, big): a subspace of Q^n, n <= 5, and a subspace of it."""
+    n = draw(st.integers(0, 5))
+    big = image_basis(draw(shaped(n, draw(st.integers(0, 5)))))
+    small = image_basis(big.basis * draw(shaped(big.dim, draw(st.integers(0, 4)))))
+    return small, big
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=nested())
+def test_extend_basis_is_the_unit_pivot_completion(pair):
+    small, big = pair
+    reps = extend_basis(small, big)
+    assert (reps.rows, reps.cols) == (big.ambient_dim, big.dim - small.dim)
+    assert reps.columns() == _reference_extend_basis(small, big)
+    assert subspace_sum(small, image_basis(reps)) == big
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=nested(), data=st.data())
+def test_class_coordinates_solve_every_column_at_once(pair, data):
+    small, big = pair
+    reps = extend_basis(small, big)
+    vectors = big.basis * data.draw(shaped(big.dim, data.draw(st.integers(0, 4))))
+    x = class_coordinates(small, reps, vectors)
+    assert (x.rows, x.cols) == (reps.cols, vectors.cols)
+    for j, rest in enumerate((vectors - reps * x).columns()):
+        assert small.contains(rest)
+        assert x.column(j) == _reference_class_coordinates(small, reps.columns(),
+                                                           vectors.column(j))
+
+
 def _sym_rational(x):
     import sympy
     return sympy.Rational(x.numerator, x.denominator)
@@ -270,7 +331,7 @@ def _sym_kernel(sm):
 
 
 def _ours(s):
-    return [tuple(_sym_rational(x) for x in col) for col in s.basis_columns()]
+    return [tuple(_sym_rational(x) for x in col) for col in s.basis.columns()]
 
 
 @settings(max_examples=60, deadline=None)
@@ -318,11 +379,12 @@ def test_integer_core_matches_sympy(m, t, coeffs, probe):
     inside = sympy.Matrix.hstack(*s_cols, svec).rank() == len(s_cols) if n else True
     assert s.contains(vec) == inside
     c = tuple(coeffs[j % 4] for j in range(s.dim))
-    member = s.basis.apply(c)
-    assert s.contains(member) and s.coordinates(member) == c
+    member = s.basis * Matrix.from_columns([c], s.dim)
+    assert s.contains(member.column(0))
+    assert class_coordinates(Subspace.zero(n), s.basis, member).column(0) == c
     if not inside:
         with pytest.raises(LinalgError):
-            s.coordinates(vec)
+            class_coordinates(Subspace.zero(n), s.basis, as_column(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +532,14 @@ def test_matrix_operations_match_a_fraction_reference(data):
         (s * m, [[s * x for x in row] for row in a]),
         (m.transpose(), [[a[i][j] for i in range(r)] for j in range(k)]),
         (m.hstack(u), [ra + rb for ra, rb in zip(a, b)]),
+        (m.scale(-3), [[-3 * x for x in row] for row in a]),
+        (m.select(list(range(k))[::-1]), [row[::-1] for row in a]),
+        (m * Matrix.from_columns([vec], k), [[sum((x * y for x, y in zip(row, vec)), Q(0))]
+                                             for row in a]),
     ]
     for got, want in expected:
         _assert_canonical(got)
         assert _ref(got) == want
-    assert m.apply(vec) == tuple(sum((x * y for x, y in zip(row, vec)), Q(0)) for row in a)
 
     red, pivots, rank = rref(m)
     want_red, want_pivots = _ref_rref(a, k)

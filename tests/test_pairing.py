@@ -114,17 +114,17 @@ def test_er_pairing_perturbation_invariance():
         for (p, q) in tot.support():
             left = ws.page_reps(r, p, q)
             right = ws.page_reps(r, n - p, n - q)
-            if not left or not right:
+            if not left.cols or not right.cols:
                 continue
             exact = ws.space(TowerKind.PAGE_EXACT, r, p, q)
             form = pairing.at(tot, p, q)
-            for x in left:
-                for y in right:
+            for x in left.columns():
+                for y in right.columns():
                     base = sum(a * form.data[i][j] * b
                                for i, a in enumerate(x) if a
                                for j, b in enumerate(y) if b)
                     noise = [Q(0)] * len(x)
-                    for col in exact.basis_columns():
+                    for col in exact.basis.columns():
                         f = rng.randint(-2, 2)
                         noise = [u + f * v for u, v in zip(noise, col)]
                     moved = tuple(a + u for a, u in zip(x, noise))
@@ -143,8 +143,8 @@ def test_zero_pairing_on_exact_closed_pairs():
         exact = ws.space(TowerKind.PAGE_EXACT, 2, p, q)
         closed = ws.space(TowerKind.PAGE_CLOSED, 2, n - p, n - q)
         form = pairing.at(tot, p, q)
-        for x in exact.basis_columns():
-            for y in closed.basis_columns():
+        for x in exact.basis.columns():
+            for y in closed.basis.columns():
                 v = sum(a * form.data[i][j] * b
                         for i, a in enumerate(x) if a
                         for j, b in enumerate(y) if b)
@@ -259,14 +259,44 @@ def _value(form, x, y):
                Q(0))
 
 
+def _bilinear(form, x, y):
+    """The form on the `Fraction` vectors x and y, summed over their nonzero entries."""
+    acc = 0
+    for i, xi in enumerate(x):
+        if xi:
+            row = form.data[i]
+            for j, yj in enumerate(y):
+                if yj and row[j]:
+                    acc += xi * row[j] * yj
+    return acc
+
+
+def _reference_induced(pairing, c, p, q, left, right, left_null, right_null):
+    """(Gram rows, well defined, dims match, non-degenerate) from `_bilinear` on columns."""
+    form, back = pairing.at(c, p, q), pairing.at(c, pairing.n - p, pairing.n - q)
+    left, right = left.columns(), right.columns()
+    gram = [[_bilinear(form, x, y) for y in right] for x in left]
+    well = (not any(_bilinear(form, x, y) for x in left_null.basis.columns() for y in right)
+            and not any(_bilinear(back, x, y) for x in right_null.basis.columns() for y in left))
+    dims_match = len(left) == len(right)
+    nondeg = dims_match and Matrix(len(left), len(right), gram).rank() == len(left)
+    return gram, well, dims_match, nondeg
+
+
 def _assert_matches_oracle(got, pairing, c, p, q, left, right, left_null, right_null):
     n = pairing.n
     form, back = pairing.at(c, p, q), pairing.at(c, n - p, n - q)
-    assert [list(row) for row in got.gram.data] == [[_value(form, x, y) for y in right]
-                                                    for x in left], (p, q)
+    left_cols, right_cols = left.columns(), right.columns()
+    assert [list(row) for row in got.gram.data] == [[_value(form, x, y) for y in right_cols]
+                                                    for x in left_cols], (p, q)
     assert got.well_defined == (
-        all(_value(form, x, y) == 0 for x in left_null.basis_columns() for y in right)
-        and all(_value(back, x, y) == 0 for x in right_null.basis_columns() for y in left)), (p, q)
+        all(_value(form, x, y) == 0 for x in left_null.basis.columns() for y in right_cols)
+        and all(_value(back, x, y) == 0 for x in right_null.basis.columns()
+                for y in left_cols)), (p, q)
+    gram, well, dims_match, nondeg = _reference_induced(pairing, c, p, q, left, right,
+                                                        left_null, right_null)
+    assert [list(row) for row in got.gram.data] == gram, (p, q)
+    assert (got.well_defined, got.dims_match, got.nondegenerate) == (well, dims_match, nondeg)
 
 
 def _induced_against_oracle(tot, pairing, ws, rmax):
@@ -301,6 +331,15 @@ def test_induced_pairings_match_a_fraction_oracle():
     for seed in (1, 5, 9):
         tot, pairing = sum_with_dual(random_complex((3, 3), 3, seed))
         assert all(_induced_against_oracle(tot, pairing, Workspace(tot), 3)), seed
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=st.tuples(st.integers(1, 3), st.integers(1, 3)), max_dim=st.integers(1, 3),
+       seed=st.integers(0, 10**6))
+def test_induced_pairings_equal_the_bilinear_reference(grid, max_dim, seed):
+    """Every Gram and flag at r = 1, 2 is the one `_bilinear` gives on the columns."""
+    tot, pairing = sum_with_dual(random_complex(grid, max_dim, seed))
+    _induced_against_oracle(tot, pairing, Workspace(tot), 2)
 
 
 def test_induced_pairings_match_the_oracle_on_a_broken_cell():
