@@ -51,8 +51,8 @@ from bigraded.spectral import (ConsistencyError, Invariants, TowerKind, Workspac
                                memoised, page_dims)
 
 __all__ = [
-    "ddbar_closed_space",
-    "ddbar_exact_space",
+    "ddbar_closed",
+    "ddbar_exact",
     "bca_dims",
     "CanonicalMaps",
     "canonical_maps",
@@ -115,18 +115,14 @@ def exact_pure(ws: Workspace, p, q) -> Subspace:
     return _span([row[rest:] for row in reduced.echelon if not any(row[:rest])], n)
 
 
-def ddbar_closed_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Subspace:
+@memoised
+def ddbar_closed(ws: Workspace, r, p, q) -> Subspace:
     """Page-r ddbar-closed elements at (p,q).
 
     r = 1 is ker(d1 d2); r >= 2 intersects the two one-sided lift towers of
     length r-1 (one for each differential), a condition that grows stronger
     with r.
     """
-    return _ddbar_closed(ws or Workspace(c), r, p, q)
-
-
-@memoised
-def _ddbar_closed(ws: Workspace, r, p, q) -> Subspace:
     c = ws.c
     if c.dim(p, q) == 0:
         return Subspace.zero(0)
@@ -136,17 +132,13 @@ def _ddbar_closed(ws: Workspace, r, p, q) -> Subspace:
                                  ws.swapped.space(TowerKind.RUNS, r - 1, q, p))
 
 
-def ddbar_exact_space(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Subspace:
+@memoised
+def ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
     """Page-r ddbar-exact elements at (p,q).
 
     r = 1 is im(d1 d2); r >= 2 adds d1 and d2 images of the reaches-zero
     towers of length r-1, a condition that grows weaker with r.
     """
-    return _ddbar_exact(ws or Workspace(c), r, p, q)
-
-
-@memoised
-def _ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
     c = ws.c
     if c.dim(p, q) == 0:
         return Subspace.zero(0)
@@ -166,14 +158,14 @@ def _ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
 def bc_reps(ws: Workspace, r, p, q) -> Matrix:
     """Deterministic representatives of BC_r at (p,q), as columns."""
     _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
-    return extend_basis(ddbar_exact_space(ws.c, r, p, q, ws), closed_pure(ws, p, q))
+    return extend_basis(ddbar_exact(ws, r, p, q), closed_pure(ws, p, q))
 
 
 @memoised
 def a_reps(ws: Workspace, r, p, q) -> Matrix:
     """Deterministic representatives of A_r at (p,q), as columns."""
     _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
-    return extend_basis(im_both(ws, p, q), ddbar_closed_space(ws.c, r, p, q, ws))
+    return extend_basis(im_both(ws, p, q), ddbar_closed(ws, r, p, q))
 
 
 @memoised
@@ -194,10 +186,10 @@ def _bca_cell(ws: Workspace, r, p, q):
     is an implementation bug and surfaces as ConsistencyError.
     """
     k = closed_pure(ws, p, q)
-    d = ddbar_exact_space(ws.c, r, p, q, ws)
+    d = ddbar_exact(ws, r, p, q)
     if not k.contains_subspace(d):
         raise ConsistencyError(f"ddbar-exact not d-closed at {(p, q)}, page {r}")
-    z = ddbar_closed_space(ws.c, r, p, q, ws)
+    z = ddbar_closed(ws, r, p, q)
     i = im_both(ws, p, q)
     if not z.contains_subspace(i):
         raise ConsistencyError(f"im d1 + im d2 not ddbar-closed at {(p, q)}, page {r}")
@@ -274,7 +266,7 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
         c_r = ws.space(TowerKind.PAGE_EXACT, r, p, q)
         cbar_r = ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p)
         imb = im_both(ws, p, q)
-        dd_exact = ddbar_exact_space(c, r, p, q, ws)
+        dd_exact = ddbar_exact(ws, r, p, q)
         out["bc_to_page"][(p, q)] = class_coordinates(c_r, page, bc)
         out["bc_to_conj"][(p, q)] = class_coordinates(cbar_r, conj, bc)
         out["bc_to_de_rham"][(p, q)] = class_coordinates(ws.total_image(k), drr,
@@ -333,7 +325,7 @@ def _criterion_bc_a_maps(ws, r):
     """
     bijective = True
     for (p, q) in ws.c.support():
-        if _closed_in_im_both(ws, p, q).dim != ddbar_exact_space(ws.c, r, p, q, ws).dim:
+        if _closed_in_im_both(ws, p, q).dim != ddbar_exact(ws, r, p, q).dim:
             return False, False
         if bijective:
             bc, a = _bca_cell(ws, r, p, q)
@@ -353,7 +345,7 @@ def _four_exactness_spaces(ws, r, p, q):
         "page_exact": subspace_intersection(k, ws.space(TowerKind.PAGE_EXACT, r, p, q)),
         "conj_page_exact": subspace_intersection(
             k, ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p)),
-        "ddbar_exact": subspace_intersection(k, ddbar_exact_space(ws.c, r, p, q, ws)),
+        "ddbar_exact": subspace_intersection(k, ddbar_exact(ws, r, p, q)),
     }
 
 
@@ -472,7 +464,7 @@ class InequalityReport:
         self.page_total = page_total        # e_r + conjugate e_r, summed over the cells
         self.betti_doubled = betti_doubled  # 2 * sum of Betti numbers
         self.chain_ok = chain_ok
-        self.verdict = verdict              # bool, or None when not computed
+        self.verdict = verdict              # bool: the page-(r-1) ddbar verdict, given or computed
         self.equality_ok = equality_ok      # bool, or None when the verdict fails
 
     def __bool__(self):

@@ -165,9 +165,9 @@ def _tables_section(c, table, keys):
             if bound is not None and p > bound:
                 dropped.add((p, q))
             else:
-                section[key][str(r)][f"{p},{q}"] = v
+                section[key][str(r)][_key(p, q)] = v
     if dropped:
-        section["suppressed_cells"] = [f"{p},{q}" for p, q in sorted(dropped)]
+        section["suppressed_cells"] = [_key(*cell) for cell in sorted(dropped)]
         section["note"] = ("entries beyond the certified truncation range "
                            f"p <= {bound} are suppressed")
     return section
@@ -230,7 +230,7 @@ def _duality_section(c, ws, duality_pairing, rmax):
         for (p, q) in c.support():
             er = pairing_mod.induced_pairing_er(c, duality_pairing, r, p, q, ws)
             ba = pairing_mod.induced_pairing_bc_a(c, duality_pairing, r, p, q, ws)
-            cells[f"{p},{q}"] = {
+            cells[_key(p, q)] = {
                 "page_pairing_nondegenerate": er.nondegenerate,
                 "bc_a_pairing_nondegenerate": ba.nondegenerate,
                 "well_defined": er.well_defined and ba.well_defined,
@@ -254,7 +254,7 @@ def _hodge_section(c, ws, ip, rmax):
         for (p, q) in c.support():
             d = tower.space(r, p, q).dim
             if d:
-                grid[f"{p},{q}"] = d
+                grid[_key(p, q)] = d
         dims[str(r)] = grid
     ok = True
     for (p, q) in c.support():
@@ -270,7 +270,7 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
         "format_version": FORMAT_VERSION,
         "name": c.name,
         "grid": [c.pmax, c.qmax],
-        "dims": {f"{p},{q}": n for (p, q), n in sorted(c.dims.items())},
+        "dims": {_key(*cell): n for cell, n in sorted(c.dims.items())},
         "total_dim": c.total_dim(),
     }
     if c.meta:
@@ -319,7 +319,7 @@ def _md_grid(title, grid):
     sep = "|---" * (len(qs) + 1) + "|"
     lines += [header, sep]
     for p in ps:
-        row = [str(grid.get(f"{p},{q}", 0)) for q in qs]
+        row = [str(grid.get(_key(p, q), 0)) for q in qs]
         lines.append(f"| {p} | " + " | ".join(row) + " |")
     lines.append("")
     return lines
@@ -392,8 +392,7 @@ def emit(args, obj):
 
 def _prepared(args):
     c = load_input(args.input)
-    bicomplex.require_valid(c)
-    return c, spectral.Workspace(c, checked=True)
+    return c, spectral.Workspace(c)
 
 
 def _default_rmax(c, args):
@@ -426,12 +425,11 @@ def cmd_pages(args):
             for r in range(1, rmax + 1):
                 vecs = ws.page_reps(r, p, q)
                 if vecs.cols:
-                    reps.setdefault(str(r), {})[f"{p},{q}"] = [
+                    reps.setdefault(str(r), {})[_key(p, q)] = [
                         [str(x) for x in v] for v in vecs.columns()]
         out["representatives"] = reps
         if c.labels:
-            out["labels"] = {f"{p},{q}": c.labels[(p, q)]
-                             for (p, q) in sorted(c.labels)}
+            out["labels"] = {_key(*cell): c.labels[cell] for cell in sorted(c.labels)}
     emit(args, out)
     return 0
 

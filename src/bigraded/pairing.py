@@ -18,7 +18,7 @@ linear dual carries an evaluation pairing that is compatible and perfect.
 
 from __future__ import annotations
 
-from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
+from bigraded.bca import a_reps, bc_reps, ddbar_exact, im_both, page_ddbar_verdict
 from bigraded.bicomplex import (DoubleComplex, _int_pair, _matrices_from_dict,
                                 _matrices_to_dict, direct_sum)
 from bigraded.linalg import LinalgError, Matrix, Subspace
@@ -184,7 +184,7 @@ def induced_pairing_bc_a(c: DoubleComplex, pairing: DualityPairing, r, p, q,
     ws = ws or Workspace(c)
     n = pairing.n
     return _induced(pairing, ws.c, r, p, q, bc_reps(ws, r, p, q), a_reps(ws, r, n - p, n - q),
-                    ddbar_exact_space(ws.c, r, p, q, ws), im_both(ws, n - p, n - q))
+                    ddbar_exact(ws, r, p, q), im_both(ws, n - p, n - q))
 
 
 class BcBcReport:
@@ -218,12 +218,11 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
             continue
         per_cell[(p, q)] = _induced(
             pairing, c, r, p, q, bc_reps(ws, r, p, q), bc_reps(ws, r, n - p, n - q),
-            ddbar_exact_space(c, r, p, q, ws), ddbar_exact_space(c, r, n - p, n - q, ws))
+            ddbar_exact(ws, r, p, q), ddbar_exact(ws, r, n - p, n - q))
     nondeg = all(cell.nondegenerate for cell in per_cell.values())
     verdict = None
     agrees = None
     if compare_verdict:
-        from bigraded.bca import page_ddbar_verdict
         verdict = page_ddbar_verdict(c, r, ws, use_structure=False).verdict
         agrees = verdict == nondeg
         if not agrees and validate_pairing(c, pairing).perfect:

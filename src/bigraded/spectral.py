@@ -44,10 +44,8 @@ __all__ = [
     "ConsistencyError",
     "Workspace",
     "memoised",
-    "tower_space",
     "Invariants",
     "page_dims",
-    "dr_matrix",
     "iterated_pages_oracle",
     "degeneration_page",
     "einfty_check",
@@ -208,12 +206,6 @@ def _build_space(ws, kind, r, p, q):
     raise ValueError(f"unhandled tower kind {kind}")
 
 
-def tower_space(c: DoubleComplex, kind: TowerKind, r, p, q, ws: Workspace | None = None) -> Subspace:
-    """Public entry: any of the tower-defined subspaces of the (p,q) component."""
-    ws = ws or Workspace(c)
-    return ws.space(kind, r, p, q)
-
-
 class Invariants:
     """The invariant tables of one complex or one shape, each without zero entries.
 
@@ -268,7 +260,7 @@ def _page_dim(ws: Workspace, r, p, q):
                         ws.space(TowerKind.PAGE_EXACT, r, p, q))
 
 
-def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=True) -> Invariants:
+def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
     """Tables `e` of e_r^{p,q} = dim Z_r - dim C_r for r = 1..r_max, and `ebar` of conjugates."""
     ws = ws or Workspace(c)
     table = Invariants(r_max)
@@ -277,10 +269,9 @@ def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None, conjugate=Tr
             d = _page_dim(ws, r, p, q)
             if d:
                 table.e[(r, p, q)] = d
-            if conjugate:
-                db = _page_dim(ws.swapped, r, q, p)
-                if db:
-                    table.ebar[(r, p, q)] = db
+            db = _page_dim(ws.swapped, r, q, p)
+            if db:
+                table.ebar[(r, p, q)] = db
     return table
 
 
@@ -302,11 +293,6 @@ def _dr_image(ws: Workspace, r, p, q, alpha: Matrix) -> Matrix:
                 f"lift tower unsolvable for a page-{r} representative at {(p, q)}")
         v = c.d1_at(*cell) * (runs * y)
     return v
-
-
-def dr_matrix(c: DoubleComplex, r, p, q, ws: Workspace | None = None) -> Matrix:
-    ws = ws or Workspace(c)
-    return ws.dr_matrix(r, p, q)
 
 
 def iterated_pages_oracle(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
@@ -337,8 +323,8 @@ def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     fixed from `ws.stable_page` on.
     """
     ws = ws or Workspace(c)
-    table = page_dims(ws.c, ws.stable_page, ws, conjugate=False)
-    totals = [table.total("e", r) for r in range(1, ws.stable_page + 1)]
+    totals = [sum(_page_dim(ws, r, p, q) for p, q in ws.c.support())
+              for r in range(1, ws.stable_page + 1)]
     return totals.index(totals[-1]) + 1
 
 
@@ -361,7 +347,11 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
     means the implementation (not the input) is broken.
     """
     ws = ws or Workspace(c)
-    stable = page_dims(ws.c, ws.stable_page, ws, conjugate=False).degree_sums("e", ws.stable_page)
+    stable = {}
+    for p, q in ws.c.support():
+        d = _page_dim(ws, ws.stable_page, p, q)
+        if d:
+            stable[p + q] = stable.get(p + q, 0) + d
     per_degree = {k: (stable.get(k, 0), ws.betti.get(k, 0))
                   for k in sorted(stable.keys() | ws.betti)}
     return ConvergenceReport(all(e == b for e, b in per_degree.values()), per_degree)

@@ -1,4 +1,4 @@
-"""The constructive splitter behind `bigraded.zigzag.split`.
+"""The constructive splitter behind `bigraded.zigzag.decompose`.
 
 Squares come first (Stelzig, *On the structure of double complexes*): the
 rank of d1 d2 out of (p,q) counts the squares at (p,q), and their spans

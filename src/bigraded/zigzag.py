@@ -3,11 +3,11 @@
 Every bounded double complex is a direct sum of squares and zigzags.  Two
 independent engines find the summands:
 
-* `split` constructs the decomposition directly: squares first, then the
-  zigzags as the interval summands of one type-A zigzag representation
+* `decompose` constructs the decomposition directly: squares first, then
+  the zigzags as the interval summands of one type-A zigzag representation
   per antidiagonal (see `bigraded.splitter`).  The output is a
-  certificate, and `decompose` accepts it only after `verify_certificate`
-  and the invariant tables below agree with it.
+  certificate, accepted only after `verify_certificate` and the invariant
+  tables below agree with it.
 * `multiplicity_solve` recovers the same multiset from invariants alone.
   Each shape contributes closed-form amounts to every invariant this
   package computes (page dimensions, conjugate page dimensions, Bott-Chern
@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import cache
 
 from bigraded.bca import bca_dims
-from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _matrices_from_dict,
+from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _key, _matrices_from_dict,
                                 _matrices_to_dict, _require_int, change_of_basis)
 from bigraded.linalg import LinalgError, _span
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
@@ -46,7 +46,6 @@ __all__ = [
     "multiplicity_solve",
     "structure_verdict",
     "Decomposition",
-    "split",
     "decompose",
     "DecompositionCertificate",
     "CertificateReport",
@@ -94,10 +93,12 @@ def _shape_key(shape):
 def predicted_invariants(shape, r_max) -> Invariants:
     """Invariant tables of a shape without building it.
 
-    Squares contribute dimensions only.  For zigzags the page contributions
-    sit at the free ends, Bott-Chern classes live on the upper antidiagonal
-    and Aeppli classes on the lower one, with r-1 classes trimmed from each
-    end that carries an outgoing arrow.
+    Squares contribute dimensions only.  A zigzag's page classes sit at its
+    free ends: an end list of one cell lives on every page and carries the
+    Betti number, one of two cells lives up to page g.  Bott-Chern classes
+    live on the upper antidiagonal and Aeppli classes on the generators,
+    with r-1 classes trimmed from each end without an outgoing arrow (upper)
+    or with one (generators); a dot is its own Bott-Chern class.
     """
     pred = Invariants(r_max)
     for cell in shape_cells(shape):
@@ -106,55 +107,30 @@ def predicted_invariants(shape, r_max) -> Invariants:
         return pred
 
     gens = shape.generators
-    g = len(gens)
     bf, bl = shape.d2_out_first, shape.d1_out_last
-    corners = [(p + 1, q) for (p, q) in gens[:-1]]
     top = (gens[0][0], gens[0][1] + 1)
     right = (gens[-1][0] + 1, gens[-1][1])
-    k = gens[0][0] + gens[0][1]
-
-    if not bf and not bl:
-        pred.b[k] = 1
-    elif bf and bl:
-        pred.b[k + 1] = 1
-
+    e = [gens[0]] * (not bf) + [right] * bl
+    ebar = [top] * bf + [gens[-1]] * (not bl)
+    upper = [top] * bf + [(p + 1, q) for (p, q) in gens[:-1]] + [right] * bl
+    if len(e) == 1:
+        pred.b[sum(e[0])] = 1
+    dot = shape.is_dot()
     for r in range(1, r_max + 1):
-        if not bf and not bl:
-            pred.e[(r,) + gens[0]] = 1
-            pred.ebar[(r,) + gens[-1]] = 1
-            for cell in gens:
-                pred.a[(r,) + cell] = 1
-            if g == 1:
-                pred.bc[(r,) + gens[0]] = 1
-            else:
-                for j in range(r, g - r + 1):
-                    pred.bc[(r,) + corners[j - 1]] = 1
-        elif bf and bl:
-            pred.e[(r,) + right] = 1
-            pred.ebar[(r,) + top] = 1
-            for cell in [top] + corners + [right]:
-                pred.bc[(r,) + cell] = 1
-            for j in range(r, g - r + 2):
-                pred.a[(r,) + gens[j - 1]] = 1
-        elif bl:
-            if r <= g:
-                pred.e[(r,) + gens[0]] = 1
-                pred.e[(r,) + right] = 1
-            for j in range(r, g + 1):
-                cell = right if j == g else corners[j - 1]
-                pred.bc[(r,) + cell] = 1
-            for j in range(1, g - r + 2):
-                pred.a[(r,) + gens[j - 1]] = 1
-        else:
-            if r <= g:
-                pred.ebar[(r,) + top] = 1
-                pred.ebar[(r,) + gens[-1]] = 1
-            for j in range(1, g - r + 2):
-                cell = top if j == 1 else corners[j - 2]
-                pred.bc[(r,) + cell] = 1
-            for j in range(r, g + 1):
-                pred.a[(r,) + gens[j - 1]] = 1
+        for table, cells in ((pred.e, e), (pred.ebar, ebar)):
+            if len(cells) == 1 or r <= len(gens):
+                for cell in cells:
+                    table[(r,) + cell] = 1
+        for cell in gens if dot else _trim(upper, r - 1, not bf, not bl):
+            pred.bc[(r,) + cell] = 1
+        for cell in _trim(gens, r - 1, bf, bl):
+            pred.a[(r,) + cell] = 1
     return pred
+
+
+def _trim(cells, k, first, last):
+    """`cells` less k entries at the first end if `first` and at the last end if `last`."""
+    return cells[k * first:max(0, len(cells) - k * last)]
 
 
 def _shape_stable_page(shape):
@@ -370,7 +346,7 @@ def certificate_to_dict(cert: DecompositionCertificate):
     """JSON form: transforms as rational-string matrices, blocks with cells."""
     return {"transforms": _matrices_to_dict(cert.transforms),
             "blocks": [{"shape": _shape_to_dict(shape),
-                        "cells": {f"{p},{q}": list(ix) for (p, q), ix in sorted(cells.items())}}
+                        "cells": {_key(*cell): list(ix) for cell, ix in sorted(cells.items())}}
                        for shape, cells in cert.blocks]}
 
 
@@ -469,20 +445,25 @@ def decompose(c: DoubleComplex, ws: Workspace | None = None) -> Decomposition:
 
 @memoised
 def _checked_split(ws: Workspace) -> Decomposition:
+    """The splitter's certificate, checked.
+
+    `bigraded.splitter` is imported on first use, so that importing this
+    module does not compile it.
+    """
+    from bigraded.splitter import split_complex
     c = ws.c
-    dec = split(c)
-    if _tally(dec.certificate.blocks) != dec.inventory:
-        raise ConsistencyError(
-            f"the split inventory of {c.name!r} differs from its certificate's blocks; "
-            "the implementation is at fault")
-    report = verify_certificate(c, dec.certificate)
+    cert = split_complex(c)
+    inventory = {}
+    for shape, _ in cert.blocks:
+        inventory[shape] = inventory.get(shape, 0) + 1
+    report = verify_certificate(c, cert)
     if not report:
         raise ConsistencyError(
             f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
             "the implementation is at fault")
-    r_max = _stable_page(ws, dec.inventory)
+    r_max = _stable_page(ws, inventory)
     predicted = Invariants(r_max)
-    for shape, mult in dec.inventory.items():
+    for shape, mult in inventory.items():
         predicted.add(predicted_invariants(shape, r_max), mult)
     measured = measured_invariants(c, r_max, ws)
     for tag in Invariants.TAGS:
@@ -490,23 +471,4 @@ def _checked_split(ws: Workspace) -> Decomposition:
             raise ConsistencyError(
                 f"the split inventory of {c.name!r} predicts other {tag!r} tables "
                 "than the measured ones; the implementation is at fault")
-    return dec
-
-
-def split(c: DoubleComplex) -> Decomposition:
-    """Decompose a valid complex into squares and zigzags, constructively.
-
-    The result is not checked here; see `decompose`.  The algorithm lives in
-    `bigraded.splitter`, imported on first use so that importing this
-    module does not compile it.
-    """
-    from bigraded.splitter import split_complex
-    cert = split_complex(c)
-    return Decomposition(_tally(cert.blocks), cert)
-
-
-def _tally(blocks):
-    inventory = {}
-    for shape, _ in blocks:
-        inventory[shape] = inventory.get(shape, 0) + 1
-    return inventory
+    return Decomposition(inventory, cert)

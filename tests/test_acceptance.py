@@ -83,12 +83,12 @@ def test_criterion_1_indecomposable_tables():
 def test_criterion_2_calabi_eckmann():
     ce11 = example_calabi_eckmann(1, 1)
     ws11 = Workspace(ce11)
-    t11 = page_dims(ce11, 2, ws11, conjugate=False)
+    t11 = page_dims(ce11, 2, ws11)
     ok = t11.dim(1, 3, 2) == 1 and t11.dim(2, 3, 2) == 0
     ok = ok and degeneration_page(ce11, ws11) == 2
     ce01 = example_calabi_eckmann(0, 1)
     ws01 = Workspace(ce01)
-    t01 = page_dims(ce01, 4, ws01, conjugate=False)
+    t01 = page_dims(ce01, 4, ws01)
     ok = ok and all(t01.dim(r, 2, 1) == 1 for r in (1, 2, 3, 4))
     ok = ok and degeneration_page(ce01, ws01) == 1
     _report(2, ok, "(1,1): e1=1, e2=0 at (3,2), page 2; (0,1): page 1, e_r^{2,1}=1")
@@ -97,7 +97,7 @@ def test_criterion_2_calabi_eckmann():
 def test_criterion_3_oracle_equivalence(batch):
     mismatches = 0
     for seed, c, ws in batch:
-        direct = page_dims(c, 5, ws, conjugate=False)
+        direct = page_dims(c, 5, ws)
         iterated = iterated_pages_oracle(c, 5, ws)
         if direct.e != iterated.e:
             mismatches += 1

@@ -3,9 +3,8 @@
 import pytest
 
 from bigraded import bca, spectral
-from bigraded.bca import (bca_dims, canonical_maps, closed_pure,
-                          ddbar_closed_space, ddbar_exact_space, exact_pure,
-                          im_both, inequality_check, page_ddbar_verdict)
+from bigraded.bca import (bca_dims, canonical_maps, closed_pure, ddbar_closed, ddbar_exact,
+                          exact_pure, im_both, inequality_check, page_ddbar_verdict)
 from bigraded.bicomplex import direct_sum
 from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_intersection, subspace_sum)
@@ -42,8 +41,9 @@ def test_first_page_equals_classical_oracle(random_suite):
 
 def test_ddbar_spaces_first_page():
     sq = build_shape(Square(0, 0))
-    assert ddbar_closed_space(sq, 1, 0, 0) == Subspace.zero(1)  # d1 d2 a != 0
-    assert ddbar_exact_space(sq, 1, 1, 1).dim == 1              # the corner
+    ws = Workspace(sq)
+    assert ddbar_closed(ws, 1, 0, 0) == Subspace.zero(1)  # d1 d2 a != 0
+    assert ddbar_exact(ws, 1, 1, 1).dim == 1              # the corner
 
 
 def test_ddbar_closed_monotone(random_suite):
@@ -51,16 +51,16 @@ def test_ddbar_closed_monotone(random_suite):
         for (p, q) in c.support():
             prev = None
             for r in (1, 2, 3, 4):
-                cur = ddbar_closed_space(c, r, p, q, ws)
+                cur = ddbar_closed(ws, r, p, q)
                 if prev is not None:
                     assert prev.contains_subspace(cur)
                 prev = cur
 
 
 def test_ddbar_closed_full_on_dot():
-    dot = build_shape(dot_shape(0, 0))
+    ws = Workspace(build_shape(dot_shape(0, 0)))
     for r in (1, 2, 3):
-        assert ddbar_closed_space(dot, r, 0, 0) == Subspace.full(1)
+        assert ddbar_closed(ws, r, 0, 0) == Subspace.full(1)
 
 
 def test_exact_pure_is_image_meet_component(random_suite):
@@ -81,7 +81,7 @@ def test_ddbar_exact_one_way_inclusions(random_suite):
     for _, c, ws in random_suite[:6]:
         for (p, q) in c.support():
             for r in (1, 2, 3):
-                d = ddbar_exact_space(c, r, p, q, ws)
+                d = ddbar_exact(ws, r, p, q)
                 assert ws.space(TowerKind.PAGE_EXACT, r, p, q).contains_subspace(d)
                 assert ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p).contains_subspace(d)
                 assert closed_pure(ws, p, q).contains_subspace(d)
@@ -407,7 +407,7 @@ def test_smaller_rmax_tables_are_restrictions(random_suite):
 def test_broken_ddbar_exact_worker_raises(monkeypatch):
     # the whole component is ddbar-exact: not inside ker d1 ∩ ker d2 at the
     # square's generator, so the Bott-Chern quotient is of a non-nested pair
-    monkeypatch.setattr(bca, "_ddbar_exact",
+    monkeypatch.setattr(bca, "ddbar_exact",
                         lambda ws, r, p, q: Subspace.full(ws.c.dim(p, q)))
     c = build_shape(Square(0, 0))
     with pytest.raises(ConsistencyError):
@@ -417,7 +417,7 @@ def test_broken_ddbar_exact_worker_raises(monkeypatch):
 def test_accessors_with_equal_arguments_keep_separate_entries(random_suite):
     _, c, _ = random_suite[0]
     by_cell = (closed_pure, im_both, bca.im_dd, exact_pure)
-    by_page_cell = (bca._ddbar_closed, bca._ddbar_exact, bca.bc_reps, bca.a_reps,
+    by_page_cell = (ddbar_closed, ddbar_exact, bca.bc_reps, bca.a_reps,
                     bca._bca_cell, spectral._page_dim, Workspace.page_reps,
                     Workspace.dr_matrix)
     for (p, q) in c.support():

@@ -18,7 +18,8 @@ from bigraded.models import (CdgaSpec, ParseError, Square, ZigzagShape, _derive,
                              example_calabi_eckmann, expression_to_str, mono_mul,
                              parse_expression, shape_cells, shape_length)
 from bigraded.spectral import Workspace, degeneration_page, page_dims
-from bigraded.zigzag import _shape_to_dict, enumerate_shapes, split, verify_certificate
+from bigraded.splitter import split_complex
+from bigraded.zigzag import _shape_to_dict, enumerate_shapes, verify_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +72,9 @@ def test_every_built_shape_is_its_own_one_summand():
         c = build_shape(shape)
         assert validate(c).ok
         assert c.total_dim() == shape_length(shape)
-        dec = split(c)
-        assert dec.inventory == {shape: 1}
-        assert verify_certificate(c, dec.certificate).ok
+        cert = split_complex(c)
+        assert [s for s, _ in cert.blocks] == [shape]
+        assert verify_certificate(c, cert).ok
 
 
 def test_shape_does_not_fit_grid():
@@ -282,10 +283,7 @@ def test_ce11_total_degree_dims_enumeration_oracle():
 
 def test_ce11_first_differential_on_middle_page_class():
     # the page-1 class at (2,2) maps isomorphically onto the one at (3,2)
-    from bigraded.spectral import dr_matrix
-    c = example_calabi_eckmann(1, 1)
-    ws = Workspace(c)
-    m = dr_matrix(c, 1, 2, 2, ws)
+    m = Workspace(example_calabi_eckmann(1, 1)).dr_matrix(1, 2, 2)
     assert m.rows == m.cols == 1
     assert m.data[0][0] != 0
 

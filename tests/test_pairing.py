@@ -301,7 +301,7 @@ def _assert_matches_oracle(got, pairing, c, p, q, left, right, left_null, right_
 
 def _induced_against_oracle(tot, pairing, ws, rmax):
     """Every induced pairing of `tot` checked against the oracle; the well_defined flags seen."""
-    from bigraded.bca import a_reps, bc_reps, ddbar_exact_space, im_both
+    from bigraded.bca import a_reps, bc_reps, ddbar_exact, im_both
     n = pairing.n
     seen = []
     for r in range(1, rmax + 1):
@@ -314,14 +314,13 @@ def _induced_against_oracle(tot, pairing, ws, rmax):
             ba = induced_pairing_bc_a(tot, pairing, r, p, q, ws)
             _assert_matches_oracle(ba, pairing, tot, p, q, bc_reps(ws, r, p, q),
                                    a_reps(ws, r, n - p, n - q),
-                                   ddbar_exact_space(tot, r, p, q, ws), im_both(ws, n - p, n - q))
+                                   ddbar_exact(ws, r, p, q), im_both(ws, n - p, n - q))
             seen += [er.well_defined, ba.well_defined]
         bb = induced_pairing_bc_bc(tot, pairing, r, ws, compare_verdict=False)
         for (p, q), cell in bb.per_cell.items():
             _assert_matches_oracle(cell, pairing, tot, p, q, bc_reps(ws, r, p, q),
                                    bc_reps(ws, r, n - p, n - q),
-                                   ddbar_exact_space(tot, r, p, q, ws),
-                                   ddbar_exact_space(tot, r, n - p, n - q, ws))
+                                   ddbar_exact(ws, r, p, q), ddbar_exact(ws, r, n - p, n - q))
             seen.append(cell.well_defined)
         assert bb.nondegenerate == all(cell.nondegenerate for cell in bb.per_cell.values())
     return seen

@@ -11,9 +11,8 @@ from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_sum)
 from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
                              example_calabi_eckmann)
-from bigraded.spectral import (TowerKind, Workspace, degeneration_page,
-                               dr_matrix, einfty_check,
-                               iterated_pages_oracle, page_dims, tower_space)
+from bigraded.spectral import (TowerKind, Workspace, degeneration_page, einfty_check,
+                               iterated_pages_oracle, page_dims)
 from bigraded.zigzag import _shape_stable_page, measured_invariants, predicted_invariants
 
 
@@ -41,7 +40,7 @@ def test_tower_nesting(random_suite):
 def test_square_generator_cell_not_closed():
     sq = build_shape(Square(0, 0))
     # brute force on the 1-dimensional component: d2 a != 0
-    assert tower_space(sq, TowerKind.PAGE_CLOSED, 1, 0, 0) == Subspace.zero(1)
+    assert Workspace(sq).space(TowerKind.PAGE_CLOSED, 1, 0, 0) == Subspace.zero(1)
 
 
 def test_page_dims_dot():
@@ -56,7 +55,7 @@ def test_page_dims_length_two_zigzag():
     table = page_dims(z, 2, ws)
     assert table.dim(1, 0, 0) == 1 and table.dim(1, 1, 0) == 1
     assert table.dim(2, 0, 0) == 0 and table.dim(2, 1, 0) == 0
-    d1 = dr_matrix(z, 1, 0, 0, ws)
+    d1 = ws.dr_matrix(1, 0, 0)
     assert d1.rows == d1.cols == 1 and d1.rank() == 1  # an isomorphism
 
 
@@ -170,7 +169,7 @@ def test_tower_recursion_matches_block_systems(random_suite):
 
 def test_oracle_agreement(random_suite):
     for seed, c, ws in random_suite:
-        direct = page_dims(c, 5, ws, conjugate=False)
+        direct = page_dims(c, 5, ws)
         iterated = iterated_pages_oracle(c, 5, ws)
         assert direct.e == iterated.e, f"seed {seed}"
 
@@ -227,7 +226,7 @@ def _filtration_pages(c, r_max):
 
 def test_filtration_formula_oracle(random_suite):
     for seed, c, ws in random_suite[:4]:
-        table = page_dims(c, 3, ws, conjugate=False)
+        table = page_dims(c, 3, ws)
         alt = _filtration_pages(c, 3)
         assert {k: v for k, v in table.e.items() if k[0] <= 3} == alt, f"seed {seed}"
 
@@ -259,7 +258,7 @@ def test_einfty_square_both_sides_zero():
 def test_tower_requires_positive_page():
     dot = build_shape(dot_shape(0, 0))
     with pytest.raises(ValueError):
-        tower_space(dot, TowerKind.PAGE_CLOSED, 0, 0, 0)
+        Workspace(dot).space(TowerKind.PAGE_CLOSED, 0, 0, 0)
 
 
 def test_swapped_kinds_match_swap_complex(random_suite):
@@ -295,7 +294,7 @@ def _constant_from(table, start, stop):
 def _span_bound_degeneration(c):
     """`degeneration_page` read off every page up to max(span) + 1."""
     last = max(c.span()) + 1
-    table = page_dims(c, last, Workspace(c), conjugate=False)
+    table = page_dims(c, last, Workspace(c))
     drops = [r for r in range(1, last) if table.total("e", r) != table.total("e", r + 1)]
     return max(drops, default=0) + 1
 
