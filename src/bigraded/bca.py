@@ -48,7 +48,7 @@ from bigraded.linalg import (Matrix, Subspace, _span, class_coordinates, extend_
                              image_basis, kernel_basis, map_subspace,
                              subspace_intersection, subspace_sum)
 from bigraded.spectral import (ConsistencyError, Invariants, TowerKind, Workspace,
-                               memoised, page_dims)
+                               _internal, memoised, page_dims)
 
 __all__ = [
     "ddbar_closed",
@@ -157,43 +157,36 @@ def ddbar_exact(ws: Workspace, r, p, q) -> Subspace:
 @memoised
 def bc_reps(ws: Workspace, r, p, q) -> Matrix:
     """Deterministic representatives of BC_r at (p,q), as columns."""
-    _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
-    return extend_basis(ddbar_exact(ws, r, p, q), closed_pure(ws, p, q))
+    return _internal("BC_r = (ker d1 ∩ ker d2) / ddbar-exact", r, (p, q), extend_basis,
+                     ddbar_exact(ws, r, p, q), closed_pure(ws, p, q))
 
 
 @memoised
 def a_reps(ws: Workspace, r, p, q) -> Matrix:
     """Deterministic representatives of A_r at (p,q), as columns."""
-    _bca_cell(ws, r, p, q)  # raises ConsistencyError for a non-nested pair
-    return extend_basis(im_both(ws, p, q), ddbar_closed(ws, r, p, q))
+    return _internal("A_r = ddbar-closed / (im d1 + im d2)", r, (p, q), extend_basis,
+                     im_both(ws, p, q), ddbar_closed(ws, r, p, q))
 
 
 @memoised
 def de_rham_reps(ws: Workspace, k) -> Matrix:
     """Representatives of total-complex cohomology in degree k, as columns."""
-    return extend_basis(ws.total_image(k), kernel_basis(ws.total.differential(k)))
+    return _internal("H^k = ker D / im D", None, f"degree {k}", extend_basis,
+                     ws.total_image(k), kernel_basis(ws.total.differential(k)))
 
 
 # ---------------------------------------------------------------------------
 # dimensions
 
 
-@memoised
 def _bca_cell(ws: Workspace, r, p, q):
-    """(dim BC_r, dim A_r) at (p,q).
+    """(dim BC_r, dim A_r) at (p,q): the column counts of the representatives.
 
-    Both quotients are checked to be of nested pairs first; a failure there
-    is an implementation bug and surfaces as ConsistencyError.
+    Both quotients are checked first, by the scan that picks the
+    representatives; a non-nested pair there is an implementation bug and
+    surfaces as ConsistencyError.
     """
-    k = closed_pure(ws, p, q)
-    d = ddbar_exact(ws, r, p, q)
-    if not k.contains_subspace(d):
-        raise ConsistencyError(f"ddbar-exact not d-closed at {(p, q)}, page {r}")
-    z = ddbar_closed(ws, r, p, q)
-    i = im_both(ws, p, q)
-    if not z.contains_subspace(i):
-        raise ConsistencyError(f"im d1 + im d2 not ddbar-closed at {(p, q)}, page {r}")
-    return k.dim - d.dim, z.dim - i.dim
+    return bc_reps(ws, r, p, q).cols, a_reps(ws, r, p, q).cols
 
 
 def bca_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
@@ -218,19 +211,17 @@ class CanonicalMaps:
     """Identity-induced maps between BC_r, the pages, de Rham and A_r.
 
     All matrices are with respect to the deterministic representative bases;
-    keys are bidegrees.  `commutes` records that both triangle composites
-    through the pages and through de Rham agree with the direct BC -> A map;
-    `bc_surjective` and `a_injective` record that BC_1 ->> BC_r and
-    A_r -> A_1 behave as the defining filtrations force them to.
+    keys are bidegrees.  `canonical_maps` returns them only after checking
+    the relations the definitions force: both triangle composites through
+    the pages and through de Rham equal the direct BC -> A map, BC_1 ->> BC_r
+    is onto and A_r -> A_1 is one-to-one.
     """
 
     __slots__ = ("r", "bc_to_page", "bc_to_conj", "bc_to_de_rham", "bc_to_a", "page_to_a",
-                 "conj_to_a", "de_rham_to_a", "bc1_to_bcr", "ar_to_a1", "commutes",
-                 "bc_surjective", "a_injective")
+                 "conj_to_a", "de_rham_to_a", "bc1_to_bcr", "ar_to_a1")
 
     def __init__(self, r, bc_to_page, bc_to_conj, bc_to_de_rham, bc_to_a, page_to_a,
-                 conj_to_a, de_rham_to_a, bc1_to_bcr, ar_to_a1, commutes, bc_surjective,
-                 a_injective):
+                 conj_to_a, de_rham_to_a, bc1_to_bcr, ar_to_a1):
         self.r = r
         self.bc_to_page = bc_to_page
         self.bc_to_conj = bc_to_conj
@@ -241,54 +232,48 @@ class CanonicalMaps:
         self.de_rham_to_a = de_rham_to_a
         self.bc1_to_bcr = bc1_to_bcr
         self.ar_to_a1 = ar_to_a1
-        self.commutes = commutes
-        self.bc_surjective = bc_surjective
-        self.a_injective = a_injective
 
 
 def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> CanonicalMaps:
+    """The canonical maps at page r; a relation they must satisfy that fails raises."""
     ws = ws or Workspace(c)
     c = ws.c
     t = ws.total
     out = dict(bc_to_page={}, bc_to_conj={}, bc_to_de_rham={}, bc_to_a={},
                page_to_a={}, conj_to_a={}, de_rham_to_a={},
                bc1_to_bcr={}, ar_to_a1={})
-    commutes = True
-    bc_surjective = True
-    a_injective = True
-    for (p, q) in c.support():
+
+    def classes(name, denominator, reps, vectors):
+        out[name][cell] = _internal(f"the {name} class coordinates", r, cell,
+                                    class_coordinates, denominator, reps, vectors)
+        return out[name][cell]
+
+    for cell in c.support():
+        p, q = cell
         k = p + q
         bc = bc_reps(ws, r, p, q)
         a = a_reps(ws, r, p, q)
         page = ws.page_reps(r, p, q)
         conj = ws.swapped.page_reps(r, q, p)
         drr = de_rham_reps(ws, k)
-        c_r = ws.space(TowerKind.PAGE_EXACT, r, p, q)
-        cbar_r = ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p)
         imb = im_both(ws, p, q)
-        dd_exact = ddbar_exact(ws, r, p, q)
-        out["bc_to_page"][(p, q)] = class_coordinates(c_r, page, bc)
-        out["bc_to_conj"][(p, q)] = class_coordinates(cbar_r, conj, bc)
-        out["bc_to_de_rham"][(p, q)] = class_coordinates(ws.total_image(k), drr,
-                                                         t.inject(p, q, bc))
-        out["bc_to_a"][(p, q)] = class_coordinates(imb, a, bc)
-        out["page_to_a"][(p, q)] = class_coordinates(imb, a, page)
-        out["conj_to_a"][(p, q)] = class_coordinates(imb, a, conj)
-        out["de_rham_to_a"][(p, q)] = class_coordinates(imb, a, t.project(k, p, q, drr))
-        out["bc1_to_bcr"][(p, q)] = class_coordinates(dd_exact, bc, bc_reps(ws, 1, p, q))
-        out["ar_to_a1"][(p, q)] = class_coordinates(imb, a_reps(ws, 1, p, q), a)
-        if out["page_to_a"][(p, q)] * out["bc_to_page"][(p, q)] != out["bc_to_a"][(p, q)]:
-            commutes = False
-        if out["conj_to_a"][(p, q)] * out["bc_to_conj"][(p, q)] != out["bc_to_a"][(p, q)]:
-            commutes = False
-        if out["de_rham_to_a"][(p, q)] * out["bc_to_de_rham"][(p, q)] != out["bc_to_a"][(p, q)]:
-            commutes = False
-        if out["bc1_to_bcr"][(p, q)].rank() != bc.cols:
-            bc_surjective = False
-        if out["ar_to_a1"][(p, q)].rank() != a.cols:
-            a_injective = False
-    return CanonicalMaps(r=r, commutes=commutes, bc_surjective=bc_surjective,
-                         a_injective=a_injective, **out)
+        bc_to_a = classes("bc_to_a", imb, a, bc)
+        triangles = (
+            classes("page_to_a", imb, a, page)
+            * classes("bc_to_page", ws.space(TowerKind.PAGE_EXACT, r, p, q), page, bc),
+            classes("conj_to_a", imb, a, conj)
+            * classes("bc_to_conj", ws.swapped.space(TowerKind.PAGE_EXACT, r, q, p), conj, bc),
+            classes("de_rham_to_a", imb, a, t.project(k, p, q, drr))
+            * classes("bc_to_de_rham", ws.total_image(k), drr, t.inject(p, q, bc)))
+        if any(m != bc_to_a for m in triangles):
+            raise ConsistencyError(f"a triangle through E_r, its conjugate or de Rham does not "
+                                   f"commute with BC_r -> A_r at {cell}, page {r}")
+        if classes("bc1_to_bcr", ddbar_exact(ws, r, p, q), bc,
+                   bc_reps(ws, 1, p, q)).rank() != bc.cols:
+            raise ConsistencyError(f"BC_1 -> BC_r is not onto at {cell}, page {r}")
+        if classes("ar_to_a1", imb, a_reps(ws, 1, p, q), a).rank() != a.cols:
+            raise ConsistencyError(f"A_r -> A_1 is not one-to-one at {cell}, page {r}")
+    return CanonicalMaps(r=r, **out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,39 +439,43 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
 
 
 class InequalityReport:
-    __slots__ = ("r", "bca_total", "page_total", "betti_doubled", "chain_ok", "verdict",
-                 "equality_ok")
+    """The three totals of  e_{r,BC} + e_{r,A}  >=  e_r + conjugate e_r  >=  2b  at page r.
 
-    def __init__(self, r, bca_total, page_total, betti_doubled, chain_ok, verdict,
-                 equality_ok):
+    `inequality_check` returns one only when both inequalities hold, and
+    the outer totals are equal when `verdict` holds.
+    """
+
+    __slots__ = ("r", "bca_total", "page_total", "betti_doubled", "verdict")
+
+    def __init__(self, r, bca_total, page_total, betti_doubled, verdict):
         self.r = r
         self.bca_total = bca_total          # e_{r,BC} + e_{r,A}, summed over the cells
         self.page_total = page_total        # e_r + conjugate e_r, summed over the cells
         self.betti_doubled = betti_doubled  # 2 * sum of Betti numbers
-        self.chain_ok = chain_ok
         self.verdict = verdict              # bool: the page-(r-1) ddbar verdict, given or computed
-        self.equality_ok = equality_ok      # bool, or None when the verdict fails
-
-    def __bool__(self):
-        return self.chain_ok and self.equality_ok is not False
 
 
 def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
                      verdict: bool | None = None) -> InequalityReport:
-    """Check  e_{r,A} + e_{r,BC}  >=  e_r + conjugate e_r  >=  2b.
+    """Enforce  e_{r,A} + e_{r,BC}  >=  e_r + conjugate e_r  >=  2b.
 
-    When the page-(r-1) verdict holds, the outer quantities must be equal
-    (which squeezes the middle one as well).
+    When the page-(r-1) verdict holds, the outer totals must be equal
+    (which squeezes the middle one as well).  Both are theorems, so a
+    failure raises ConsistencyError.  A given `verdict` must be the one
+    `page_ddbar_verdict` decides.
     """
     ws = ws or Workspace(c)
     table = page_dims(ws.c, r, ws).add(bca_dims(ws.c, r, ws))
     bca_total = table.total("bc", r) + table.total("a", r)
     page_total = table.total("e", r) + table.total("ebar", r)
     betti2 = 2 * sum(ws.betti.values())
-    chain_ok = bca_total >= page_total >= betti2
+    totals = f"BC + A = {bca_total}, E + conjugate E = {page_total}, 2b = {betti2}"
+    if not bca_total >= page_total >= betti2:
+        raise ConsistencyError(f"BC + A >= E + conjugate E >= 2b fails at page {r}: {totals}")
     if verdict is None:
         verdict = page_ddbar_verdict(ws.c, r, ws, use_structure=False).verdict
-    equality_ok = (bca_total == betti2) if verdict else None
+    if verdict and bca_total != betti2:
+        raise ConsistencyError(
+            f"the page-{r - 1} ddbar property holds but BC + A != 2b at page {r}: {totals}")
     return InequalityReport(r=r, bca_total=bca_total, page_total=page_total,
-                            betti_doubled=betti2, chain_ok=chain_ok,
-                            verdict=verdict, equality_ok=equality_ok)
+                            betti_doubled=betti2, verdict=verdict)

@@ -35,7 +35,7 @@ from bigraded.bca import _bca_cell, closed_pure, ddbar_closed
 from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (LinalgError, Matrix, Subspace, image_basis,
                              kernel_basis, subspace_intersection, subspace_sum)
-from bigraded.spectral import ConsistencyError, TowerKind, Workspace, _page_dim, memoised
+from bigraded.spectral import ConsistencyError, TowerKind, Workspace, _internal, memoised
 
 __all__ = [
     "InnerProduct",
@@ -198,12 +198,13 @@ def harmonic_tower(c: DoubleComplex, ip: InnerProduct | None = None, r_max=3,
         return adjoint(m, ip.gram(c, *src), ip.gram(c, *dst))
 
     def settle(r, p, q, h):
-        e = _page_dim(ws, r, p, q)
+        e = ws.page_reps(r, p, q).cols
         if h.dim != e:
             raise ConsistencyError(
                 f"harmonic space at {(p, q)} page {r} has dim {h.dim}, the page has dim {e}")
         tower.spaces[(r, p, q)] = h
-        tower.projections[(r, p, q)] = _orthogonal_projection(h, ip.gram(c, p, q))
+        tower.projections[(r, p, q)] = _internal("orthogonal projection onto H_r", r, (p, q),
+                                                 _orthogonal_projection, h, ip.gram(c, p, q))
 
     # first Laplacian: d2 d2* + d2* d2
     for (p, q) in cells:

@@ -66,7 +66,6 @@ __all__ = [
     "image_basis",
     "subspace_sum",
     "subspace_intersection",
-    "quotient_dim",
     "preimage",
     "extend_basis",
     "class_coordinates",
@@ -553,38 +552,28 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return _span(list(_dots(vectors, list(zip(*a.echelon)))), n)
 
 
-def quotient_dim(big: Subspace, small: Subspace) -> int:
-    """dim(big/small); raises ContainmentError unless small is inside big.
-
-    A containment failure here always signals a logic error upstream, so it
-    is never clamped.
-    """
-    if big.ambient_dim != small.ambient_dim:
-        raise LinalgError("quotient_dim: ambient dimension mismatch")
-    if not big.contains_subspace(small):
-        raise ContainmentError(
-            f"quotient of non-nested pair (dims {big.dim} / {small.dim})")
-    return big.dim - small.dim
-
-
 def extend_basis(small: Subspace, big: Subspace) -> Matrix:
     """Columns of `big`'s unit-pivot basis extending `small` to a basis of `big`.
 
-    Deterministic: `big`'s basis vectors are scanned in order and kept when
-    they add rank, until there are k = dim big - dim small.  The n x k result
-    holds representatives of a complement of `small` inside `big`.
+    Deterministic: all of `big`'s basis vectors are scanned in order and
+    kept when they add rank.  The scan keeps dim(small + big) - dim small of
+    them, which is k = dim big - dim small exactly when `small` lies inside
+    `big`; keeping more raises ContainmentError, so this scan is the one
+    nesting check of every quotient.  The n x k result holds representatives
+    of a complement of `small` inside `big`, and its column count is the
+    dimension of the quotient.
     """
-    if not big.contains_subspace(small):
-        raise ContainmentError("extend_basis: small is not inside big")
+    if big.ambient_dim != small.ambient_dim:
+        raise LinalgError("extend_basis: ambient dimension mismatch")
     chosen = []
     span = list(zip(small.echelon, small.pivot_rows))
     for row, p in zip(big.echelon, big.pivot_rows):
-        if len(chosen) == big.dim - small.dim:
-            break
         v = _residue(span, row)
         if any(v):
             chosen.append((row, p))
             span.append((v, next(i for i, x in enumerate(v) if x)))
+    if len(chosen) > big.dim - small.dim:
+        raise ContainmentError(f"quotient of non-nested pair (dims {big.dim} / {small.dim})")
     return _unit_pivot_columns(chosen, big.ambient_dim)
 
 

@@ -35,9 +35,9 @@ import functools
 
 from bigraded.bicomplex import (DoubleComplex, de_rham_dims, require_valid,
                                 swap_complex, total_complex)
-from bigraded.linalg import (Matrix, Subspace, class_coordinates, extend_basis,
-                             image_basis, kernel_basis, map_subspace, preimage,
-                             quotient_dim, subspace_intersection, subspace_sum)
+from bigraded.linalg import (LinalgError, Matrix, Subspace, class_coordinates,
+                             extend_basis, image_basis, kernel_basis, map_subspace,
+                             preimage, subspace_intersection, subspace_sum)
 
 __all__ = [
     "TowerKind",
@@ -53,7 +53,21 @@ __all__ = [
 
 
 class ConsistencyError(RuntimeError):
-    """Two provably-equal computations disagreed; the implementation is at fault."""
+    """A provable relation failed on a valid input; the implementation is at fault."""
+
+
+def _internal(what, r, at, fn, *args):
+    """fn(*args) on a quotient, solve or inverse that the library set up itself.
+
+    Such a step cannot fail on a valid complex, so a LinalgError there (a
+    ContainmentError included) is raised again as a ConsistencyError that
+    names `what`, the place `at` and the page r (None where there is none).
+    """
+    try:
+        return fn(*args)
+    except LinalgError as exc:
+        page = "" if r is None else f", page {r}"
+        raise ConsistencyError(f"{what} at {at}{page}: {exc}") from exc
 
 
 class TowerKind:
@@ -151,10 +165,10 @@ class Workspace:
 
     @memoised
     def page_reps(self, r, p, q) -> Matrix:
-        """Deterministic representatives of a complement of C_r inside Z_r, as columns."""
-        z = self.space(TowerKind.PAGE_CLOSED, r, p, q)
-        cc = self.space(TowerKind.PAGE_EXACT, r, p, q)
-        return extend_basis(cc, z)
+        """Deterministic representatives of a complement of C_r inside Z_r: e_r^{p,q} columns."""
+        return _internal("E_r = Z_r / C_r", r, (p, q), extend_basis,
+                         self.space(TowerKind.PAGE_EXACT, r, p, q),
+                         self.space(TowerKind.PAGE_CLOSED, r, p, q))
 
     @memoised
     def dr_matrix(self, r, p, q) -> Matrix:
@@ -164,8 +178,9 @@ class Workspace:
         dst = self.page_reps(r, tp, tq)
         if not src.cols or not dst.cols:
             return Matrix.zero(dst.cols, src.cols)
-        return class_coordinates(self.space(TowerKind.PAGE_EXACT, r, tp, tq), dst,
-                                 _dr_image(self, r, p, q, src))
+        return _internal("d_r image in E_r", r, (tp, tq), class_coordinates,
+                         self.space(TowerKind.PAGE_EXACT, r, tp, tq), dst,
+                         _dr_image(self, r, p, q, src))
 
     @memoised
     def total_image(self, k) -> Subspace:
@@ -253,23 +268,16 @@ class Invariants:
         return self
 
 
-@memoised
-def _page_dim(ws: Workspace, r, p, q):
-    """dim Z_r - dim C_r at (p,q); the conjugate page is `_page_dim(ws.swapped, r, q, p)`."""
-    return quotient_dim(ws.space(TowerKind.PAGE_CLOSED, r, p, q),
-                        ws.space(TowerKind.PAGE_EXACT, r, p, q))
-
-
 def page_dims(c: DoubleComplex, r_max, ws: Workspace | None = None) -> Invariants:
     """Tables `e` of e_r^{p,q} = dim Z_r - dim C_r for r = 1..r_max, and `ebar` of conjugates."""
     ws = ws or Workspace(c)
     table = Invariants(r_max)
     for (p, q) in ws.c.support():
         for r in range(1, r_max + 1):
-            d = _page_dim(ws, r, p, q)
+            d = ws.page_reps(r, p, q).cols
             if d:
                 table.e[(r, p, q)] = d
-            db = _page_dim(ws.swapped, r, q, p)
+            db = ws.swapped.page_reps(r, q, p).cols
             if db:
                 table.ebar[(r, p, q)] = db
     return table
@@ -323,7 +331,7 @@ def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     fixed from `ws.stable_page` on.
     """
     ws = ws or Workspace(c)
-    totals = [sum(_page_dim(ws, r, p, q) for p, q in ws.c.support())
+    totals = [sum(ws.page_reps(r, p, q).cols for p, q in ws.c.support())
               for r in range(1, ws.stable_page + 1)]
     return totals.index(totals[-1]) + 1
 
@@ -349,7 +357,7 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
     ws = ws or Workspace(c)
     stable = {}
     for p, q in ws.c.support():
-        d = _page_dim(ws, ws.stable_page, p, q)
+        d = ws.page_reps(ws.stable_page, p, q).cols
         if d:
             stable[p + q] = stable.get(p + q, 0) + d
     per_degree = {k: (stable.get(k, 0), ws.betti.get(k, 0))

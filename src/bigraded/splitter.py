@@ -23,7 +23,7 @@ from bigraded.bicomplex import DoubleComplex
 from bigraded.linalg import (Matrix, Subspace, extend_basis, image_basis,
                              kernel_basis, rref, subspace_sum)
 from bigraded.models import Square, ZigzagShape
-from bigraded.spectral import ConsistencyError
+from bigraded.spectral import ConsistencyError, _internal
 from bigraded.zigzag import DecompositionCertificate
 
 __all__ = ["split_complex"]
@@ -191,7 +191,8 @@ def _split_zigzags(w: DoubleComplex):
     for (p, q) in w.support():
         images[(p, q)] = subspace_sum(image_basis(w.d1_at(p - 1, q)),
                                       image_basis(w.d2_at(p, q - 1)))
-        complements[(p, q)] = extend_basis(images[(p, q)], Subspace.full(w.dim(p, q)))
+        complements[(p, q)] = _internal("complement of im d1 + im d2", None, (p, q), extend_basis,
+                                        images[(p, q)], Subspace.full(w.dim(p, q)))
         if complements[(p, q)].cols:
             positions.setdefault(p + q, []).append(p)
     for k in sorted(positions):
@@ -259,7 +260,9 @@ def _sweep(w, k, positions, images, complements):
                 live.append(iv)
         target = images.get((j + 1, k - j), empty)
         span = image_basis(_hstack([iv.vecs[pos + 1] for iv in live], target.ambient_dim))
-        live += [_Interval(pos + 1, v) for v in _columns(extend_basis(span, target))]
+        born = _internal("im d1 + im d2 over the live intervals", None, (j + 1, k - j),
+                         extend_basis, span, target)
+        live += [_Interval(pos + 1, v) for v in _columns(born)]
         reached = j + 1
     for iv in live:
         iv.end = 2 * reached

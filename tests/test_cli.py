@@ -22,8 +22,11 @@ def run_json(capsys, *argv):
 def test_report_dot(capsys):
     code, doc = run_json(capsys, "report", "example://dot", "--rmax", "3")
     assert code == 0
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert "validation" not in doc and "pages_match" not in doc  # they could never be false
+    for v in doc["verdicts"].values():  # nor could the inequality flags
+        assert set(v["inequality"]) == {"bott_chern_plus_aeppli", "pages_plus_conjugate",
+                                        "twice_betti"}
     assert doc["degeneration_page"] == 1
     assert doc["einfty_ok"] is True
     for r in ("1", "2", "3"):
@@ -155,7 +158,11 @@ def test_duality_command(tmp_path, capsys):
     assert doc["perfect"] is True
     assert doc["by_page"]["2"]["bc_bc_nondegenerate"] is False
     assert doc["by_page"]["3"]["bc_bc_nondegenerate"] is True
-    assert doc["by_page"]["3"]["agrees_with_verdict"] is True
+    # the pairing is perfect, so each page's non-degeneracy is its verdict, or it raises
+    for page in doc["by_page"].values():
+        assert set(page) == {"cells", "bc_bc_nondegenerate"}
+        for cell in page["cells"].values():
+            assert set(cell) == {"page_pairing_nondegenerate", "bc_a_pairing_nondegenerate"}
 
 
 def test_markdown_output(capsys):
@@ -675,3 +682,111 @@ def test_cdga_input_is_validated_once(tmp_path, capsys, monkeypatch, command):
     code, _ = run(capsys, command, path, *(("--rmax", "2") if command == "report" else ()))
     assert code == 0
     assert seen.count("iwasawa") == 1, seen
+
+
+# ---------------------------------------------------------------------------
+# implementation faults: a quotient the library forms itself that is not nested
+
+
+def _break_page_exact_at_page_two(monkeypatch):
+    from bigraded import spectral
+    from bigraded.linalg import Subspace
+    build = spectral._build_space
+
+    def broken(ws, kind, r, p, q):
+        if kind == spectral.TowerKind.PAGE_EXACT and r == 2:
+            return Subspace.full(ws.c.dim(p, q))
+        return build(ws, kind, r, p, q)
+
+    monkeypatch.setattr(spectral, "_build_space", broken)
+
+
+def _break_bca(name):
+    def breaker(monkeypatch):
+        from bigraded import bca
+        from bigraded.linalg import Subspace
+        monkeypatch.setattr(bca, name, lambda ws, *cell: Subspace.full(ws.c.dim(*cell[-2:])))
+    return breaker
+
+
+def _break_splitter_complement(monkeypatch):
+    from types import SimpleNamespace
+    from bigraded import splitter
+    from bigraded.linalg import Subspace
+    # the complement of im d1 + im d2 is sought inside the zero space
+    monkeypatch.setattr(splitter, "Subspace", SimpleNamespace(full=Subspace.zero,
+                                                              zero=Subspace.zero))
+
+
+_CELL = r"at \(\d+, \d+\)"
+_NOT_NESTED = r"quotient of non-nested pair \(dims \d+ / \d+\)"
+
+
+@pytest.mark.parametrize("breaker, commands, message", [
+    (_break_page_exact_at_page_two, ("pages", "report"),
+     rf"E_r = Z_r / C_r {_CELL}, page 2: {_NOT_NESTED}"),
+    (_break_bca("ddbar_exact"), ("bca", "report"),
+     rf"BC_r = \(ker d1 ∩ ker d2\) / ddbar-exact {_CELL}, page \d: {_NOT_NESTED}"),
+    (_break_bca("im_both"), ("bca", "report"),
+     rf"A_r = ddbar-closed / \(im d1 \+ im d2\) {_CELL}, page \d: {_NOT_NESTED}"),
+    (_break_splitter_complement, ("decompose", "report"),
+     rf"complement of im d1 \+ im d2 {_CELL}: {_NOT_NESTED}"),
+], ids=["page-exact", "ddbar-exact", "im-both", "splitter-complement"])
+def test_non_nested_internal_quotient_is_a_consistency_error(capsys, monkeypatch, breaker,
+                                                             commands, message):
+    """The error names the quotient, its cell and page; it is never an input error."""
+    import re
+    breaker(monkeypatch)
+    for command in commands:
+        rmax = () if command == "decompose" else ("--rmax", "3")
+        code, doc = run_json(capsys, command, "example://ce?u=1&v=1", *rmax)
+        assert code == 1, command
+        assert doc["error"]["kind"] == "consistency", (command, doc)
+        assert re.fullmatch(message, doc["error"]["message"]), (command, doc)
+
+
+def _dual_sum_files(tmp_path):
+    from bigraded.bicomplex import dump_complex
+    from bigraded.models import ZigzagShape, build_shape
+    from bigraded.pairing import pairing_to_dict, sum_with_dual
+    tot, pairing = sum_with_dual(build_shape(ZigzagShape(((0, 1), (1, 0)), False, True)))
+    dump_complex(tot, tmp_path / "c.json")
+    (tmp_path / "p.json").write_text(json.dumps(pairing_to_dict(pairing)))
+    return str(tmp_path / "c.json"), "--pairing", str(tmp_path / "p.json")
+
+
+def _fail_record(module, name, field):
+    """Patch `module.name` to return its record with `field` set to False."""
+    def breaker(monkeypatch):
+        import importlib
+        mod = importlib.import_module(f"bigraded.{module}")
+        real = getattr(mod, name)
+
+        def broken(*args, **kwargs):
+            record = real(*args, **kwargs)
+            setattr(record, field, False)
+            return record
+        monkeypatch.setattr(mod, name, broken)
+    return breaker
+
+
+@pytest.mark.parametrize("breaker, argv, message", [
+    (_fail_record("pairing", "induced_pairing_er", "well_defined"), ("duality",),
+     r"a compatible pairing induces a pairing that is not well defined at \(\d+, \d+\), page 1"),
+    (_fail_record("hodge", "three_space_decomposition", "closed_splits"),
+     ("hodge", "example://ce?u=1&v=1"),
+     r"harmonic ⊕ page-exact ⊕ adjoint-page-exact does not split the component "
+     r"at \(\d+, \d+\), page 2"),
+    (_fail_record("spectral", "einfty_check", "ok"), ("report", "example://ce?u=1&v=1"),
+     r"stable page sums differ from the Betti numbers at page \d+: .*"),
+], ids=["pairing-not-well-defined", "three-space", "einfty"])
+def test_failed_theorem_is_a_consistency_error(tmp_path, capsys, monkeypatch, breaker, argv,
+                                                message):
+    """A relation the report used to print as a flag now stops the command."""
+    import re
+    breaker(monkeypatch)
+    if argv == ("duality",):
+        argv += _dual_sum_files(tmp_path)
+    code, doc = run_json(capsys, *argv, "--rmax", "3")
+    assert code == 1 and doc["error"]["kind"] == "consistency", doc
+    assert re.fullmatch(message, doc["error"]["message"]), doc

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bigraded import linalg
 from bigraded.linalg import (ContainmentError, LinalgError, Matrix, Subspace,
                              class_coordinates, extend_basis, image_basis,
-                             kernel_basis, map_subspace, preimage, quotient_dim, rref,
+                             kernel_basis, map_subspace, preimage, rref,
                              subspace_intersection, subspace_sum)
 
 
@@ -128,20 +128,23 @@ def test_dimension_formula_random():
         assert a.contains_subspace(i) and b.contains_subspace(i)
 
 
-def test_quotient_dim():
+def test_extend_basis_counts_the_quotient():
     plane = Subspace.full(2)
     line = Subspace.from_columns([(1, 1)], 2)
-    assert quotient_dim(plane, plane) == 0
-    assert quotient_dim(plane, line) == 1
+    assert extend_basis(plane, plane).cols == 0
+    assert extend_basis(line, plane).cols == 1
     with pytest.raises(ContainmentError):
-        quotient_dim(line, plane)
+        extend_basis(plane, line)
 
 
 def test_quotient_requires_containment():
     a = Subspace.from_columns([(1, 0)], 2)
     b = Subspace.from_columns([(0, 1)], 2)
     with pytest.raises(ContainmentError):
-        quotient_dim(a, b)
+        extend_basis(b, a)
+    with pytest.raises(LinalgError, match="ambient dimension mismatch") as info:
+        extend_basis(Subspace.zero(3), a)
+    assert not isinstance(info.value, ContainmentError)
 
 
 def test_preimage_of_zero_is_kernel():
@@ -288,6 +291,28 @@ def test_extend_basis_is_the_unit_pivot_completion(pair):
     assert (reps.rows, reps.cols) == (big.ambient_dim, big.dim - small.dim)
     assert reps.columns() == _reference_extend_basis(small, big)
     assert subspace_sum(small, image_basis(reps)) == big
+
+
+@st.composite
+def subspace_pairs(draw):
+    """(a, b): two subspaces of one Q^n, n <= 5, often but not always nested."""
+    if draw(st.booleans()):
+        return draw(nested())
+    n = draw(st.integers(0, 5))
+    return tuple(image_basis(draw(shaped(n, draw(st.integers(0, 4))))) for _ in "ab")
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=subspace_pairs())
+def test_extend_basis_raises_exactly_for_a_non_nested_pair(pair):
+    a, b = pair
+    if not b.contains_subspace(a):
+        with pytest.raises(ContainmentError):
+            extend_basis(a, b)
+        return
+    reps = extend_basis(a, b)
+    assert reps.cols == b.dim - a.dim
+    assert subspace_sum(a, image_basis(reps)) == b
 
 
 @settings(max_examples=60, deadline=None)

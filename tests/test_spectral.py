@@ -345,3 +345,26 @@ def test_degeneration_page_stops_where_the_towers_do():
     ws = Workspace(example_calabi_eckmann(2, 3))
     assert degeneration_page(ws.c, ws) == 2
     assert len(ws.spaces) <= 1800
+
+
+def test_broken_dr_lift_target_is_a_consistency_error(monkeypatch):
+    """A d_r image outside the target's Z_r has no class there; the error names page and cell."""
+    from bigraded import spectral
+    from bigraded.spectral import ConsistencyError
+
+    real = spectral._dr_image
+
+    def outside_closed(ws, r, p, q, alpha):
+        cell = (p + r, q - r + 1)
+        closed = ws.space(TowerKind.PAGE_CLOSED, r, *cell)
+        n = ws.c.dim(*cell)
+        outside = [col for col in Matrix.identity(n).columns() if not closed.contains(col)]
+        if not outside:
+            return real(ws, r, p, q, alpha)
+        return Matrix.from_columns(outside[:1] * alpha.cols, n)
+
+    monkeypatch.setattr(spectral, "_dr_image", outside_closed)
+    c = example_calabi_eckmann(1, 1)
+    with pytest.raises(ConsistencyError,
+                       match=r"^d_r image in E_r at \(\d+, \d+\), page 1: class_coord"):
+        iterated_pages_oracle(c, 3)
