@@ -211,11 +211,12 @@ def _decompose_section(c, ws, certificate=False):
     return out
 
 
-def _duality_section(c, ws, duality_pairing, rmax):
+def _duality_section(c, ws, duality_pairing, rmax, verdicts=None):
     """Compatibility, perfectness and, for a compatible pairing, the induced pairings per page.
 
     These are well defined, and on a perfect pairing BC x BC non-degeneracy
-    is the page-(r-1) verdict; a failure of either raises ConsistencyError.
+    is the page-(r-1) verdict (read off a report's `verdicts` section when
+    given); a failure of either raises ConsistencyError.
     """
     from bigraded import pairing as pairing_mod
     val = pairing_mod.validate_pairing(c, duality_pairing)
@@ -230,8 +231,9 @@ def _duality_section(c, ws, duality_pairing, rmax):
     per_r = {}
     for r in range(1, rmax + 1):
         cells = {}
-        bb = pairing_mod.induced_pairing_bc_bc(c, duality_pairing, r, ws,
-                                               compare_verdict=val.perfect)
+        bb = pairing_mod.induced_pairing_bc_bc(
+            c, duality_pairing, r, ws, compare_verdict=val.perfect,
+            verdict=verdicts[str(r)]["verdict"] if verdicts else None)
         for (p, q) in c.support():
             er = pairing_mod.induced_pairing_er(c, duality_pairing, r, p, q, ws)
             ba = pairing_mod.induced_pairing_bc_a(c, duality_pairing, r, p, q, ws)
@@ -299,7 +301,7 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
     report["decomposition"] = _decompose_section(c, ws)
     report.update(_hodge_section(c, ws, ip or hodge.InnerProduct(), min(rmax, 3)))
     if duality_pairing is not None:
-        report["duality"] = _duality_section(c, ws, duality_pairing, rmax)
+        report["duality"] = _duality_section(c, ws, duality_pairing, rmax, report["verdicts"])
     return report
 
 

@@ -6,19 +6,17 @@ independent engines find the summands:
 * `decompose` constructs the decomposition directly: squares first, then
   the zigzags as the interval summands of one type-A zigzag representation
   per antidiagonal (see `bigraded.splitter`).  The output is a
-  certificate, accepted only after `verify_certificate` and the invariant
-  tables below agree with it.
-* `multiplicity_solve` recovers the same multiset from invariants alone.
-  Each shape contributes closed-form amounts to every invariant this
-  package computes (page dimensions, conjugate page dimensions, Bott-Chern
-  and Aeppli dimensions, Betti numbers), so one exact linear system
-
-      sum over shapes  mult(s) * predicted(s)  =  measured(c),
-
-  extended by Hom-dimension fingerprints, determines the inventory.  The
-  system is all integers and is reduced once; when it has a kernel the
-  result is reported as ambiguous, never guessed.  It serves as the
+  certificate, accepted only after `verify_certificate` and the table
+  check below agree with it.
+* `multiplicity_solve` recovers the same multiset from Hom dimensions
+  alone: it solves H m = h, with H[t][s] = dim Hom(t, s) over the shapes
+  that fit the support and h[t] = dim Hom(t, c).  H is invertible
+  (Auslander), so the integer system is reduced once.  It serves as the
   independent oracle of the test suite.
+
+Both engines check their inventory the same way: its summed closed-form
+tables (pages, conjugate pages, Bott-Chern, Aeppli, Betti numbers) must
+equal the measured ones up to the page from which none of them changes.
 
 A certificate carries a basis change and an assignment of the new basis
 vectors to shape instances; `verify_certificate` checks block-diagonality
@@ -161,9 +159,9 @@ def hom_dim(a: DoubleComplex, b: DoubleComplex) -> int:
 
     A chain map is a family f(p,q): a^{p,q} -> b^{p,q} with
     d1 f = f d1 and d2 f = f d2.  The dimension is additive in b and
-    invariant under basis changes, which makes Hom counts against a panel of
-    test shapes a sharp fingerprint of the summands of b: dimension-type
-    invariants alone cannot always separate overlapping odd zigzags.
+    invariant under basis changes; its values over the shapes a that fit b's
+    support determine b's summands (see `multiplicity_solve`), which
+    dimension-type invariants alone cannot always do.
     """
     offsets = {}
     total = 0
@@ -215,56 +213,35 @@ def _shape_hom(test_shape, target_shape):
 
 
 class MultiplicityResult:
-    __slots__ = ("status", "inventory", "kernel_dim", "r_max")
+    __slots__ = ("status", "inventory", "r_max")
 
-    def __init__(self, status, inventory, kernel_dim, r_max):
-        self.status = status        # "unique" or "ambiguous"
-        self.inventory = inventory  # shape -> multiplicity (status "unique" only, else None)
-        self.kernel_dim = kernel_dim
-        self.r_max = r_max
-
-    def __bool__(self):
-        return self.status == "unique"
+    def __init__(self, inventory, r_max):
+        self.status = "unique"      # constant: the Hom panel is invertible
+        self.inventory = inventory  # shape -> multiplicity
+        self.r_max = r_max          # the last page of the checked tables
 
 
 def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None) -> MultiplicityResult:
-    """Recover the multiset of indecomposable summands from invariants alone.
+    """Recover the multiset of indecomposable summands from Hom dimensions alone.
 
-    Only shapes supported inside the complex's support can occur (component
-    dimensions are additive and nonnegative), so the system is restricted to
-    those.  Its rows [A | b] are integers: one per table entry or Hom count,
-    the shapes' predictions in A and the measured value in b.  One integer
-    elimination decides everything: a pivot in b means no inventory fits,
-    which falsifies the implementation, since a decomposition into squares
-    and zigzags always exists; fewer pivots than shapes mean a kernel; else
-    the reduced rows give the inventory, which must be nonnegative integers.
-    By default the tables reach the page from which none of them changes.
+    The candidates are the shapes that fit the complex's support, the
+    indecomposables of complexes with that support.  Row t of the integer
+    system [H | h] is (dim Hom(t, s) for each shape s | dim Hom(t, c)).  H is
+    invertible by Auslander's theorem, so one elimination leaves row p as
+    (pivot at p, value at n), which must read (1, value >= 0).  Anything else,
+    or tables the inventory does not predict up to `r_max` (by default the
+    page from which none changes), falsifies the implementation.
     """
     ws = ws or Workspace(c)
     c = ws.c
     shapes = _shapes_in(set(c.dims))
-    if r_max is None:
-        r_max = _stable_page(ws, shapes)
-    if not shapes:
-        return MultiplicityResult("unique", {}, 0, r_max)
-    tables = [predicted_invariants(s, r_max) for s in shapes]
-    tables.append(measured_invariants(c, r_max, ws))
-    rows = []
-    for tag in Invariants.TAGS:
-        columns = [getattr(t, tag) for t in tables]
-        for key in dict.fromkeys(key for col in columns for key in col):
-            rows.append([col.get(key, 0) for col in columns])
-    for test in shapes:
-        rows.append([_shape_hom(test, s) for s in shapes] + [hom_dim(_built(test), c)])
     n = len(shapes)
-    # repeated rows (a table entry that stays the same for every r) add nothing
-    reduced = _span(list(dict.fromkeys(map(tuple, rows))), n + 1)
-    if reduced.pivot_rows and reduced.pivot_rows[-1] == n:
+    reduced = _span([[_shape_hom(t, s) for s in shapes] + [hom_dim(_built(t), c)]
+                     for t in shapes], n + 1)
+    if reduced.pivot_rows != tuple(range(n)):
         raise ConsistencyError(
-            f"no shape inventory matches the invariants of {c.name!r}; "
-            "the implementation is at fault")
-    if reduced.dim < n:
-        return MultiplicityResult("ambiguous", None, n - reduced.dim, r_max)
+            f"the Hom panel of the {n} shapes in the support of {c.name!r} has rank "
+            f"below {n}; the implementation is at fault")
     # row p is (pivot at p, value at n) and primitive: integral iff the pivot is 1
     inventory = {}
     for p, (shape, row) in enumerate(zip(shapes, reduced.echelon)):
@@ -274,7 +251,23 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
                 f"({shape} -> {row[n]}/{row[p]})")
         if row[n]:
             inventory[shape] = row[n]
-    return MultiplicityResult("unique", inventory, 0, r_max)
+    if r_max is None:
+        r_max = _stable_page(ws, inventory)
+    if _mismatched_table(ws, inventory, r_max):
+        raise ConsistencyError(
+            f"no shape inventory matches the invariants of {c.name!r}; "
+            "the implementation is at fault")
+    return MultiplicityResult(inventory, r_max)
+
+
+def _mismatched_table(ws: Workspace, inventory, r_max):
+    """The first tag whose table `inventory` predicts wrongly up to page r_max, or None."""
+    predicted = Invariants(r_max)
+    for shape, mult in inventory.items():
+        predicted.add(predicted_invariants(shape, r_max), mult)
+    measured = measured_invariants(ws.c, r_max, ws)
+    return next((tag for tag in Invariants.TAGS
+                 if getattr(predicted, tag) != getattr(measured, tag)), None)
 
 
 def structure_verdict(inventory, r) -> bool:
@@ -461,14 +454,9 @@ def _checked_split(ws: Workspace) -> Decomposition:
         raise ConsistencyError(
             f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
             "the implementation is at fault")
-    r_max = _stable_page(ws, inventory)
-    predicted = Invariants(r_max)
-    for shape, mult in inventory.items():
-        predicted.add(predicted_invariants(shape, r_max), mult)
-    measured = measured_invariants(c, r_max, ws)
-    for tag in Invariants.TAGS:
-        if getattr(predicted, tag) != getattr(measured, tag):
-            raise ConsistencyError(
-                f"the split inventory of {c.name!r} predicts other {tag!r} tables "
-                "than the measured ones; the implementation is at fault")
+    tag = _mismatched_table(ws, inventory, _stable_page(ws, inventory))
+    if tag:
+        raise ConsistencyError(
+            f"the split inventory of {c.name!r} predicts other {tag!r} tables "
+            "than the measured ones; the implementation is at fault")
     return Decomposition(inventory, cert)

@@ -165,6 +165,23 @@ def test_duality_command(tmp_path, capsys):
             assert set(cell) == {"page_pairing_nondegenerate", "bc_a_pairing_nondegenerate"}
 
 
+def test_report_with_a_pairing_decides_each_verdict_once(monkeypatch):
+    # the duality section reads the report's verdicts instead of deciding them again
+    from bigraded import bca, pairing
+    from bigraded.cli import build_report, load_input
+    tot, form = pairing.sum_with_dual(load_input("example://random?grid=3,3&seed=5&maxdim=3"))
+    real = bca.page_ddbar_verdict
+    pages = []
+
+    def counted(c, r, *args, **kwargs):
+        pages.append(r)
+        return real(c, r, *args, **kwargs)
+    monkeypatch.setattr(bca, "page_ddbar_verdict", counted)
+    monkeypatch.setattr(pairing, "page_ddbar_verdict", counted)
+    build_report(tot, 4, duality_pairing=form)
+    assert sorted(pages) == [1, 2, 3, 4]
+
+
 def test_markdown_output(capsys):
     code, out = run(capsys, "report", "example://dot", "--rmax", "2",
                     "--format", "md")
