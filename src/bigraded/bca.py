@@ -217,12 +217,11 @@ class CanonicalMaps:
     is onto and A_r -> A_1 is one-to-one.
     """
 
-    __slots__ = ("r", "bc_to_page", "bc_to_conj", "bc_to_de_rham", "bc_to_a", "page_to_a",
+    __slots__ = ("bc_to_page", "bc_to_conj", "bc_to_de_rham", "bc_to_a", "page_to_a",
                  "conj_to_a", "de_rham_to_a", "bc1_to_bcr", "ar_to_a1")
 
-    def __init__(self, r, bc_to_page, bc_to_conj, bc_to_de_rham, bc_to_a, page_to_a,
+    def __init__(self, bc_to_page, bc_to_conj, bc_to_de_rham, bc_to_a, page_to_a,
                  conj_to_a, de_rham_to_a, bc1_to_bcr, ar_to_a1):
-        self.r = r
         self.bc_to_page = bc_to_page
         self.bc_to_conj = bc_to_conj
         self.bc_to_de_rham = bc_to_de_rham
@@ -273,7 +272,7 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
             raise ConsistencyError(f"BC_1 -> BC_r is not onto at {cell}, page {r}")
         if classes("ar_to_a1", imb, a_reps(ws, 1, p, q), a).rank() != a.cols:
             raise ConsistencyError(f"A_r -> A_1 is not one-to-one at {cell}, page {r}")
-    return CanonicalMaps(r=r, **out)
+    return CanonicalMaps(**out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +280,9 @@ def canonical_maps(c: DoubleComplex, r, ws: Workspace | None = None) -> Canonica
 
 
 class PageDdbarVerdict:
-    __slots__ = ("r", "verdict", "criteria", "witness", "duality_gap")
+    __slots__ = ("verdict", "criteria", "witness", "duality_gap")
 
-    def __init__(self, r, verdict, criteria, witness, duality_gap=False):
-        self.r = r
+    def __init__(self, verdict, criteria, witness, duality_gap=False):
         self.verdict = verdict
         self.criteria = criteria        # name -> bool
         self.witness = witness          # a concrete failing form, when requested, else None
@@ -428,7 +426,7 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
         raise ConsistencyError(
             f"the page-{r - 1} ddbar property holds but a weaker criterion fails "
             f"on {c.name!r}; the implementation is at fault")
-    return PageDdbarVerdict(r=r, verdict=verdict, criteria=criteria,
+    return PageDdbarVerdict(verdict=verdict, criteria=criteria,
                             witness=witness,
                             duality_gap=(not verdict) and
                             (criteria["C"] or criteria["D"]))
@@ -445,10 +443,9 @@ class InequalityReport:
     the outer totals are equal when `verdict` holds.
     """
 
-    __slots__ = ("r", "bca_total", "page_total", "betti_doubled", "verdict")
+    __slots__ = ("bca_total", "page_total", "betti_doubled", "verdict")
 
-    def __init__(self, r, bca_total, page_total, betti_doubled, verdict):
-        self.r = r
+    def __init__(self, bca_total, page_total, betti_doubled, verdict):
         self.bca_total = bca_total          # e_{r,BC} + e_{r,A}, summed over the cells
         self.page_total = page_total        # e_r + conjugate e_r, summed over the cells
         self.betti_doubled = betti_doubled  # 2 * sum of Betti numbers
@@ -477,5 +474,5 @@ def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
     if verdict and bca_total != betti2:
         raise ConsistencyError(
             f"the page-{r - 1} ddbar property holds but BC + A != 2b at page {r}: {totals}")
-    return InequalityReport(r=r, bca_total=bca_total, page_total=page_total,
+    return InequalityReport(bca_total=bca_total, page_total=page_total,
                             betti_doubled=betti2, verdict=verdict)

@@ -132,18 +132,16 @@ def sum_with_dual(c: DoubleComplex, n=None):
 
 
 class InducedPairing:
-    __slots__ = ("r", "cell", "gram", "well_defined", "dims_match", "nondegenerate")
+    __slots__ = ("gram", "well_defined", "dims_match", "nondegenerate")
 
-    def __init__(self, r, cell, gram: Matrix, well_defined, dims_match, nondegenerate):
-        self.r = r
-        self.cell = cell
+    def __init__(self, gram: Matrix, well_defined, dims_match, nondegenerate):
         self.gram = gram
         self.well_defined = well_defined
         self.dims_match = dims_match
         self.nondegenerate = nondegenerate
 
 
-def _induced(pairing, c, r, p, q, left: Matrix, right: Matrix, left_null: Subspace,
+def _induced(pairing, c, p, q, left: Matrix, right: Matrix, left_null: Subspace,
              right_null: Subspace) -> InducedPairing:
     """The form F at (p,q) on classes with representatives the columns of L x R.
 
@@ -161,7 +159,7 @@ def _induced(pairing, c, r, p, q, left: Matrix, right: Matrix, left_null: Subspa
             and (right_null.basis.transpose() * (back * left)).is_zero())
     dims_match = left.cols == right.cols
     nondeg = dims_match and gram.rank() == left.cols
-    return InducedPairing(r, (p, q), gram, well, dims_match, nondeg)
+    return InducedPairing(gram, well, dims_match, nondeg)
 
 
 def induced_pairing_er(c: DoubleComplex, pairing: DualityPairing, r, p, q,
@@ -173,7 +171,7 @@ def induced_pairing_er(c: DoubleComplex, pairing: DualityPairing, r, p, q,
     """
     ws = ws or Workspace(c)
     n = pairing.n
-    return _induced(pairing, ws.c, r, p, q, ws.page_reps(r, p, q),
+    return _induced(pairing, ws.c, p, q, ws.page_reps(r, p, q),
                     ws.page_reps(r, n - p, n - q), ws.space(TowerKind.PAGE_EXACT, r, p, q),
                     ws.space(TowerKind.PAGE_EXACT, r, n - p, n - q))
 
@@ -183,15 +181,14 @@ def induced_pairing_bc_a(c: DoubleComplex, pairing: DualityPairing, r, p, q,
     """Bott-Chern (p,q) against Aeppli (n-p,n-q) on page r."""
     ws = ws or Workspace(c)
     n = pairing.n
-    return _induced(pairing, ws.c, r, p, q, bc_reps(ws, r, p, q), a_reps(ws, r, n - p, n - q),
+    return _induced(pairing, ws.c, p, q, bc_reps(ws, r, p, q), a_reps(ws, r, n - p, n - q),
                     ddbar_exact(ws, r, p, q), im_both(ws, n - p, n - q))
 
 
 class BcBcReport:
-    __slots__ = ("r", "per_cell", "nondegenerate", "verdict", "agrees")
+    __slots__ = ("per_cell", "nondegenerate", "verdict", "agrees")
 
-    def __init__(self, r, per_cell, nondegenerate, verdict, agrees):
-        self.r = r
+    def __init__(self, per_cell, nondegenerate, verdict, agrees):
         self.per_cell = per_cell            # (p,q) -> InducedPairing
         self.nondegenerate = nondegenerate  # all cells
         self.verdict = verdict              # page-(r-1) ddbar verdict, or None when not computed
@@ -219,7 +216,7 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
         if p < 0 or q < 0:
             continue
         per_cell[(p, q)] = _induced(
-            pairing, c, r, p, q, bc_reps(ws, r, p, q), bc_reps(ws, r, n - p, n - q),
+            pairing, c, p, q, bc_reps(ws, r, p, q), bc_reps(ws, r, n - p, n - q),
             ddbar_exact(ws, r, p, q), ddbar_exact(ws, r, n - p, n - q))
     nondeg = all(cell.nondegenerate for cell in per_cell.values())
     agrees = None
@@ -231,7 +228,7 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
             raise ConsistencyError(
                 f"BC x BC non-degeneracy ({nondeg}) disagrees with the page-{r - 1} "
                 f"ddbar verdict ({verdict}) on a perfect compatible pairing")
-    return BcBcReport(r, per_cell, nondeg, verdict, agrees)
+    return BcBcReport(per_cell, nondeg, verdict, agrees)
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,9 @@ def memoised(fn):
     """`fn(ws, *args)` cached in `ws.memo` under (fn's qualified name,) + args.
 
     The arguments must be values (ints, `TowerKind` names, tuples of them or
-    of (cell, Matrix) pairs), so a key never depends on object identity and
-    two accessors never share an entry.  Nothing else reads or writes
-    `Workspace.memo`.
+    of (cell, Matrix) pairs, a frozenset of (shape, multiplicity) pairs), so
+    a key never depends on object identity and two accessors never share an
+    entry.  Nothing else reads or writes `Workspace.memo`.
     """
     tag = f"{fn.__module__}.{fn.__qualname__}"
 
@@ -336,23 +336,11 @@ def degeneration_page(c: DoubleComplex, ws: Workspace | None = None):
     return totals.index(totals[-1]) + 1
 
 
-class ConvergenceReport:
-    __slots__ = ("ok", "per_degree")
-
-    def __init__(self, ok, per_degree):
-        self.ok = ok
-        # k -> (sum of stable page dims over p + q = k, betti number), per degree held
-        self.per_degree = per_degree
-
-    def __bool__(self):
-        return self.ok
-
-
-def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceReport:
+def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> None:
     """Stable page dimensions summed along antidiagonals must be the Betti numbers.
 
-    This holds unconditionally for bounded complexes, so a failure here
-    means the implementation (not the input) is broken.
+    This holds unconditionally for bounded complexes, so a failure raises
+    ConsistencyError: the implementation (not the input) is broken.
     """
     ws = ws or Workspace(c)
     stable = {}
@@ -360,6 +348,9 @@ def einfty_check(c: DoubleComplex, ws: Workspace | None = None) -> ConvergenceRe
         d = ws.page_reps(ws.stable_page, p, q).cols
         if d:
             stable[p + q] = stable.get(p + q, 0) + d
+    # k -> (sum of stable page dims over p + q = k, Betti number)
     per_degree = {k: (stable.get(k, 0), ws.betti.get(k, 0))
                   for k in sorted(stable.keys() | ws.betti)}
-    return ConvergenceReport(all(e == b for e, b in per_degree.values()), per_degree)
+    if any(e != b for e, b in per_degree.values()):
+        raise ConsistencyError(f"stable page sums differ from the Betti numbers at page "
+                               f"{ws.stable_page}: {per_degree}")

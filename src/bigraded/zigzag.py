@@ -14,9 +14,11 @@ independent engines find the summands:
   (Auslander), so the integer system is reduced once.  It serves as the
   independent oracle of the test suite.
 
-Both engines check their inventory the same way: its summed closed-form
-tables (pages, conjugate pages, Bott-Chern, Aeppli, Betti numbers) must
-equal the measured ones up to the page from which none of them changes.
+Both engines check their inventory with one comparison, memoised per
+workspace and inventory, so a workspace that both engines see measures its
+tables once: the inventory's summed closed-form tables (pages, conjugate
+pages, Bott-Chern, Aeppli, Betti numbers) must equal the measured ones up
+to the page from which none of them changes.
 
 A certificate carries a basis change and an assignment of the new basis
 vectors to shape instances; `verify_certificate` checks block-diagonality
@@ -213,15 +215,14 @@ def _shape_hom(test_shape, target_shape):
 
 
 class MultiplicityResult:
-    __slots__ = ("status", "inventory", "r_max")
+    __slots__ = ("status", "inventory")
 
-    def __init__(self, inventory, r_max):
+    def __init__(self, inventory):
         self.status = "unique"      # constant: the Hom panel is invertible
         self.inventory = inventory  # shape -> multiplicity
-        self.r_max = r_max          # the last page of the checked tables
 
 
-def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None) -> MultiplicityResult:
+def multiplicity_solve(c: DoubleComplex, ws: Workspace | None = None) -> MultiplicityResult:
     """Recover the multiset of indecomposable summands from Hom dimensions alone.
 
     The candidates are the shapes that fit the complex's support, the
@@ -229,8 +230,8 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
     system [H | h] is (dim Hom(t, s) for each shape s | dim Hom(t, c)).  H is
     invertible by Auslander's theorem, so one elimination leaves row p as
     (pivot at p, value at n), which must read (1, value >= 0).  Anything else,
-    or tables the inventory does not predict up to `r_max` (by default the
-    page from which none changes), falsifies the implementation.
+    or tables the inventory does not predict up to the page from which none
+    changes, falsifies the implementation.
     """
     ws = ws or Workspace(c)
     c = ws.c
@@ -251,19 +252,23 @@ def multiplicity_solve(c: DoubleComplex, r_max=None, ws: Workspace | None = None
                 f"({shape} -> {row[n]}/{row[p]})")
         if row[n]:
             inventory[shape] = row[n]
-    if r_max is None:
-        r_max = _stable_page(ws, inventory)
-    if _mismatched_table(ws, inventory, r_max):
+    if _mismatched_table(ws, frozenset(inventory.items())):
         raise ConsistencyError(
             f"no shape inventory matches the invariants of {c.name!r}; "
             "the implementation is at fault")
-    return MultiplicityResult(inventory, r_max)
+    return MultiplicityResult(inventory)
 
 
-def _mismatched_table(ws: Workspace, inventory, r_max):
-    """The first tag whose table `inventory` predicts wrongly up to page r_max, or None."""
+@memoised
+def _mismatched_table(ws: Workspace, inventory):
+    """The first tag whose table `inventory` predicts wrongly, or None.
+
+    `inventory` is a frozenset of (shape, multiplicity) pairs; the tables
+    are compared up to `_stable_page`, from which none of them changes.
+    """
+    r_max = _stable_page(ws, (shape for shape, _ in inventory))
     predicted = Invariants(r_max)
-    for shape, mult in inventory.items():
+    for shape, mult in inventory:
         predicted.add(predicted_invariants(shape, r_max), mult)
     measured = measured_invariants(ws.c, r_max, ws)
     return next((tag for tag in Invariants.TAGS
@@ -454,7 +459,7 @@ def _checked_split(ws: Workspace) -> Decomposition:
         raise ConsistencyError(
             f"the splitter's certificate for {c.name!r} is rejected: {report.reason}; "
             "the implementation is at fault")
-    tag = _mismatched_table(ws, inventory, _stable_page(ws, inventory))
+    tag = _mismatched_table(ws, frozenset(inventory.items()))
     if tag:
         raise ConsistencyError(
             f"the split inventory of {c.name!r} predicts other {tag!r} tables "

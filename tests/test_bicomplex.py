@@ -207,7 +207,8 @@ def test_translation_moves_every_table_and_keeps_every_verdict(grid, seed, shift
     assert decompose(moved, wm).inventory == {
         _translated_shape(s, a, b): m for s, m in decompose(c, ws).inventory.items()}
     assert degeneration_page(moved, wm) == degeneration_page(c, ws)
-    assert einfty_check(moved, wm).ok == einfty_check(c, ws).ok
+    einfty_check(c, ws)  # each raises ConsistencyError on a mismatch
+    einfty_check(moved, wm)
     for r in range(1, 5):
         v, w = page_ddbar_verdict(c, r, ws), page_ddbar_verdict(moved, r, wm)
         assert (w.verdict, w.criteria, w.duality_gap) == (v.verdict, v.criteria, v.duality_gap)

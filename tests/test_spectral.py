@@ -11,8 +11,8 @@ from bigraded.linalg import (Matrix, Subspace, image_basis, kernel_basis,
                              subspace_sum)
 from bigraded.models import (Square, ZigzagShape, build_shape, dot_shape,
                              example_calabi_eckmann)
-from bigraded.spectral import (TowerKind, Workspace, degeneration_page, einfty_check,
-                               iterated_pages_oracle, page_dims)
+from bigraded.spectral import (ConsistencyError, TowerKind, Workspace, degeneration_page,
+                               einfty_check, iterated_pages_oracle, page_dims)
 from bigraded.zigzag import _shape_stable_page, measured_invariants, predicted_invariants
 
 
@@ -244,15 +244,37 @@ def test_degeneration_even_zigzags():
 
 def test_einfty_always_matches_betti(random_suite):
     for seed, c, ws in random_suite:
-        report = einfty_check(c, ws)
-        assert report.ok, f"seed {seed}: {report.per_degree}"
+        einfty_check(c, ws)  # raises ConsistencyError on a mismatch
 
 
 def test_einfty_square_both_sides_zero():
     sq = build_shape(Square(0, 0))
-    report = einfty_check(sq)
-    assert report.ok
-    assert all(stable == 0 and b == 0 for stable, b in report.per_degree.values())
+    ws = Workspace(sq)
+    einfty_check(sq, ws)
+    assert not any(ws.betti.values())
+    assert all(ws.page_reps(ws.stable_page, p, q).cols == 0 for p, q in sq.support())
+
+
+def _more_betti(monkeypatch):
+    from bigraded import spectral
+    real = spectral.de_rham_dims
+    monkeypatch.setattr(spectral, "de_rham_dims",
+                        lambda total: {k: b + 1 for k, b in real(total).items()})
+    return einfty_check
+
+
+def _never_orthogonal(monkeypatch):
+    from bigraded import hodge
+    monkeypatch.setattr(hodge, "_is_orthogonal", lambda a, b, gram: False)
+    return lambda c: hodge.three_space_decomposition(c, None, 2, *min(c.support()))
+
+
+@pytest.mark.parametrize("breaker", [_more_betti, _never_orthogonal],
+                         ids=["einfty", "three-space"])
+def test_failed_theorem_raises_where_it_is_computed(monkeypatch, breaker):
+    check = breaker(monkeypatch)
+    with pytest.raises(ConsistencyError):
+        check(example_calabi_eckmann(1, 1))
 
 
 def test_tower_requires_positive_page():

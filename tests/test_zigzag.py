@@ -206,6 +206,19 @@ def test_multiplicity_rank_deficient_hom_panel_raises(monkeypatch):
         multiplicity_solve(a1)
 
 
+def test_decompose_and_the_oracle_measure_a_workspace_once(monkeypatch):
+    real, calls = zigzag.measured_invariants, []
+
+    def measured(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(zigzag, "measured_invariants", measured)
+    c = random_complex((2, 2), 3, 4)
+    ws = Workspace(c)
+    assert decompose(c, ws).inventory == multiplicity_solve(c, ws=ws).inventory
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("scale", [2, -1], ids=["half", "negative"])
 def test_multiplicity_non_integral_or_negative_solution_raises(monkeypatch, scale):
     # every predicted count scaled by `scale` makes the unique solution 1/scale
