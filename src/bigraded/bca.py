@@ -21,16 +21,18 @@ several criteria that are all computed and compared:
     (F) im(d1 d2) = d1(Z_r) and C_r ∩ ker d = im d in every bidegree,
         checked in both orientations (d1/d2 exchanged),
 
-plus, when available, the zigzag-structure criterion.  For every bounded
-complex (B), (F) and the structure criterion are equivalent and decide the
-verdict: all three are additive over direct sums and fail on every
-indecomposable that violates the property, so a disagreement among them
-raises ConsistencyError.  (C), (D) and (E) are implied by the verdict —
-with (D) equivalent to (E) unconditionally — but not conversely.  An odd
-zigzag with both outer arrows missing satisfies (D)/(E) once r is large
-enough, and summing it with a complementary odd zigzag with both arrows
-present balances every antidiagonal dimension count, satisfying (C).
-Such gaps are reported as ``duality_gap``, never as errors.
+plus, when available, the zigzag-structure criterion.  (B)-(F) are decided
+once per workspace and page, and the dimension inequality and the Bott-Chern
+x Bott-Chern pairing read that decision.  For every bounded complex (B), (F)
+and the structure criterion are equivalent and decide the verdict: all three
+are additive over direct sums and fail on every indecomposable that violates
+the property, so a disagreement among them raises ConsistencyError.  (C),
+(D) and (E) are implied by the verdict — with (D) equivalent to (E)
+unconditionally — but not conversely.  An odd zigzag with both outer arrows
+missing satisfies (D)/(E) once r is large enough, and summing it with a
+complementary odd zigzag with both arrows present balances every
+antidiagonal dimension count, satisfying (C).  Such gaps are reported as
+``duality_gap``, never as errors.
 
 A perfect compatible pairing (e.g. on a complex plus its reindexed dual;
 on compact complex manifolds the analytic Serre-type pairing) restores
@@ -387,10 +389,21 @@ def _criterion_subspace_identities(ws, r, want_witness=False):
     return True, None
 
 
+@memoised
+def _criteria(ws: Workspace, r):
+    """Criteria (B)-(F) at page r, decided once per workspace; callers copy, never change it."""
+    injective, bijective = _criterion_bc_a_maps(ws, r)
+    return {"B": bijective, "C": _criterion_dims(ws, r), "D": injective,
+            "E": _criterion_exactness(ws, r)[0],
+            # on manifolds conjugation supplies the swapped identities for free
+            "F": _criterion_subspace_identities(ws, r)[0]}
+
+
 def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
                        use_structure=True, explain=False) -> PageDdbarVerdict:
     """Decide the page-(r-1) del-delbar property by every available criterion.
 
+    (B)-(F) are read from `_criteria`; a witness is built only under `explain`.
     (B), (C), (F) and the structure criterion must all agree and fix the
     verdict; (D) and (E) must agree with each other and must hold whenever
     the verdict does.  Any violation of these provable relations raises
@@ -398,16 +411,11 @@ def page_ddbar_verdict(c: DoubleComplex, r, ws: Workspace | None = None,
     duality gap of abstract complexes and is flagged, not raised.
     """
     ws = ws or Workspace(c)
-    criteria = {}
-    injective, criteria["B"] = _criterion_bc_a_maps(ws, r)
-    criteria["C"] = _criterion_dims(ws, r)
-    criteria["D"] = injective
-    e_ok, witness = _criterion_exactness(ws, r, want_witness=explain)
-    criteria["E"] = e_ok
-    # on manifolds conjugation supplies the swapped identities for free
-    criteria["F"], f_witness = _criterion_subspace_identities(ws, r, want_witness=explain)
-    if witness is None:
-        witness = f_witness
+    criteria = dict(_criteria(ws, r))
+    witness = None
+    if explain:
+        witness = (_criterion_exactness(ws, r, want_witness=True)[1]
+                   or _criterion_subspace_identities(ws, r, want_witness=True)[1])
     if use_structure:
         from bigraded.zigzag import decompose, structure_verdict
         criteria["structure"] = structure_verdict(decompose(ws.c, ws).inventory, r)
@@ -449,17 +457,16 @@ class InequalityReport:
         self.bca_total = bca_total          # e_{r,BC} + e_{r,A}, summed over the cells
         self.page_total = page_total        # e_r + conjugate e_r, summed over the cells
         self.betti_doubled = betti_doubled  # 2 * sum of Betti numbers
-        self.verdict = verdict              # bool: the page-(r-1) ddbar verdict, given or computed
+        self.verdict = verdict              # bool: the page-(r-1) ddbar verdict of the workspace
 
 
-def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
-                     verdict: bool | None = None) -> InequalityReport:
+def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None) -> InequalityReport:
     """Enforce  e_{r,A} + e_{r,BC}  >=  e_r + conjugate e_r  >=  2b.
 
     When the page-(r-1) verdict holds, the outer totals must be equal
     (which squeezes the middle one as well).  Both are theorems, so a
-    failure raises ConsistencyError.  A given `verdict` must be the one
-    `page_ddbar_verdict` decides.
+    failure raises ConsistencyError.  The verdict is the workspace's own,
+    read from `page_ddbar_verdict`.
     """
     ws = ws or Workspace(c)
     table = page_dims(ws.c, r, ws).add(bca_dims(ws.c, r, ws))
@@ -469,8 +476,7 @@ def inequality_check(c: DoubleComplex, r, ws: Workspace | None = None,
     totals = f"BC + A = {bca_total}, E + conjugate E = {page_total}, 2b = {betti2}"
     if not bca_total >= page_total >= betti2:
         raise ConsistencyError(f"BC + A >= E + conjugate E >= 2b fails at page {r}: {totals}")
-    if verdict is None:
-        verdict = page_ddbar_verdict(ws.c, r, ws, use_structure=False).verdict
+    verdict = page_ddbar_verdict(ws.c, r, ws, use_structure=False).verdict
     if verdict and bca_total != betti2:
         raise ConsistencyError(
             f"the page-{r - 1} ddbar property holds but BC + A != 2b at page {r}: {totals}")

@@ -356,9 +356,8 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
     acc = DoubleComplex(f"random-{seed}", pmax, qmax, {}, {}, {})
     blocks = []
     for s, piece in zip(shapes, summands):
-        offsets = {cell: acc.dim(*cell) for cell in models.shape_cells(s)}
+        blocks.append((s, {cell: (acc.dim(*cell),) for cell in models.shape_cells(s)}))
         acc = direct_sum(acc, piece, name=f"random-{seed}")
-        blocks.append((s, offsets))
     transforms = {cell: random_invertible(acc.dim(*cell), rng) for cell in acc.support()}
     scrambled = change_of_basis(acc, transforms)
     scrambled.meta["seed"] = seed
@@ -367,15 +366,9 @@ def random_complex(grid, max_dim, seed, structure=False, max_shapes=None):
     inventory = {}
     for s in shapes:
         inventory[s] = inventory.get(s, 0) + 1
-    cert_blocks = []
-    for s, offsets in blocks:
-        cells = {}
-        for cell in models.shape_cells(s):
-            cells[cell] = (offsets[cell],)
-        cert_blocks.append((s, cells))
     cert = DecompositionCertificate(
         transforms={cell: m.inverse() for cell, m in transforms.items()},
-        blocks=cert_blocks,
+        blocks=blocks,
     )
     return scrambled, inventory, cert
 

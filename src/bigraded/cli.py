@@ -211,12 +211,12 @@ def _decompose_section(c, ws, certificate=False):
     return out
 
 
-def _duality_section(c, ws, duality_pairing, rmax, verdicts=None):
+def _duality_section(c, ws, duality_pairing, rmax):
     """Compatibility, perfectness and, for a compatible pairing, the induced pairings per page.
 
     These are well defined, and on a perfect pairing BC x BC non-degeneracy
-    is the page-(r-1) verdict (read off a report's `verdicts` section when
-    given); a failure of either raises ConsistencyError.
+    is the workspace's page-(r-1) verdict; a failure of either raises
+    ConsistencyError.
     """
     from bigraded import pairing as pairing_mod
     val = pairing_mod.validate_pairing(c, duality_pairing)
@@ -231,9 +231,8 @@ def _duality_section(c, ws, duality_pairing, rmax, verdicts=None):
     per_r = {}
     for r in range(1, rmax + 1):
         cells = {}
-        bb = pairing_mod.induced_pairing_bc_bc(
-            c, duality_pairing, r, ws, compare_verdict=val.perfect,
-            verdict=verdicts[str(r)]["verdict"] if verdicts else None)
+        bb = pairing_mod.induced_pairing_bc_bc(c, duality_pairing, r, ws,
+                                               compare_verdict=val.perfect)
         for (p, q) in c.support():
             er = pairing_mod.induced_pairing_er(c, duality_pairing, r, p, q, ws)
             ba = pairing_mod.induced_pairing_bc_a(c, duality_pairing, r, p, q, ws)
@@ -285,9 +284,8 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
     report["verdicts"] = {str(r): _verdict_section(c, ws, r, explain)
                           for r in range(1, rmax + 1)}
     for r in range(1, rmax + 1):
-        section = report["verdicts"][str(r)]
-        ineq = bca_mod.inequality_check(c, r, ws, verdict=section["verdict"])
-        section["inequality"] = {
+        ineq = bca_mod.inequality_check(c, r, ws)
+        report["verdicts"][str(r)]["inequality"] = {
             "bott_chern_plus_aeppli": ineq.bca_total,
             "pages_plus_conjugate": ineq.page_total,
             "twice_betti": ineq.betti_doubled,
@@ -295,7 +293,7 @@ def build_report(c, rmax, ws=None, ip=None, duality_pairing=None, explain=False)
     report["decomposition"] = _decompose_section(c, ws)
     report.update(_hodge_section(c, ws, ip or hodge.InnerProduct(), min(rmax, 3)))
     if duality_pairing is not None:
-        report["duality"] = _duality_section(c, ws, duality_pairing, rmax, report["verdicts"])
+        report["duality"] = _duality_section(c, ws, duality_pairing, rmax)
     return report
 
 

@@ -141,7 +141,8 @@ def _flip(ws: Workspace, grams) -> Workspace:
           for (p, q), m in c.d1.items()}
     d2 = {(P - p, Qm - q - 1): adjoint(m, ip.gram(c, p, q), ip.gram(c, p, q + 1))
           for (p, q), m in c.d2.items()}
-    return Workspace(DoubleComplex(c.name + ".adjoint-flip", P, Qm, dims, d1, d2))
+    return _internal("the adjoint flip", None, repr(c.name), Workspace,
+                     DoubleComplex(c.name + ".adjoint-flip", P, Qm, dims, d1, d2))
 
 
 class HarmonicTower:

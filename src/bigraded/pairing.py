@@ -199,14 +199,13 @@ class BcBcReport:
 
 
 def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
-                          ws: Workspace | None = None, compare_verdict=True,
-                          verdict: bool | None = None) -> BcBcReport:
+                          ws: Workspace | None = None, compare_verdict=True) -> BcBcReport:
     """Bott-Chern x Bott-Chern pairing of complementary bidegrees.
 
     For perfect compatible pairings its global non-degeneracy must match the
-    page-(r-1) del-delbar verdict; a mismatch on such input raises, since
-    both sides are theorems.  A given `verdict` must be the one
-    `page_ddbar_verdict` decides.
+    page-(r-1) del-delbar verdict, which `page_ddbar_verdict` decides once
+    per workspace; a mismatch on such input raises, since both
+    sides are theorems.
     """
     ws = ws or Workspace(c)
     c = ws.c
@@ -219,10 +218,9 @@ def induced_pairing_bc_bc(c: DoubleComplex, pairing: DualityPairing, r,
             pairing, c, p, q, bc_reps(ws, r, p, q), bc_reps(ws, r, n - p, n - q),
             ddbar_exact(ws, r, p, q), ddbar_exact(ws, r, n - p, n - q))
     nondeg = all(cell.nondegenerate for cell in per_cell.values())
-    agrees = None
+    verdict = agrees = None
     if compare_verdict:
-        if verdict is None:
-            verdict = page_ddbar_verdict(c, r, ws, use_structure=False).verdict
+        verdict = page_ddbar_verdict(c, r, ws, use_structure=False).verdict
         agrees = verdict == nondeg
         if not agrees and validate_pairing(c, pairing).perfect:
             raise ConsistencyError(

@@ -57,7 +57,7 @@ class ConsistencyError(RuntimeError):
 
 
 def _internal(what, r, at, fn, *args):
-    """fn(*args) on a quotient, solve or inverse that the library set up itself.
+    """fn(*args) on a quotient, solve, inverse or derived complex that the library set up itself.
 
     Such a step cannot fail on a valid complex, so a LinalgError there (a
     ContainmentError included) is raised again as a ConsistencyError that
@@ -124,11 +124,12 @@ class Workspace:
 
     @functools.cached_property
     def swapped(self):
-        return Workspace(swap_complex(self.c), checked=True)
+        return Workspace(_internal("the swapped complex", None, repr(self.c.name),
+                                   swap_complex, self.c), checked=True)
 
     @functools.cached_property
     def total(self):
-        return total_complex(self.c)
+        return _internal("the total complex", None, repr(self.c.name), total_complex, self.c)
 
     @functools.cached_property
     def betti(self):

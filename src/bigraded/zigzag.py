@@ -35,7 +35,8 @@ from bigraded.bicomplex import (DoubleComplex, _by_cell, _int_pair, _key, _matri
 from bigraded.linalg import LinalgError, _span
 from bigraded.models import (Square, ZigzagShape, build_shape, shape_arrows,
                              shape_cells, shape_length)
-from bigraded.spectral import ConsistencyError, Invariants, Workspace, memoised, page_dims
+from bigraded.spectral import (ConsistencyError, Invariants, Workspace, _internal, memoised,
+                               page_dims)
 
 __all__ = [
     "enumerate_shapes",
@@ -450,7 +451,7 @@ def _checked_split(ws: Workspace) -> Decomposition:
     """
     from bigraded.splitter import split_complex
     c = ws.c
-    cert = split_complex(c)
+    cert = _internal("the splitter's certificate", None, repr(c.name), split_complex, c)
     inventory = {}
     for shape, _ in cert.blocks:
         inventory[shape] = inventory.get(shape, 0) + 1

@@ -89,12 +89,12 @@ def test_ddbar_exact_one_way_inclusions(random_suite):
 
 
 def test_report_decides_each_verdict_once(monkeypatch):
-    """The report hands each page's verdict to the inequality check."""
+    """The inequality check reads the criteria the report's verdict section decided."""
     from bigraded import cli
     calls = []
-    verdict = bca.page_ddbar_verdict
-    monkeypatch.setattr(bca, "page_ddbar_verdict",
-                        lambda c, r, *args, **kwargs: calls.append(r) or verdict(c, r, *args, **kwargs))
+    maps = bca._criterion_bc_a_maps
+    monkeypatch.setattr(bca, "_criterion_bc_a_maps",
+                        lambda ws, r: calls.append(r) or maps(ws, r))
     c = direct_sum(build_shape(Square(0, 0), grid=(2, 2)),
                    build_shape(ZigzagShape(((0, 1), (1, 0)), False, False), grid=(2, 2)))
     verdicts = cli.build_report(c, 3)["verdicts"]
@@ -387,16 +387,19 @@ def test_inequality_random(random_suite):
             assert rep.bca_total >= rep.page_total >= rep.betti_doubled, (seed, r)
 
 
-@pytest.mark.parametrize("tag, shift, verdict, message", [
-    ("e", 1, None, "BC \\+ A >= E \\+ conjugate E >= 2b fails at page 2: BC \\+ A = 4, "
-                   "E \\+ conjugate E = 5"),
-    ("ebar", -1, None, "BC \\+ A >= E \\+ conjugate E >= 2b fails at page 2: .* = 3, 2b = 4"),
-    ("bc", 1, True, "ddbar property holds but BC \\+ A != 2b at page 2: BC \\+ A = 5"),
+@pytest.mark.parametrize("tag, shift, message", [
+    ("e", 1, "BC \\+ A >= E \\+ conjugate E >= 2b fails at page 2: BC \\+ A = 4, "
+             "E \\+ conjugate E = 5"),
+    ("ebar", -1, "BC \\+ A >= E \\+ conjugate E >= 2b fails at page 2: .* = 3, 2b = 4"),
+    ("bc", 1, "ddbar property holds but BC \\+ A != 2b at page 2: BC \\+ A = 5"),
 ], ids=["pages-above-bca", "pages-below-betti", "no-equality"])
-def test_patched_tables_make_the_inequality_check_raise(monkeypatch, tag, shift, verdict,
-                                                        message):
+def test_patched_tables_make_the_inequality_check_raise(monkeypatch, tag, shift, message):
     # two dots: every table holds 2 at (0,0) on every page, and 2b = 4
     dots = direct_sum(build_shape(dot_shape(0, 0)), build_shape(dot_shape(0, 0)))
+    ws = Workspace(dots)
+    # the criteria are decided (all true) before the tables break; deciding
+    # them on broken tables would fail criterion (C) and raise elsewhere
+    assert all(bca._criteria(ws, 2).values())
     real_bca, real_pages = bca.bca_dims, bca.page_dims
 
     def patched(real):
@@ -410,7 +413,7 @@ def test_patched_tables_make_the_inequality_check_raise(monkeypatch, tag, shift,
     monkeypatch.setattr(bca, "bca_dims", patched(real_bca))
     monkeypatch.setattr(bca, "page_dims", patched(real_pages))
     with pytest.raises(ConsistencyError, match=message):
-        inequality_check(dots, 2, Workspace(dots), verdict=verdict)
+        inequality_check(dots, 2, ws)
 
 
 def test_hopf_model_never_page_ddbar():

@@ -166,18 +166,18 @@ def test_duality_command(tmp_path, capsys):
 
 
 def test_report_with_a_pairing_decides_each_verdict_once(monkeypatch):
-    # the duality section reads the report's verdicts instead of deciding them again
+    # the inequality check and the duality section read the criteria the
+    # verdict section decided instead of deciding them again
     from bigraded import bca, pairing
     from bigraded.cli import build_report, load_input
     tot, form = pairing.sum_with_dual(load_input("example://random?grid=3,3&seed=5&maxdim=3"))
-    real = bca.page_ddbar_verdict
+    real = bca._criterion_bc_a_maps
     pages = []
 
-    def counted(c, r, *args, **kwargs):
+    def counted(ws, r):
         pages.append(r)
-        return real(c, r, *args, **kwargs)
-    monkeypatch.setattr(bca, "page_ddbar_verdict", counted)
-    monkeypatch.setattr(pairing, "page_ddbar_verdict", counted)
+        return real(ws, r)
+    monkeypatch.setattr(bca, "_criterion_bc_a_maps", counted)
     build_report(tot, 4, duality_pairing=form)
     assert sorted(pages) == [1, 2, 3, 4]
 
@@ -760,6 +760,25 @@ def test_non_nested_internal_quotient_is_a_consistency_error(capsys, monkeypatch
         assert code == 1, command
         assert doc["error"]["kind"] == "consistency", (command, doc)
         assert re.fullmatch(message, doc["error"]["message"]), (command, doc)
+
+
+def test_an_invalid_derived_complex_is_a_consistency_error(capsys, monkeypatch):
+    """The adjoint flip is derived from a valid complex, so its failure is no input error."""
+    from bigraded import hodge
+    from bigraded.linalg import Matrix
+    real = hodge.DoubleComplex
+
+    def doubled(name, pmax, qmax, dims, d1, d2):
+        cell = min(d1)
+        m = d1[cell]
+        d1 = dict(d1)
+        d1[cell] = Matrix(m.rows, m.cols, [[2 * x for x in row] for row in m.data])
+        return real(name, pmax, qmax, dims, d1, d2)
+    monkeypatch.setattr(hodge, "DoubleComplex", doubled)
+    code, doc = run_json(capsys, "hodge", "example://square")
+    assert code == 1 and doc["error"]["kind"] == "consistency", doc
+    assert doc["error"]["message"].startswith(
+        "the adjoint flip at 'square@0,0': invalid double complex:"), doc
 
 
 def _dual_sum_files(tmp_path):

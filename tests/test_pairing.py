@@ -24,6 +24,26 @@ def test_dual_complex_valid():
         assert validate(d).ok
 
 
+def test_inequality_and_bc_bc_pairing_read_the_decided_criteria(monkeypatch):
+    """Once a page's verdict is decided, neither consumer decides (B) and (D) again."""
+    from bigraded import bca
+    from bigraded.cli import load_input
+    tot, pairing = sum_with_dual(load_input("example://random?grid=3,3&seed=5&maxdim=3"))
+    ws = Workspace(tot)
+    calls = []
+    maps = bca._criterion_bc_a_maps
+    monkeypatch.setattr(bca, "_criterion_bc_a_maps",
+                        lambda ws, r: calls.append(r) or maps(ws, r))
+    for r in (1, 2):
+        bca.page_ddbar_verdict(tot, r, ws)
+        decided = len(calls)
+        bca.inequality_check(tot, r, ws)
+        rep = induced_pairing_bc_bc(tot, pairing, r, ws)
+        assert len(calls) == decided, r
+        assert rep.agrees is True
+    assert calls == [1, 2]
+
+
 def test_sum_with_dual_pairing_valid_and_perfect():
     z = build_shape(ZigzagShape(((0, 2), (1, 1)), False, True))
     tot, pairing = sum_with_dual(z)
