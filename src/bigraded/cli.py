@@ -14,8 +14,9 @@ report          run everything and emit one document
 
 Inputs are JSON complex files or ``example://`` URIs (dot, square, zigzag,
 ce, random).  Output is deterministic: identical inputs give
-byte-identical documents.  Exit codes: 0 success, 1 an invalid input or
-an implementation fault, 2 usage error.
+byte-identical documents.  Exit codes: 0 success, 1 an invalid input
+(an input too large for memory included) or an implementation fault, 2
+usage error, 130 interrupted (Ctrl-C), without a traceback.
 """
 
 from __future__ import annotations
@@ -585,6 +586,12 @@ def main(argv=None):
     except LinalgError as exc:
         sys.stdout.write(render_json({"error": {"kind": "input", "message": str(exc)}}))
         return 1
+    except MemoryError:
+        sys.stdout.write(render_json({"error": {
+            "kind": "input", "message": "out of memory: the input is too large to compute"}}))
+        return 1
+    except KeyboardInterrupt:
+        return 130
 
 
 if __name__ == "__main__":

@@ -15,7 +15,8 @@ plain int tuples.  Products, sums, `transpose`, `scale`, `select`, `hstack`,
 `rank`, `rref`, `solve`, `inverse`, kernels, images, preimages and
 `Subspace.basis` work on `num` and `den`, and build their results with
 `_matrix`, the one internal constructor, which divides out a common factor;
-every integer product of rows and vectors goes through `_dots`.
+every integer product of rows and vectors goes through `_product`, which
+multiplies only nonzero entries.
 
 A `Matrix` is also the one vector type: a family of vectors is the matrix
 whose columns they are, as `extend_basis` and `class_coordinates` return
@@ -51,7 +52,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, wraps
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 
 Q = Fraction
 _ZERO = Q(0)
@@ -119,9 +120,23 @@ def _scaled(num, f):
     return num if f == 1 else tuple(tuple(x * f for x in row) for row in num)
 
 
-def _dots(xs, ys):
-    """The integer products: row i is the dot product of xs[i] with each of `ys`."""
-    return tuple(tuple(sum(map(mul, x, y)) for y in ys) for x in xs)
+def _product(xs, ys, cols):
+    """The integer rows of X Y, for the rows `xs` of X and `ys` of Y, which has `cols` columns.
+
+    Only nonzero entries are multiplied: each nonzero x of a row of X adds x
+    times the nonzero entries of the matching row of Y, which are listed
+    once per call.
+    """
+    right = [[(j, y) for j, y in enumerate(row) if y] for row in ys]
+    out = []
+    for x in xs:
+        acc = [0] * cols
+        for xk, yk in zip(x, right):
+            if xk:
+                for j, y in yk:
+                    acc[j] += xk * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _unit_pivot_columns(pairs, n):
@@ -259,7 +274,7 @@ class Matrix:
                 return other
             if other is _identities.get(other.rows):
                 return self
-            return _matrix(self.rows, other.cols, _dots(self.num, list(zip(*other.num))),
+            return _matrix(self.rows, other.cols, _product(self.num, other.num, other.cols),
                            self.den * other.den)
         return self.scale(other)
 
@@ -492,11 +507,11 @@ def map_subspace(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map."""
     if m.cols != s.ambient_dim:
         raise LinalgError("map_subspace: domain mismatch")
-    return _span(list(_dots(s.echelon, m.num)), m.rows)
+    return _span(list(_product(s.echelon, tuple(zip(*m.num)), m.rows)), m.rows)
 
 
-def _pullback(s: Subspace, columns, ncols):
-    """Integer vectors spanning {x in Q^ncols : A x in s}, `columns` holding A's columns.
+def _pullback(s: Subspace, rows, ncols):
+    """Integer vectors spanning {x in Q^ncols : A x in s}, `rows` holding A's rows.
 
     y lies in s iff its residue against the unit-pivot basis vanishes at
     every non-pivot row i: y_i - sum_j (e_j[i] / e_j[p_j]) y_{p_j} = 0.
@@ -513,7 +528,7 @@ def _pullback(s: Subspace, columns, ncols):
             for e, pv, p in terms:
                 w[p] = -e * (scale // pv)
             weights.append(w)
-    conditions = [cond for cond in _dots(weights, columns) if any(cond)]
+    conditions = [cond for cond in _product(weights, rows, ncols) if any(cond)]
     return _kernel_vectors(conditions, ncols) if conditions else None
 
 
@@ -522,7 +537,7 @@ def preimage(m: Matrix, s: Subspace) -> Subspace:
     """{x : m x in s}, as a subspace of the domain Q^cols."""
     if m.rows != s.ambient_dim:
         raise LinalgError("preimage: codomain mismatch")
-    vectors = _pullback(s, list(zip(*m.num)), m.cols)
+    vectors = _pullback(s, m.num, m.cols)
     return Subspace.full(m.cols) if vectors is None else _span(vectors, m.cols)
 
 
@@ -546,10 +561,10 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if b.dim == 0 or a.dim == n:
         return b
     # the map from coefficients to combinations has a's basis rows as its columns
-    vectors = _pullback(b, a.echelon, a.dim)
+    vectors = _pullback(b, tuple(zip(*a.echelon)), a.dim)
     if vectors is None:
         return a
-    return _span(list(_dots(vectors, list(zip(*a.echelon)))), n)
+    return _span(list(_product(vectors, a.echelon, n)), n)
 
 
 def extend_basis(small: Subspace, big: Subspace) -> Matrix:
@@ -559,12 +574,15 @@ def extend_basis(small: Subspace, big: Subspace) -> Matrix:
     kept when they add rank.  The scan keeps dim(small + big) - dim small of
     them, which is k = dim big - dim small exactly when `small` lies inside
     `big`; keeping more raises ContainmentError, so this scan is the one
-    nesting check of every quotient.  The n x k result holds representatives
+    nesting check of every quotient.  Equal subspaces, whose canonical
+    echelons agree, skip the scan.  The n x k result holds representatives
     of a complement of `small` inside `big`, and its column count is the
     dimension of the quotient.
     """
     if big.ambient_dim != small.ambient_dim:
         raise LinalgError("extend_basis: ambient dimension mismatch")
+    if small.echelon == big.echelon:
+        return Matrix.zero(big.ambient_dim, 0)
     chosen = []
     span = list(zip(small.echelon, small.pivot_rows))
     for row, p in zip(big.echelon, big.pivot_rows):

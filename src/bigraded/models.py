@@ -241,31 +241,24 @@ class ParseError(LinalgError):
         self.position = position
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<op>[-+*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<num>\d+)|(?P<op>[-+*/^()])"
+                    r"|(?P<bad>\S))")
 
 
 def _tokenize(src):
+    """The (kind, value, position) tokens of `src`, closed by ("end", None, len(src))."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None or m.end() == pos:
-            rest = src[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", pos)
-        if m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("num"):
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        value, at = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", m.start())
+        if kind == "num":
             try:
-                value = int(m.group("num"))
+                value = int(value)
             except ValueError:  # more digits than the interpreter converts
-                raise ParseError(f"number of {len(m.group('num'))} digits is too long",
-                                 m.start("num")) from None
-            tokens.append(("num", value, m.start("num")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+                raise ParseError(f"number of {len(value)} digits is too long", at) from None
+        tokens.append((kind, value, at))
     tokens.append(("end", None, len(src)))
     return tokens
 
@@ -363,102 +356,62 @@ def mono_mul(m1, m2, spec):
 def parse_expression(src, spec: CdgaSpec):
     """Parse a sum of rational-coefficient monomials in the declared generators.
 
-    Grammar: terms joined by '+'/'-'; a term is '*'-separated factors, each
-    either a rational number (``3``, ``3/2``) or ``name['^' power]``.  The
-    factors of a term are multiplied in written order by `mono_mul`, and an
-    odd generator to a power of 2 or more is zero.  The result is a
-    normalised polynomial ``{exponent tuple: Fraction}``.
+    Grammar: an optional sign, then terms joined by '+'/'-'; a term is
+    '*'-separated factors, each either a rational number (``3``, ``3/2``) or
+    ``name['^' power]``.  One left-to-right scan reads it.  The factors of a
+    term are multiplied in written order by `mono_mul`, and an odd generator
+    to a power of 2 or more is zero.  The result is a normalised polynomial
+    ``{exponent tuple: Fraction}``.
     """
     tokens = _tokenize(src)
-    pos = 0
     unit = (0,) * len(spec.names)
-
-    def peek():
-        return tokens[pos]
-
-    def advance():
-        nonlocal pos
-        t = tokens[pos]
-        pos += 1
-        return t
-
-    def parse_factor():
-        kind, value, at = advance()
+    poly = {}
+    i = 1 if tokens[0][1] in ("+", "-") else 0
+    coeff, mono = Q(-1 if tokens[0][1] == "-" else 1), unit
+    while True:
+        kind, value, at = tokens[i]
         if kind == "num":
-            coeff = Q(value)
-            if peek()[:2] == ("op", "/"):
-                advance()
-                k2, v2, at2 = advance()
-                if k2 != "num":
-                    raise ParseError("expected denominator after '/'", at2)
-                if v2 == 0:
-                    raise ParseError("zero denominator", at2)
-                coeff /= v2
-            return coeff, None
-        if kind == "name":
+            coeff *= value
+            if tokens[i + 1][1] == "/":
+                i += 2
+                kind, den, at = tokens[i]
+                if kind != "num":
+                    raise ParseError("expected denominator after '/'", at)
+                if den == 0:
+                    raise ParseError("zero denominator", at)
+                coeff /= den
+        elif kind == "name":
             if value not in spec.index:
                 raise ParseError(f"undeclared name {value!r}", at)
-            power = 1
-            if peek()[:2] == ("op", "^"):
-                advance()
-                k2, v2, at2 = advance()
-                neg = False
-                if (k2, v2) == ("op", "-"):
-                    neg = True
-                    k2, v2, at2 = advance()
-                if k2 != "num":
-                    raise ParseError("expected exponent after '^'", at2)
-                power = -v2 if neg else v2
-                if power < 0:
-                    raise ParseError("negative exponent", at2)
-            return None, (spec.index[value], power)
-        raise ParseError(f"unexpected token {value!r}", at)
-
-    def parse_term():
-        coeff, mono = Q(1), unit
-        while True:
-            c, f = parse_factor()
-            if c is not None:
-                coeff *= c
+            g, power = spec.index[value], 1
+            if tokens[i + 1][1] == "^":
+                neg = tokens[i + 2][1] == "-"
+                i += 2 + neg
+                kind, power, at = tokens[i]
+                if kind != "num":
+                    raise ParseError("expected exponent after '^'", at)
+                if neg and power:
+                    raise ParseError("negative exponent", at)
+            if power > 1 and spec.odd[g]:
+                coeff = Q(0)
             elif coeff:
-                i, power = f
-                if power > 1 and spec.odd[i]:
-                    coeff = Q(0)
-                else:
-                    s, mono = mono_mul(mono, unit[:i] + (power,) + unit[i + 1:], spec)
-                    coeff *= s
-            if peek()[:2] == ("op", "*"):
-                advance()
-                continue
-            break
-        return coeff, mono
-
-    poly = {}
-    sign = 1
-    kind, value, at = peek()
-    if (kind, value) == ("op", "-"):
-        advance()
-        sign = -1
-    elif (kind, value) == ("op", "+"):
-        advance()
-    while True:
-        coeff, mono = parse_term()
-        if coeff:
-            poly[mono] = poly.get(mono, Q(0)) + sign * coeff
-            if poly[mono] == 0:
-                del poly[mono]
-        kind, value, at = peek()
-        if kind == "end":
-            break
-        if (kind, value) == ("op", "+"):
-            advance()
-            sign = 1
-        elif (kind, value) == ("op", "-"):
-            advance()
-            sign = -1
+                s, mono = mono_mul(mono, unit[:g] + (power,) + unit[g + 1:], spec)
+                coeff *= s
         else:
+            raise ParseError(f"unexpected token {value!r}", at)
+        kind, value, at = tokens[i + 1]  # the token after the factor's last
+        i += 2
+        if value == "*":
+            continue
+        if coeff:
+            poly[mono] = poly.get(mono, 0) + coeff
+            if not poly[mono]:
+                del poly[mono]
+        if kind == "end":
+            return poly
+        if value not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', got {value!r}", at)
-    return poly
+        coeff, mono = Q(-1 if value == "-" else 1), unit
 
 
 def expression_to_str(poly, spec: CdgaSpec):

@@ -150,8 +150,12 @@ def _induced(pairing, c, p, q, left: Matrix, right: Matrix, left_null: Subspace,
     well defined when each null space pairs to zero with the other side's
     representatives, each under the form at its own cell: N^T F R = 0 and
     N'^T B L = 0 for the form B at (n-p,n-q), since a pairing file may give
-    forms at the two cells that are not transposes.
+    forms at the two cells that are not transposes.  With no classes on
+    either side there is nothing to pair, and the empty form is well defined
+    and non-degenerate.
     """
+    if not (left.cols or right.cols):
+        return InducedPairing(Matrix.zero(0, 0), True, True, True)
     form, back = pairing.at(c, p, q), pairing.at(c, pairing.n - p, pairing.n - q)
     form_right = form * right
     gram = left.transpose() * form_right

@@ -62,11 +62,16 @@ def enumerate_shapes(grid):
     return _shapes_in({(p, q) for p in range(pmax + 1) for q in range(qmax + 1)})
 
 
+_interned = {}
+
+
 def _shapes_in(cells):
     """Every square and zigzag whose cells all lie in the set `cells`, in `_shape_key` order.
 
     A zigzag grows from its first generator down-right, one generator and
-    the corner before it at a time, while both are in `cells`.
+    the corner before it at a time, while both are in `cells`.  Each shape
+    is interned in a table keyed by value, so that the caches keyed by shape
+    find it by identity.
     """
     shapes = []
     for (p, q) in cells:
@@ -82,7 +87,7 @@ def _shapes_in(cells):
             if not (right and (a + 1, b - 1) in cells):
                 break
             gens.append((a + 1, b - 1))
-    return sorted(shapes, key=_shape_key)
+    return sorted((_interned.setdefault(shape, shape) for shape in shapes), key=_shape_key)
 
 
 def _shape_key(shape):
@@ -211,8 +216,34 @@ def _built(shape):
 
 
 @cache
+def _placed(shape):
+    """(class, dp, dq): the shape's key once moved by (-dp, -dq) to touch both axes.
+
+    Kept per shape, so a pair's translation class costs two lookups.
+    """
+    cells = shape_cells(shape)
+    dp, dq = min(p for p, _ in cells), min(q for _, q in cells)
+    if isinstance(shape, Square):
+        return (0,), dp, dq
+    gens = tuple((p - dp, q - dq) for p, q in shape.generators)
+    return (1, gens, shape.d2_out_first, shape.d1_out_last), dp, dq
+
+
+_homs = {}
+
+
 def _shape_hom(test_shape, target_shape):
-    return hom_dim(_built(test_shape), _built(target_shape))
+    """dim Hom(test, target), solved once per translation class of the pair.
+
+    Moving both shapes by one vector changes no Hom dimension, so the key is
+    the two classes and the offset between them.
+    """
+    test_class, tp, tq = _placed(test_shape)
+    target_class, sp, sq = _placed(target_shape)
+    key = (test_class, target_class, sp - tp, sq - tq)
+    if key not in _homs:
+        _homs[key] = hom_dim(_built(test_shape), _built(target_shape))
+    return _homs[key]
 
 
 class MultiplicityResult:

@@ -1,10 +1,17 @@
 """Command-line surface: subcommands, formats, determinism, exit codes."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import bigraded
+from bigraded import cli
 from bigraded.cli import main
 
 
@@ -268,6 +275,38 @@ def test_argparse_errors_print_the_error_object(capsys, argv, message):
     code, doc = run_json(capsys, *argv)
     assert code == 2
     assert doc == {"error": {"kind": "usage", "message": message}}
+
+
+@pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+def test_exhaustion_and_interrupt_end_without_a_traceback(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "build_report", fail)
+    code, out = run(capsys, "report", "example://dot")
+    if exc is MemoryError:
+        assert code == 1
+        assert json.loads(out) == {"error": {
+            "kind": "input", "message": "out of memory: the input is too large to compute"}}
+    else:
+        assert (code, out) == (130, "")
+
+
+def test_sigint_to_a_running_report_exits_130_without_a_traceback():
+    # a single zigzag of 160 generators takes seconds, so the signal lands mid-report
+    env = dict(os.environ, PYTHONPATH=str(Path(bigraded.__file__).resolve().parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "bigraded.cli", "report",
+                             "example://zigzag?gens=160&start=0,159", "--rmax", "4"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        time.sleep(0.6)
+        assert proc.poll() is None
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert b"Traceback" not in err and not out
 
 
 def test_missing_file_exits_two(capsys):

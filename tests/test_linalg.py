@@ -137,6 +137,16 @@ def test_extend_basis_counts_the_quotient():
         extend_basis(plane, line)
 
 
+def test_equal_dimensions_that_are_not_nested_raise():
+    # equal subspaces skip the scan; equal dimensions alone must not
+    a = Subspace.from_columns([(1, 0, 0), (0, 1, 1)], 3)
+    b = Subspace.from_columns([(1, 0, 0), (0, 1, 0)], 3)
+    assert extend_basis(a, a) == Matrix.zero(3, 0)
+    for small, big in ((a, b), (b, a)):
+        with pytest.raises(ContainmentError, match=r"non-nested pair \(dims 2 / 2\)"):
+            extend_basis(small, big)
+
+
 def test_quotient_requires_containment():
     a = Subspace.from_columns([(1, 0)], 2)
     b = Subspace.from_columns([(0, 1)], 2)
@@ -247,9 +257,44 @@ def shaped(draw, rows, cols):
 
 
 @st.composite
+def sparse(draw, rows, cols):
+    """A rows x cols rational matrix with few nonzero entries.
+
+    Identity-like (a scaled identity, cut to the shape), a signed partial
+    permutation, one nonzero entry per row, or a dense block whose other
+    rows and columns are zero.
+    """
+    entries = [[Q(0)] * cols for _ in range(rows)]
+    kind = draw(st.sampled_from(["identity", "permutation", "one-per-row", "empty-lines"]))
+    if kind == "identity":
+        c = draw(RATIONALS)
+        for i in range(min(rows, cols)):
+            entries[i][i] = c
+    elif kind == "permutation":
+        perm = draw(st.permutations(range(max(rows, cols))))
+        for i in range(rows):
+            if perm[i] < cols:
+                entries[i][perm[i]] = draw(st.sampled_from([Q(1), Q(-1)]))
+    elif kind == "one-per-row" and cols:
+        for i in range(rows):
+            entries[i][draw(st.integers(0, cols - 1))] = draw(RATIONALS)
+    elif kind == "empty-lines":
+        live_rows = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+        live_cols = draw(st.sets(st.integers(0, cols - 1))) if cols else set()
+        for i in live_rows:
+            for j in live_cols:
+                entries[i][j] = draw(RATIONALS)
+    return Matrix(rows, cols, entries)
+
+
+def dense_or_sparse(rows, cols):
+    return st.one_of(shaped(rows, cols), sparse(rows, cols))
+
+
+@st.composite
 def matrices(draw, max_rows=4, max_cols=4):
-    """Rational matrices, 0xn and nx0 included, often rank-deficient."""
-    return draw(shaped(draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))))
+    """Rational matrices, 0xn and nx0 included, often rank-deficient or sparse."""
+    return draw(dense_or_sparse(draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))))
 
 
 def _reference_extend_basis(small, big):
@@ -543,8 +588,8 @@ def _assert_canonical(m):
 def test_matrix_operations_match_a_fraction_reference(data):
     sympy = pytest.importorskip("sympy")
     r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
-    m, u, t = data.draw(shaped(r, k)), data.draw(shaped(r, k)), data.draw(shaped(k, c))
-    square, rhs = data.draw(shaped(r, r)), data.draw(shaped(r, c))
+    m, u, t = (data.draw(dense_or_sparse(*shape)) for shape in ((r, k), (r, k), (k, c)))
+    square, rhs = data.draw(dense_or_sparse(r, r)), data.draw(dense_or_sparse(r, c))
     s = data.draw(RATIONALS)
     vec = tuple(data.draw(RATIONALS) for _ in range(k))
     a, b = _ref(m), _ref(u)
@@ -589,6 +634,7 @@ def test_matrix_operations_match_a_fraction_reference(data):
         assert _ref(inv) == want_inv and square * inv == Matrix.identity(r)
     for sub in (kernel_basis(m), image_basis(m)):
         _assert_canonical(sub.basis)
+    assert map_subspace(m, image_basis(t)) == image_basis(m * t)
 
 
 def test_singular_inverse_raises_on_every_call():

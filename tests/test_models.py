@@ -136,6 +136,44 @@ def test_parse_errors_have_positions(ce_spec):
         parse_expression("x11 $ 2", ce_spec)
 
 
+@pytest.mark.parametrize("src, message", [
+    ("x11 $ 2", "unexpected character '$' (at position 3)"),
+    ("x11 x01", "expected '+' or '-', got 'x01' (at position 4)"),
+    ("3/", "expected denominator after '/' (at position 2)"),
+    ("3/x11", "expected denominator after '/' (at position 2)"),
+    ("3/0", "zero denominator (at position 2)"),
+    ("x11^", "expected exponent after '^' (at position 4)"),
+    ("x11^-2", "negative exponent (at position 5)"),
+    ("x11^-x", "expected exponent after '^' (at position 5)"),
+    ("(x11)", "unexpected token '(' (at position 0)"),
+    ("", "unexpected token None (at position 0)"),
+    ("-", "unexpected token None (at position 1)"),
+    ("x11*", "unexpected token None (at position 4)"),
+    ("+ -x11", "unexpected token '-' (at position 2)"),
+    ("x11 + zz", "undeclared name 'zz' (at position 6)"),
+    ("x11^2^3", "expected '+' or '-', got '^' (at position 5)"),
+    ("x11/2", "expected '+' or '-', got '/' (at position 3)"),
+    ("x11 é", "unexpected character 'é' (at position 3)"),
+    ("1" + "0" * 5000, "number of 5001 digits is too long (at position 0)"),
+], ids=lambda v: v if len(v) < 40 else f"{len(v)} characters")
+def test_parse_error_texts(ce_spec, src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(src, ce_spec)
+    assert str(exc.value) == message
+    assert exc.value.position == int(message.rsplit(" ", 1)[1][:-1])
+
+
+@pytest.mark.parametrize("src, poly", [
+    ("x11^-0", {(0, 0, 0, 0): 1}),
+    ("  x11  ", {(0, 1, 0, 0): 1}),
+    ("x11 ^ 3 -\t2*3/4*x11", {(0, 3, 0, 0): 1, (0, 1, 0, 0): Fraction(-3, 2)}),
+    ("-x01*y + y*x01 + 0*x01", {(1, 0, 1, 0): -2}),
+    ("x01^0*x01^1 - x01", {}),
+])
+def test_parse_results(ce_spec, src, poly):
+    assert parse_expression(src, ce_spec) == poly
+
+
 def test_parser_roundtrip(ce_spec):
     for src in ("x11^2", "x01*y - 2*xv", "1/3*x11*x01 + x11^3"):
         poly = parse_expression(src, ce_spec)

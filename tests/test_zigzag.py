@@ -186,6 +186,30 @@ def test_hom_panel_of_a_support_has_full_rank(support):
     assert _span(panel, len(shapes)).dim == len(shapes)
 
 
+def _moved(shape, a, b):
+    if isinstance(shape, Square):
+        return Square(shape.p + a, shape.q + b)
+    return ZigzagShape(tuple((p + a, q + b) for p, q in shape.generators),
+                       shape.d2_out_first, shape.d1_out_last)
+
+
+@settings(max_examples=15, deadline=None)
+@given(support=st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6),
+       shift=st.tuples(st.integers(0, 3), st.integers(0, 3)))
+def test_hom_dims_agree_at_the_origin_and_after_translation(support, shift):
+    # `_shape_hom` keeps one solve per translation class of a pair, so its answers must
+    # be the Hom dimensions solved afresh for the pair and for the pair moved by `shift`
+    shapes = zigzag._shapes_in(support)
+    moved = [_moved(shape, *shift) for shape in shapes]
+    built = [build_shape(shape) for shape in shapes + moved]
+    n = len(shapes)
+    for i, t in enumerate(shapes):
+        for j, s in enumerate(shapes):
+            want = hom_dim(built[i], built[j])
+            assert hom_dim(built[n + i], built[n + j]) == want
+            assert zigzag._shape_hom(t, s) == zigzag._shape_hom(moved[i], moved[j]) == want
+
+
 def test_multiplicity_inconsistent_system_raises(monkeypatch):
     real = zigzag.measured_invariants
 
